@@ -573,7 +573,9 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
             ):
                 status = "optimal"
                 break
-            ub = incumbent.best_penalized_value
+            # The gap is a claim about a solution we can return, so it is
+            # measured against the best feasible value and waits for one.
+            ub = incumbent.best_feasible_value
             if (
                 config.gap_target is not None
                 and ub is not None

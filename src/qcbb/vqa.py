@@ -5,6 +5,21 @@ vector of 2^n complex amplitudes and a phase layer is an elementwise
 multiply. Bit order is LSB-first throughout: bit i of a basis index z is the
 binary value of variable i (bit 0 -> x_0), and spin sigma_i = 2*bit_i - 1.
 
+The mixer applies R = R_x(beta)^{(x)k}, a symmetric 2^k x 2^k matrix, to
+blocks of at most MIXER_BLOCK spins with one matrix product each. Viewing the
+state as a (2^k, 2^(n-k)) array puts the top k bits of the index on the rows,
+and ``psi.reshape(2^k, -1).T @ R`` mixes them and writes them back at the
+bottom of the index, so the next block meets the next k bits on top. After
+blocks whose sizes sum to n every bit has been mixed once and the bit order
+is back where it started: no axis moves, and no copies beyond each
+product's output.
+
+A phase layer multiplies by exp(-i*gamma*E_z). Cost diagonals repeat few
+energies, so ``phase_table`` lists the distinct energies once with each
+entry's index among them, and a layer evaluates exp only on those. Every
+entry meets the same elementwise exp of the same float as it would on the
+full diagonal, so the phase factors are bit-identical to exp(-i*gamma*diag).
+
 Angle optimization is derivative-free under a hard query budget: Nelder-Mead
 runs with random restarts until the budget is exhausted, every expectation
 evaluation is recorded, and the best parameters seen are returned.
@@ -13,6 +28,7 @@ evaluation is recorded, and the best parameters seen are returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.optimize import minimize
@@ -20,6 +36,9 @@ from scipy.optimize import minimize
 from .ising import IsingModel
 
 SIMULATOR_LIMIT = 22
+# Spins per mixer product: 16x16 blocks beat 4x4, 8x8 and 32x32 at n = 14..20
+# (x86-64, 2 vCPU, one OpenBLAS thread).
+MIXER_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -92,13 +111,6 @@ class OptimizerTrace:
         return min(v for _, v in self.entries)
 
 
-def spin_table(n_spins: int) -> np.ndarray:
-    """(2^n, n) matrix of spins; row z, column i is sigma_i of basis state z."""
-    z = np.arange(1 << n_spins, dtype=np.int64)
-    bits = (z[:, None] >> np.arange(n_spins)) & 1
-    return 2.0 * bits - 1.0
-
-
 def build_diagonal(
     model: IsingModel, include_constant: bool = True, limit: int = SIMULATOR_LIMIT
 ) -> np.ndarray:
@@ -122,25 +134,42 @@ def build_diagonal(
 
 
 def _apply_mixer(state: np.ndarray, beta: float, n_spins: int) -> np.ndarray:
-    """exp(-i*beta*X) on every spin."""
+    """exp(-i*beta*X) on every spin, one matrix product per block of spins."""
     c = np.cos(beta)
     s = -1j * np.sin(beta)
     rot = np.array([[c, s], [s, c]])
-    psi = state.reshape((2,) * n_spins)
-    for axis in range(n_spins):
-        psi = np.moveaxis(np.tensordot(rot, psi, axes=([1], [axis])), 0, axis)
+    sizes = [MIXER_BLOCK] * (n_spins // MIXER_BLOCK)
+    if n_spins % MIXER_BLOCK:
+        sizes.append(n_spins % MIXER_BLOCK)
+    blocks = {k: reduce(np.kron, [rot] * k) for k in set(sizes)}
+    psi = state
+    for k in sizes:
+        psi = psi.reshape(1 << k, -1).T @ blocks[k]
     return psi.reshape(-1)
 
 
-def qaoa_state(diag: np.ndarray, params: QaoaParams) -> np.ndarray:
-    """Alternating phase/mixer circuit applied to the uniform superposition."""
+def phase_table(diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct energies of ``diag`` and the index of each entry among them."""
+    return np.unique(diag, return_inverse=True)
+
+
+def qaoa_state(
+    diag: np.ndarray,
+    params: QaoaParams,
+    table: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Alternating phase/mixer circuit applied to the uniform superposition.
+
+    ``table`` is ``phase_table(diag)``; pass it to reuse one across calls.
+    """
     size = diag.size
     n_spins = int(size).bit_length() - 1
     if 1 << n_spins != size:
         raise ValueError("diagonal length must be a power of two")
+    levels, index = phase_table(diag) if table is None else table
     state = np.full(size, 1.0 / np.sqrt(size), dtype=complex)
     for gamma, beta in zip(params.gammas, params.betas):
-        state = state * np.exp(-1j * gamma * diag)
+        state *= np.exp(-1j * gamma * levels)[index]
         if n_spins:
             state = _apply_mixer(state, beta, n_spins)
     return state
@@ -181,19 +210,21 @@ def optimize_angles(
 
     Nelder-Mead from a random start (or ``init`` when warm-starting), with
     fresh random restarts while budget remains. Never evaluates more than
-    ``max_queries`` times; returns the best parameters seen.
+    ``max_queries`` times; returns the best parameters seen. The phase table
+    of ``diag`` is built once and shared by every query.
     """
     if max_queries < 1:
         raise ValueError("max_queries must be at least 1")
     entries: list[tuple[int, float]] = []
     best_x: np.ndarray | None = None
     best_f = np.inf
+    table = phase_table(diag)
 
     def objective(x: np.ndarray) -> float:
         nonlocal best_x, best_f
         if len(entries) >= max_queries:
             raise _BudgetExhausted
-        value = expectation(qaoa_state(diag, QaoaParams.from_vector(x)), diag)
+        value = expectation(qaoa_state(diag, QaoaParams.from_vector(x), table), diag)
         entries.append((len(entries) + 1, value))
         if value < best_f:
             best_f = value

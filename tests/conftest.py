@@ -95,6 +95,22 @@ def dense_qaoa_expectation(diag: np.ndarray, params: QaoaParams) -> float:
     return float(np.real(np.vdot(psi, diag * psi)))
 
 
+def tensordot_mixer(state: np.ndarray, beta: float, n_spins: int) -> np.ndarray:
+    """Reference mixer: exp(-i*beta*X) applied one spin at a time.
+
+    Contracts the 2x2 rotation into each axis of the (2,)*n view of the
+    state, then moves the axis back, so it shares no logic with the blocked
+    mixer in ``qcbb.vqa``.
+    """
+    c = np.cos(beta)
+    s = -1j * np.sin(beta)
+    rot = np.array([[c, s], [s, c]])
+    psi = state.reshape((2,) * n_spins)
+    for axis in range(n_spins):
+        psi = np.moveaxis(np.tensordot(rot, psi, axes=([1], [axis])), 0, axis)
+    return psi.reshape(-1)
+
+
 def random_dense_instance(rng: np.random.Generator, n_max: int = 8) -> BlpInstance:
     """Mixed-sign dense instance (not set-partitioning shaped)."""
     n = int(rng.integers(2, n_max + 1))

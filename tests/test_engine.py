@@ -209,6 +209,17 @@ class TestSolve:
             )
             assert gap <= 0.99
 
+    def test_gap_measured_against_feasible_incumbent(self):
+        # With a tiny budget the penalized incumbent can meet the gap before
+        # any feasible point is known; the solver must keep searching then.
+        config = SolverConfig(gap_target=0.9, node_queries=5, shots=8)
+        for s in range(30):
+            res = solve(generate_spp(12, 6, seed=s), config)
+            if res.status == "gap_reached":
+                assert res.best_value is not None
+                gap = (res.best_value - res.global_lb) / max(1.0, abs(res.best_value))
+                assert gap <= 0.9
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
         for trial in range(6):

@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from conftest import dense_qaoa_expectation
-from qcbb.blp import BlpInstance
+from conftest import dense_qaoa_expectation, tensordot_mixer
+from qcbb import vqa
+from qcbb.blp import BlpInstance, compute_big_m, generate_spp
 from qcbb.ising import ConstantLedger, IsingModel, encode
 from qcbb.vqa import (
     OptimizerTrace,
     QaoaParams,
     SampleSet,
+    _apply_mixer,
     build_diagonal,
     expectation,
     optimize_angles,
+    phase_table,
     qaoa_state,
     sample,
 )
@@ -92,8 +95,7 @@ class TestQaoaState:
 
     def test_matches_dense_reference_random(self):
         rng = np.random.default_rng(17)
-        for _ in range(10):
-            n = int(rng.integers(1, 6))
+        for n in [*range(1, 10), *rng.integers(1, 10, size=4)]:
             p = int(rng.integers(1, 4))
             diag = rng.normal(size=1 << n) * 4
             params = QaoaParams(gammas=rng.uniform(0, np.pi, p), betas=rng.uniform(0, np.pi, p))
@@ -103,6 +105,56 @@ class TestQaoaState:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             qaoa_state(np.zeros(3), QaoaParams(gammas=[0.1], betas=[0.1]))
+
+    def test_zero_spins(self):
+        state = qaoa_state(np.array([2.0]), QaoaParams(gammas=[0.5, 0.25], betas=[0.3, 0.1]))
+        assert state.shape == (1,)
+        assert state[0] == pytest.approx(np.exp(-1j * 0.75 * 2.0), abs=1e-15)
+
+
+class TestMixer:
+    def test_matches_tensordot_reference(self):
+        # n = 1..11 covers every remainder mod 4 and up to three full blocks
+        rng = np.random.default_rng(21)
+        for n in range(1, 12):
+            for _ in range(3):
+                raw = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+                state = raw / np.linalg.norm(raw)
+                beta = float(rng.uniform(-np.pi, np.pi))
+                ours = _apply_mixer(state, beta, n)
+                ref = tensordot_mixer(state, beta, n)
+                assert np.max(np.abs(ours - ref)) <= 1e-12
+
+
+def spp_diagonal(n, m, seed):
+    inst = generate_spp(n, m, seed=seed)
+    return build_diagonal(encode(inst, compute_big_m(inst)), include_constant=False)
+
+
+class TestPhaseTable:
+    def test_table_levels_and_index(self):
+        diag = spp_diagonal(10, 4, seed=3)
+        levels, index = phase_table(diag)
+        assert levels.size < diag.size
+        assert np.array_equal(levels[index], diag)
+
+    @pytest.mark.parametrize("kind", ["spp", "distinct"])
+    def test_phase_factor_bit_identical(self, kind):
+        if kind == "spp":
+            diag = spp_diagonal(10, 4, seed=3)
+            assert np.array_equal(diag, np.round(diag))
+        else:
+            diag = np.random.default_rng(4).normal(size=1 << 10) * 7.0
+            assert np.unique(diag).size == diag.size
+        levels, index = phase_table(diag)
+        for gamma in (0.0, 0.37, -1.9, 2.5e3):
+            assert np.array_equal(np.exp(-1j * gamma * levels)[index], np.exp(-1j * gamma * diag))
+
+    def test_given_table_matches_built_table(self):
+        rng = np.random.default_rng(6)
+        params = QaoaParams(gammas=rng.uniform(0, np.pi, 3), betas=rng.uniform(0, np.pi, 3))
+        for diag in (spp_diagonal(10, 4, seed=3), rng.normal(size=1 << 7)):
+            assert np.array_equal(qaoa_state(diag, params), qaoa_state(diag, params, phase_table(diag)))
 
 
 class TestExpectation:
@@ -206,6 +258,24 @@ class TestOptimizeAngles:
         p2, t2 = optimize_angles(pair_diag, 2, 80, np.random.default_rng(3))
         assert np.array_equal(p1.as_vector(), p2.as_vector())
         assert t1.entries == t2.entries
+
+    def test_phase_table_built_once_per_call(self, monkeypatch):
+        calls = {"phase_table": 0, "qaoa_state": 0}
+
+        def counted(name):
+            original = getattr(vqa, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(vqa, name, wrapper)
+
+        counted("phase_table")
+        counted("qaoa_state")
+        _, trace = optimize_angles(spp_diagonal(8, 3, seed=1), 2, 30, np.random.default_rng(2))
+        assert calls == {"phase_table": 1, "qaoa_state": trace.n_queries}
+        assert trace.n_queries == 30
 
     def test_trace_indices_strictly_increase(self):
         with pytest.raises(ValueError):
