@@ -20,13 +20,15 @@ which is combined (max) with the unconditional relaxation bound
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ising import IsingModel
 
 ALPHA = 0.87856
+# Relative slack of the bound-based prunes and of the optimality stop.
+OPTIMALITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,6 @@ class BoundResult:
     W_minus: float
     lb_value: float
     alpha: float = ALPHA
-    cut: np.ndarray | None = field(default=None, compare=False)
 
 
 def ising_to_maxcut(model: IsingModel) -> WeightedGraph:
@@ -237,7 +238,7 @@ def lower_bound(
         graph, rank=cfg.rank, max_iters=cfg.max_iters, rng=rng, tol=cfg.tol
     )
     z_sdp = sdp_upper_bound(V, graph)
-    z_gw, cut = gw_round(V, graph, rounds=cfg.rounds, rng=rng)
+    z_gw, _ = gw_round(V, graph, rounds=cfg.rounds, rng=rng)
     W = graph.total_weight
     W_minus = graph.negative_weight
     unconditional = -2.0 * z_sdp + W
@@ -245,31 +246,29 @@ def lower_bound(
     if z_gw >= ALPHA * (z_sdp - W_minus) + W_minus:
         guaranteed = -(2.0 / ALPHA) * z_gw + (2.0 / ALPHA - 2.0) * W_minus + W
         lb = max(guaranteed, unconditional)
-    return BoundResult(
-        z_gw=z_gw,
-        z_sdp=z_sdp,
-        W=W,
-        W_minus=W_minus,
-        lb_value=lb,
-        cut=cut,
+    return BoundResult(z_gw=z_gw, z_sdp=z_sdp, W=W, W_minus=W_minus, lb_value=lb)
+
+
+def feasible_ceiling(c: np.ndarray, fixings: dict[int, int]) -> float:
+    """Most any feasible completion of ``fixings`` can cost.
+
+    T = sum_{i fixed} c_i x_i + sum_{i free} max(c_i, 0), the objective of
+    the completion that sets exactly the positive-cost free variables.
+    """
+    return float(
+        sum(c[i] * v for i, v in fixings.items())
+        + sum(max(ci, 0.0) for i, ci in enumerate(c) if i not in fixings)
     )
 
 
-def bound_floor(model: IsingModel, min_energy: float) -> float:
-    """Worst-case value of the guaranteed bound, from the true optimum.
+def infeasible_by_bound(lb_value: float, ceiling: float) -> bool:
+    """True when the bound proves the subproblem infeasible: lb > T + tol.
 
-    (1/alpha) min E - ((1-alpha)/alpha) (W - 2 W_minus); note W - 2 W_minus is
-    the sum of the absolute edge weights. Test-side companion to lower_bound.
+    ``lb_value`` bounds the penalized cost of every completion from below,
+    and a feasible completion's penalized cost is its objective, at most the
+    ceiling T (``feasible_ceiling``). So lb > T rules every feasible
+    completion out, whatever the penalty M. The slack
+    tol = OPTIMALITY_TOL * max(1, |T|) absorbs rounding in lb; lb == T is
+    never a proof.
     """
-    graph = ising_to_maxcut(model)
-    abs_weight = graph.total_weight - 2.0 * graph.negative_weight
-    return min_energy / ALPHA - ((1.0 - ALPHA) / ALPHA) * abs_weight
-
-
-def infeasible_by_bound(lb_value: float, constant: float, M: float) -> bool:
-    """True when the bound proves the subproblem infeasible: lb + C >= M.
-
-    Every feasible completion has penalized cost strictly below M, so a lower
-    bound at or above M rules them all out.
-    """
-    return lb_value + constant >= M
+    return lb_value > ceiling + OPTIMALITY_TOL * max(1.0, abs(ceiling))

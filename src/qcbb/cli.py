@@ -2,9 +2,9 @@
 
 Exit codes for ``solve``: 0 when optimal or the gap target was reached, 2 on
 a proven infeasible instance, 3 when a node or time limit stopped the run,
-1 on configuration or I/O errors. A JSON config file can seed any flag;
-explicit flags override the file. The environment variable ``QCBB_SEED``
-serves as a fallback seed.
+1 on usage, configuration or I/O errors. A JSON config file can seed any
+flag and must hold no other key; explicit flags override the file. The
+environment variable ``QCBB_SEED`` serves as a fallback seed.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ SOLVE_DEFAULTS = {
     "gap": None,
     "seed": None,
     "warm_start": False,
-    "workers": 1,
     "wall_clock": False,
     "queries": 500,
 }
@@ -57,6 +56,9 @@ def _merge_config(args: argparse.Namespace, keys) -> dict:
             file_values = json.load(fh)
         if not isinstance(file_values, dict):
             raise ValueError("config file must hold a JSON object")
+        unknown = sorted(set(file_values) - set(SOLVE_DEFAULTS))
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     merged = {}
     for key in keys:
         value = getattr(args, key, None)
@@ -78,7 +80,6 @@ def _solver_config(merged: dict) -> engine.SolverConfig:
         gap_target=None if merged["gap"] is None else float(merged["gap"]),
         seed=int(merged["seed"]),
         warm_start=bool(merged["warm_start"]),
-        workers=int(merged["workers"]),
         wall_clock=bool(merged["wall_clock"]),
         bound=BoundConfig(),
     )
@@ -115,21 +116,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    merged = _merge_config(
-        args,
-        (
-            "p",
-            "shots",
-            "node_queries",
-            "node_limit",
-            "time_limit",
-            "gap",
-            "seed",
-            "warm_start",
-            "workers",
-            "wall_clock",
-        ),
-    )
+    merged = _merge_config(args, [key for key in SOLVE_DEFAULTS if key != "queries"])
     config = _solver_config(merged)
     instance = blp.load_instance(args.instance)
     result = engine.solve(instance, config)
@@ -164,9 +151,7 @@ def _fmt(value) -> str:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    merged = _merge_config(
-        args, ("p", "shots", "seed", "queries", "workers", "wall_clock")
-    )
+    merged = _merge_config(args, ("p", "shots", "seed", "queries", "wall_clock"))
     config = engine.SolverConfig(
         p=int(merged["p"]),
         shots=int(merged["shots"]),
@@ -241,8 +226,16 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_ERROR; argparse's own 2 means infeasible here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qcbb",
         description="Quantum-classical branch and bound for binary linear programs",
     )
@@ -282,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seed", type=int, default=None)
     solve.add_argument("--trace", default=None, help="write the event trace (csv or json)")
     solve.add_argument("--warm-start", dest="warm_start", action="store_const", const=True, default=None)
-    solve.add_argument("--workers", type=int, default=None)
     solve.add_argument(
         "--wall-clock",
         dest="wall_clock",

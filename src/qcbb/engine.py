@@ -6,15 +6,17 @@ bound (constant ledger added back so bounds live in the master frame), and
 either prunes, fathoms, or runs the QAOA subroutine to sample candidate
 solutions. Violated constraints in the samples yield per-variable conflict
 values; the most conflicting variable is branched on. Best-first selection by
-lowest lower bound; the incumbent used for pruning is the best penalized cost
-seen, while the reported answer is the best feasible solution.
+lowest lower bound; pruning compares bounds with the best feasible value and
+the best penalized cost seen (``Incumbent.cutoff``), while the reported
+answer is the best feasible solution. Nodes are evaluated one at a time, so
+a run is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,12 +24,10 @@ import numpy as np
 from . import bound as bound_mod
 from . import vqa
 from .blp import FEASIBILITY_TOL, BlpInstance, compute_big_m
-from .bound import BoundConfig, BoundResult
+from .bound import OPTIMALITY_TOL, BoundConfig, BoundResult
 from .ising import ReducedProblem, encode, many_body_count, reduce
 from .metrics import TraceEvent, TraceRecorder
 from .vqa import OptimizerTrace, QaoaParams, SampleSet
-
-OPTIMALITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,6 @@ class SolverConfig:
     seed: int = 0
     warm_start: bool = False
     prune: bool = True
-    vqa_first: bool = False
-    simulator_limit: int = vqa.SIMULATOR_LIMIT
-    workers: int = 1
     wall_clock: bool = False
     bound: BoundConfig = field(default_factory=BoundConfig)
 
@@ -52,8 +49,6 @@ class SolverConfig:
             raise ValueError("p, shots and node_queries must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
         for limit in (self.node_limit, self.time_limit, self.gap_target):
             if limit is not None and limit <= 0:
                 raise ValueError("limits must be positive when set")
@@ -67,8 +62,6 @@ class Node:
     parent: int | None
     fixings: dict[int, int]
     local_lb: float
-    branch_var: int | None = None
-    branch_value: int | None = None
     warm: QaoaParams | None = None
 
     @property
@@ -80,9 +73,7 @@ class Node:
 class ConflictData:
     """Sample-derived violation structure of a node's reduced constraints."""
 
-    violation: np.ndarray  # m x s indicator
     nu: np.ndarray  # violation score per constraint, in [0, 1]
-    incidence: np.ndarray  # m x n variable-in-constraint indicator
     gamma: np.ndarray  # conflict value per variable
 
 
@@ -106,6 +97,22 @@ class Incumbent:
             self.best_feasible_value = value
             self.best_feasible_x = x
         return improved
+
+    def cutoff(self) -> float | None:
+        """Node bound at or above which the node holds no better answer.
+
+        The best feasible value prunes ties. The penalized value may belong
+        to an infeasible point, whose penalized cost is at least the feasible
+        optimum and can equal it, so it only prunes bounds above it by more
+        than OPTIMALITY_TOL * max(1, |value|).
+        """
+        ub = self.best_penalized_value
+        if ub is None:
+            return None
+        cut = ub + OPTIMALITY_TOL * max(1.0, abs(ub))
+        if self.best_feasible_value is not None:
+            cut = min(cut, self.best_feasible_value)
+        return cut
 
 
 @dataclass(frozen=True)
@@ -178,9 +185,8 @@ def conflict_values(A: np.ndarray, b: np.ndarray, samples: SampleSet) -> Conflic
     residual = X @ A.T - b
     violation = (np.abs(residual) > FEASIBILITY_TOL).T.astype(np.int8)
     nu = (violation @ samples.counts) / samples.shots
-    incidence = (A != 0).astype(np.int8)
-    gamma = nu @ incidence
-    return ConflictData(violation=violation, nu=nu, incidence=incidence, gamma=gamma)
+    gamma = nu @ (A != 0).astype(np.int8)
+    return ConflictData(nu=nu, gamma=gamma)
 
 
 def select_branching_variable(gamma: np.ndarray, fields: np.ndarray) -> int:
@@ -269,15 +275,9 @@ def _evaluate_candidates(
 
 
 def _run_vqa(
-    red: ReducedProblem,
-    master: BlpInstance,
-    M: float,
-    config: SolverConfig,
-    node: Node,
+    red: ReducedProblem, config: SolverConfig, node: Node
 ) -> tuple[OptimizerTrace, QaoaParams, SampleSet]:
-    diag = vqa.build_diagonal(
-        red.model, include_constant=False, limit=config.simulator_limit
-    )
+    diag = vqa.build_diagonal(red.model, include_constant=False)
     init = node.warm if config.warm_start else None
     params, trace = vqa.optimize_angles(
         diag,
@@ -291,84 +291,63 @@ def _run_vqa(
     return trace, params, samples
 
 
+def _prune(
+    lb: float, ceiling: float, cutoff: float | None, config: SolverConfig
+) -> tuple[str, str | None] | None:
+    """The prune rule, as (outcome, reason), or None when the node survives.
+
+    Infeasible when ``bound.infeasible_by_bound(lb, ceiling)``, i.e.
+    lb > T + tol; otherwise dominated when lb >= the incumbent cutoff
+    (``Incumbent.cutoff``).
+    """
+    if not config.prune:
+        return None
+    if bound_mod.infeasible_by_bound(lb, ceiling):
+        return "pruned_infeasible", "bound"
+    if cutoff is not None and lb >= cutoff:
+        return "pruned_bound", None
+    return None
+
+
 def evaluate_node(
     master: BlpInstance,
     M: float,
     node: Node,
     config: SolverConfig,
-    incumbent_ub: float | None,
+    cutoff: float | None,
 ) -> NodeEvaluation:
     """Full lifecycle of one node; pure given the node's seed streams.
 
-    Ordering: propagation, reduction and bounding, infeasibility/bound
-    pruning, leaf fathoming, the variational subroutine, then branching on
-    the most conflicting variable with both children re-propagated. With
-    ``vqa_first`` the subroutine runs before the prune checks, so every
-    propagation-feasible node contributes samples.
+    Ordering: propagation; the prune rule on the inherited bound; reduction
+    and bounding; the prune rule on the node bound; leaf fathoming; the
+    variational subroutine; then branching on the most conflicting variable
+    with both children re-propagated. Both prune checks measure the bound
+    against the node's feasible ceiling T, computed once after propagation,
+    and against ``cutoff`` (``Incumbent.cutoff``; None prunes nothing).
     """
     fixings, feasible = propagate(master.A, master.b, node.fixings)
+    pre_bound = dict(node_lb=node.local_lb, fixings=fixings, n_free=master.n - len(fixings))
     if not feasible:
-        return NodeEvaluation(
-            outcome="pruned_infeasible",
-            reason="propagation",
-            node_lb=node.local_lb,
-            fixings=fixings,
-            n_free=master.n - len(fixings),
-        )
-    if config.prune and node.local_lb >= M:
-        return NodeEvaluation(
-            outcome="pruned_infeasible",
-            reason="bound",
-            node_lb=node.local_lb,
-            fixings=fixings,
-            n_free=master.n - len(fixings),
-        )
-    if (
-        config.prune
-        and not config.vqa_first
-        and incumbent_ub is not None
-        and node.local_lb >= incumbent_ub
-    ):
-        return NodeEvaluation(
-            outcome="pruned_bound",
-            reason=None,
-            node_lb=node.local_lb,
-            fixings=fixings,
-            n_free=master.n - len(fixings),
-        )
+        return NodeEvaluation("pruned_infeasible", "propagation", **pre_bound)
+    ceiling = bound_mod.feasible_ceiling(master.c, fixings)
+    pruned = _prune(node.local_lb, ceiling, cutoff, config)
+    if pruned is not None:
+        return NodeEvaluation(*pruned, **pre_bound)
 
     red = reduce(master, M, fixings)
-    mb = many_body_count(red.model)
-
-    vqa_out: tuple[OptimizerTrace, QaoaParams, SampleSet] | None = None
-    if config.vqa_first and red.n_free > 0:
-        vqa_out = _run_vqa(red, master, M, config, node)
-
     bres = bound_mod.lower_bound(red.model, config.bound, _node_rng(config.seed, node.id, 0))
     node_lb = max(node.local_lb, bres.lb_value + red.model.constant)
-
     common = dict(
         node_lb=node_lb,
         fixings=fixings,
         n_free=red.n_free,
-        many_body=mb,
+        many_body=many_body_count(red.model),
         bound_result=bres,
         expectation_offset=red.model.constant,
     )
-    if vqa_out is not None:
-        trace, params, samples = vqa_out
-        best_cand, best_feas = _evaluate_candidates(master, red, samples, M)
-        common.update(
-            optimizer_trace=trace,
-            best_params=params,
-            best_candidate=best_cand,
-            best_feasible_candidate=best_feas,
-        )
-
-    if config.prune and bound_mod.infeasible_by_bound(node_lb, 0.0, M):
-        return NodeEvaluation(outcome="pruned_infeasible", reason="bound", **common)
-    if config.prune and incumbent_ub is not None and node_lb >= incumbent_ub:
-        return NodeEvaluation(outcome="pruned_bound", reason=None, **common)
+    pruned = _prune(node_lb, ceiling, cutoff, config)
+    if pruned is not None:
+        return NodeEvaluation(*pruned, **common)
 
     if red.n_free == 0:
         full = red.merge(np.zeros(0))
@@ -381,84 +360,66 @@ def evaluate_node(
             **common,
         )
 
-    if vqa_out is None:
-        trace, params, samples = _run_vqa(red, master, M, config, node)
-        best_cand, best_feas = _evaluate_candidates(master, red, samples, M)
-        common.update(
-            optimizer_trace=trace,
-            best_params=params,
-            best_candidate=best_cand,
-            best_feasible_candidate=best_feas,
-        )
-    else:
-        samples = vqa_out[2]
-
+    trace, params, samples = _run_vqa(red, config, node)
+    best_cand, best_feas = _evaluate_candidates(master, red, samples, M)
     conflict = conflict_values(red.A, red.b, samples)
     k_red = select_branching_variable(conflict.gamma, red.model.fields)
     k = int(red.index_map[k_red])
     children = []
     for value in (0, 1):
-        child_fix = dict(fixings)
-        child_fix[k] = value
-        child_fix, child_ok = propagate(master.A, master.b, child_fix)
-        children.append(
-            ChildBranch(
-                fixings=child_fix, branch_var=k, branch_value=value, feasible=child_ok
-            )
-        )
+        child_fix, child_ok = propagate(master.A, master.b, {**fixings, k: value})
+        children.append(ChildBranch(child_fix, k, value, child_ok))
     return NodeEvaluation(
-        outcome="branched", reason=None, children=tuple(children), **common
+        outcome="branched",
+        reason=None,
+        optimizer_trace=trace,
+        best_params=params,
+        best_candidate=best_cand,
+        best_feasible_candidate=best_feas,
+        children=tuple(children),
+        **common,
     )
 
 
-class _Clock:
-    def __init__(self):
-        self.t0 = time.perf_counter()
-
-    def elapsed(self) -> float:
-        return time.perf_counter() - self.t0
+# Trace event (kind, status) recorded for each node outcome.
+_OUTCOME_EVENTS = {
+    "pruned_infeasible": ("prune", "infeasible"),
+    "pruned_bound": ("prune", "bound"),
+    "fathomed_leaf": ("fathom", "leaf"),
+    "branched": ("branch", None),
+}
 
 
 def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveResult:
     """Best-first branch and bound to proven optimality or a configured stop.
 
-    Deterministic for a fixed seed in single-worker mode. With multiple
-    workers node evaluations run concurrently against snapshot incumbents;
-    results stay correct but the trace may differ from a serial run.
+    Pops one node at a time, evaluates it against the current incumbent
+    cutoff and applies the result, so the trace is deterministic for a
+    fixed seed.
     """
     if config is None:
         config = SolverConfig()
-    if instance.n > config.simulator_limit:
+    if instance.n > vqa.SIMULATOR_LIMIT:
         raise ValueError(
             f"instance has {instance.n} variables, simulator limit is "
-            f"{config.simulator_limit}"
+            f"{vqa.SIMULATOR_LIMIT}"
         )
     M = compute_big_m(instance)
-    master_model = encode(instance, M)
-    master_mb = many_body_count(master_model)
-    clock = _Clock()
+    master_mb = many_body_count(encode(instance, M))
+    t0 = time.perf_counter()
     rec = TraceRecorder(wall_clock=config.wall_clock)
     incumbent = Incumbent()
     records: dict[int, NodeRecord] = {}
 
-    next_id = 0
-
-    def new_id() -> int:
-        nonlocal next_id
-        value = next_id
-        next_id += 1
-        return value
-
-    root = Node(id=new_id(), parent=None, fixings={}, local_lb=-np.inf)
+    ids = itertools.count()
+    root = Node(id=next(ids), parent=None, fixings={}, local_lb=-np.inf)
     heap: list[tuple[float, int, int, Node]] = []
     heapq.heappush(heap, (root.local_lb, -root.depth, root.id, root))
 
     global_lb = -np.inf
     node_index = -1
-    evaluated = 0
     query_count = 0
     status: str | None = None
-    pool = ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
 
     def fraction_of(mb: int | None) -> float | None:
         if mb is None:
@@ -468,7 +429,7 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
         return mb / master_mb
 
     def apply_evaluation(node: Node, ev: NodeEvaluation) -> None:
-        nonlocal global_lb, query_count
+        nonlocal query_count
         if ev.optimizer_trace is not None:
             for _, value in ev.optimizer_trace.entries:
                 query_count += 1
@@ -486,31 +447,13 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
                 incumbent.offer(fv, fx, True)
             if improved:
                 rec.record("incumbent_update", node_index, ub=incumbent.best_penalized_value)
-        if ev.outcome == "pruned_infeasible":
-            rec.record(
-                "prune",
-                node_index,
-                status="infeasible",
-                many_body_fraction=fraction_of(ev.many_body),
-            )
-        elif ev.outcome == "pruned_bound":
-            rec.record(
-                "prune",
-                node_index,
-                status="bound",
-                many_body_fraction=fraction_of(ev.many_body),
-            )
-        elif ev.outcome == "fathomed_leaf":
-            rec.record(
-                "fathom",
-                node_index,
-                status="leaf",
-                many_body_fraction=fraction_of(ev.many_body),
-            )
-        else:
-            rec.record(
-                "branch", node_index, many_body_fraction=fraction_of(ev.many_body)
-            )
+        kind, event_status = _OUTCOME_EVENTS[ev.outcome]
+        rec.record(
+            kind,
+            node_index,
+            status=event_status,
+            many_body_fraction=fraction_of(ev.many_body),
+        )
         records[node.id] = NodeRecord(
             node_id=node.id,
             parent_id=node.parent,
@@ -523,7 +466,7 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
             many_body_count=ev.many_body,
         )
         for child in ev.children:
-            cid = new_id()
+            cid = next(ids)
             if not child.feasible:
                 rec.record("prune", node_index, status="infeasible")
                 records[cid] = NodeRecord(
@@ -543,8 +486,6 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
                 parent=node.id,
                 fixings=child.fixings,
                 local_lb=ev.node_lb,
-                branch_var=child.branch_var,
-                branch_value=child.branch_value,
                 warm=ev.best_params if config.warm_start else None,
             )
             heapq.heappush(
@@ -565,55 +506,37 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
             global_lb = candidate
             rec.record("bound_update", max(node_index, 0), lb=global_lb)
 
-    try:
-        while heap:
-            if (
-                incumbent.best_feasible_value is not None
-                and global_lb >= incumbent.best_feasible_value - OPTIMALITY_TOL
-            ):
-                status = "optimal"
-                break
-            # The gap is a claim about a solution we can return, so it is
-            # measured against the best feasible value and waits for one.
-            ub = incumbent.best_feasible_value
-            if (
-                config.gap_target is not None
-                and ub is not None
-                and np.isfinite(global_lb)
-                and (ub - global_lb) / max(1.0, abs(ub)) <= config.gap_target
-            ):
-                status = "gap_reached"
-                break
-            if config.node_limit is not None and evaluated >= config.node_limit:
-                status = "node_limit"
-                break
-            if config.time_limit is not None and clock.elapsed() > config.time_limit:
-                status = "time_limit"
-                break
+    while heap:
+        if (
+            incumbent.best_feasible_value is not None
+            and global_lb >= incumbent.best_feasible_value - OPTIMALITY_TOL
+        ):
+            status = "optimal"
+            break
+        # The gap is a claim about a solution we can return, so it is
+        # measured against the best feasible value and waits for one.
+        ub = incumbent.best_feasible_value
+        if (
+            config.gap_target is not None
+            and ub is not None
+            and np.isfinite(global_lb)
+            and (ub - global_lb) / max(1.0, abs(ub)) <= config.gap_target
+        ):
+            status = "gap_reached"
+            break
+        if config.node_limit is not None and node_index + 1 >= config.node_limit:
+            status = "node_limit"
+            break
+        if config.time_limit is not None and time.perf_counter() - t0 > config.time_limit:
+            status = "time_limit"
+            break
 
-            batch_size = min(config.workers, len(heap)) if pool else 1
-            batch = [heapq.heappop(heap)[3] for _ in range(batch_size)]
-            snapshot_ub = incumbent.best_penalized_value
-            if pool:
-                futures = [
-                    pool.submit(evaluate_node, instance, M, nd, config, snapshot_ub)
-                    for nd in batch
-                ]
-                outcomes = [f.result() for f in futures]
-            else:
-                outcomes = [
-                    evaluate_node(instance, M, nd, config, incumbent.best_penalized_value)
-                    for nd in batch
-                ]
-            for nd, ev in zip(batch, outcomes):
-                node_index += 1
-                evaluated += 1
-                rec.record("node_start", node_index)
-                apply_evaluation(nd, ev)
-            refresh_global_lb()
-    finally:
-        if pool:
-            pool.shutdown(wait=True)
+        node = heapq.heappop(heap)[3]
+        ev = evaluate_node(instance, M, node, config, incumbent.cutoff())
+        node_index += 1
+        rec.record("node_start", node_index)
+        apply_evaluation(node, ev)
+        refresh_global_lb()
 
     if status is None:
         if incumbent.best_feasible_value is not None:
@@ -639,11 +562,11 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
         best_penalized_value=incumbent.best_penalized_value,
         best_penalized_assignment=incumbent.best_penalized_x,
         global_lb=global_lb,
-        nodes_evaluated=evaluated,
+        nodes_evaluated=node_index + 1,
         trace=tuple(rec.events),
         node_records=records,
         M=M,
-        elapsed_s=clock.elapsed(),
+        elapsed_s=time.perf_counter() - t0,
     )
 
 
@@ -669,12 +592,12 @@ def run_plain_qaoa(
         config = SolverConfig()
     if queries < 1:
         raise ValueError("queries must be positive")
-    if instance.n > config.simulator_limit:
+    if instance.n > vqa.SIMULATOR_LIMIT:
         raise ValueError("instance exceeds the simulator limit")
     M = compute_big_m(instance)
     model = encode(instance, M)
     rec = TraceRecorder(wall_clock=config.wall_clock)
-    diag = vqa.build_diagonal(model, include_constant=False, limit=config.simulator_limit)
+    diag = vqa.build_diagonal(model, include_constant=False)
     params, trace = vqa.optimize_angles(
         diag, config.p, queries, _node_rng(config.seed, 0, 1)
     )

@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import expm
 
 from qcbb.blp import BlpInstance
-from qcbb.bound import WeightedGraph
+from qcbb.bound import ALPHA, WeightedGraph, ising_to_maxcut
 from qcbb.ising import ConstantLedger, IsingModel
 from qcbb.vqa import QaoaParams
 
@@ -60,6 +60,17 @@ def exhaustive_energies(model: IsingModel) -> np.ndarray:
 
 def exhaustive_min_energy(model: IsingModel) -> float:
     return float(exhaustive_energies(model).min())
+
+
+def bound_floor(model: IsingModel, min_energy: float) -> float:
+    """Worst-case value of the guaranteed bound, from the true optimum.
+
+    (1/alpha) min E - ((1-alpha)/alpha) (W - 2 W_minus); note W - 2 W_minus is
+    the sum of the absolute edge weights. Companion to ``bound.lower_bound``.
+    """
+    graph = ising_to_maxcut(model)
+    abs_weight = graph.total_weight - 2.0 * graph.negative_weight
+    return min_energy / ALPHA - ((1.0 - ALPHA) / ALPHA) * abs_weight
 
 
 def exhaustive_max_cut(graph: WeightedGraph) -> float:

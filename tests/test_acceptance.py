@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    bound_floor,
     dense_qaoa_expectation,
     exhaustive_energies,
     odd_cycle_instance,
@@ -23,7 +24,7 @@ from qcbb.blp import (
     enumerate_assignments,
     generate_spp,
 )
-from qcbb.bound import bound_floor, ising_to_maxcut, lower_bound
+from qcbb.bound import ising_to_maxcut, lower_bound
 from qcbb.engine import SolverConfig, run_plain_qaoa, solve
 from qcbb.ising import encode
 from qcbb.metrics import export_trace

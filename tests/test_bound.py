@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import exhaustive_max_cut, exhaustive_min_energy, random_model
+from conftest import bound_floor, exhaustive_max_cut, exhaustive_min_energy, random_model
 from qcbb.blp import enumerate_assignments, generate_spp, compute_big_m
 from qcbb.bound import (
     ALPHA,
     BoundConfig,
     WeightedGraph,
-    bound_floor,
+    feasible_ceiling,
     gw_round,
     infeasible_by_bound,
     ising_to_maxcut,
@@ -201,12 +201,32 @@ class TestBoundFloor:
             assert bound_floor(model, min_h) - 1e-6 <= res.lb_value
 
 
+class TestFeasibleCeiling:
+    def test_hand_worked_example(self):
+        # fixed: 2*1 - 3*1; free: max(5, 0) + max(-1, 0)
+        assert feasible_ceiling(np.array([2.0, -3.0, 5.0, -1.0]), {0: 1, 1: 1}) == 4.0
+
+    def test_is_the_largest_completion_objective(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            n = int(rng.integers(1, 7))
+            c = rng.integers(-5, 6, size=n).astype(float)
+            idx = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+            fixings = {int(i): int(rng.integers(0, 2)) for i in idx}
+            X = enumerate_assignments(n)
+            keep = np.all([X[:, i] == v for i, v in fixings.items()], axis=0)
+            assert feasible_ceiling(c, fixings) == (X[keep] @ c).max()
+
+
 class TestInfeasibleByBound:
     def test_boundary(self):
-        assert infeasible_by_bound(0.0, 100.0, 100.0) is True
+        # lb == T is attained by a feasible point costing T, so it proves nothing
+        assert infeasible_by_bound(100.0, 100.0) is False
+        assert infeasible_by_bound(100.0 + 1e-8, 100.0) is False  # within tol
+        assert infeasible_by_bound(100.0 + 1e-6, 100.0) is True
 
     def test_clearly_feasible_bound(self):
-        assert infeasible_by_bound(-5.0, 0.0, 100.0) is False
+        assert infeasible_by_bound(-5.0, 100.0) is False
 
     def test_flagged_subproblems_have_no_feasible_completion(self):
         rng = np.random.default_rng(14)
@@ -219,7 +239,8 @@ class TestInfeasibleByBound:
             fixings = {int(i): int(rng.integers(0, 2)) for i in idx}
             red = reduce(inst, M, fixings)
             res = lower_bound(red.model, BoundConfig(), rng=np.random.default_rng(trial))
-            if infeasible_by_bound(res.lb_value, red.model.constant, M):
+            lb = res.lb_value + red.model.constant
+            if infeasible_by_bound(lb, feasible_ceiling(inst.c, fixings)):
                 flagged += 1
                 for x_free in enumerate_assignments(red.n_free):
                     assert not inst.is_feasible(red.merge(x_free))

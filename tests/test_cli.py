@@ -92,6 +92,20 @@ class TestSolve:
         # flag overrides the file's node limit
         assert cli.main(["solve", str(path), "--config", str(config), "--node-limit", "500"]) == 0
 
+    @pytest.mark.parametrize("flags", [["--bogus"], ["--workers", "2"]])
+    def test_unknown_flag_is_usage_error(self, fixture_instance, flags, capsys):
+        # exit 2 means "proven infeasible", so usage errors must not use it
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", str(fixture_instance), *flags])
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_unknown_config_key_rejected(self, fixture_instance, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"node_querys": 1, "workerz": 9}))
+        assert cli.main(["solve", str(fixture_instance), "--config", str(config)]) == 1
+        assert "node_querys, workerz" in capsys.readouterr().err
+
     def test_env_seed_fallback(self, fixture_instance, tmp_path, monkeypatch):
         t1, t2 = tmp_path / "a.csv", tmp_path / "b.csv"
         monkeypatch.setenv("QCBB_SEED", "21")
@@ -112,6 +126,12 @@ class TestBaseline:
         )
         events = load_trace(trace)
         assert sum(1 for e in events if e.kind == "optimizer_query") == 1
+
+    def test_loads_solve_config_file(self, fixture_instance, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"node_queries": 5, "node_limit": 1, "seed": 2, "queries": 3}))
+        assert cli.main(["baseline", str(fixture_instance), "--config", str(config)]) == 0
+        assert "queries 3" in capsys.readouterr().out
 
     def test_deterministic_summaries(self, fixture_instance, capsys):
         cli.main(["baseline", str(fixture_instance), "--seed", "4", "--queries", "30"])

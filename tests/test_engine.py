@@ -20,7 +20,7 @@ from qcbb.engine import (
     select_branching_variable,
     solve,
 )
-from qcbb.vqa import SampleSet
+from qcbb.vqa import SIMULATOR_LIMIT, SampleSet
 
 
 def sample_set(rows, counts):
@@ -274,23 +274,10 @@ class TestSolve:
             without = solve(inst, SolverConfig(seed=trial, prune=False))
             assert with_pruning.best_value == without.best_value
 
-    def test_parallel_workers_agree_on_value(self):
-        inst = generate_spp(9, 3, seed=41)
-        serial = solve(inst, SolverConfig(seed=0))
-        parallel = solve(inst, SolverConfig(seed=0, workers=3))
-        assert parallel.status == "optimal"
-        assert parallel.best_value == serial.best_value
-
     def test_warm_start_still_optimal(self):
         inst = generate_spp(9, 3, seed=43)
         bf = brute_force_optimum(inst)
         res = solve(inst, SolverConfig(seed=0, warm_start=True))
-        assert res.status == "optimal" and res.best_value == pytest.approx(bf.value)
-
-    def test_vqa_first_mode_still_optimal(self):
-        inst = generate_spp(9, 3, seed=47)
-        bf = brute_force_optimum(inst)
-        res = solve(inst, SolverConfig(seed=0, vqa_first=True))
         assert res.status == "optimal" and res.best_value == pytest.approx(bf.value)
 
     def test_fifteen_variable_reference_class(self):
@@ -303,9 +290,11 @@ class TestSolve:
         assert res.best_value == pytest.approx(bf.value)
 
     def test_rejects_oversized_instance(self):
-        inst = generate_spp(12, 4, seed=0)
+        inst = generate_spp(SIMULATOR_LIMIT + 1, 7, seed=0)
         with pytest.raises(ValueError):
-            solve(inst, SolverConfig(seed=0, simulator_limit=10))
+            solve(inst)
+        with pytest.raises(ValueError):
+            run_plain_qaoa(inst)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -327,6 +316,16 @@ class TestIncumbent:
         assert not inc.offer(9.0, np.array([1.0]), feasible=True)
         assert inc.best_penalized_value == 7.0
 
+    def test_cutoff(self):
+        inc = Incumbent()
+        assert inc.cutoff() is None
+        # an infeasible point may tie the feasible optimum, so ties survive
+        inc.offer(1.0, np.array([1.0, 0.0]), feasible=False)
+        assert 1.0 < inc.cutoff() <= 1.0 + 1e-8
+        # a feasible value of its own prunes ties
+        inc.offer(1.0, np.array([0.0, 1.0]), feasible=True)
+        assert inc.cutoff() == 1.0
+
 
 class TestPlainQaoa:
     def test_budget_of_one(self, three_var_instance):
@@ -344,3 +343,79 @@ class TestPlainQaoa:
         bf = brute_force_optimum(three_var_instance)
         res = run_plain_qaoa(three_var_instance, SolverConfig(seed=1), queries=500)
         assert res.best_penalized_value >= bf.value - 1e-9
+
+
+def oracle_instance(rng: np.random.Generator, shape: str) -> BlpInstance:
+    """Small instance honouring the penalty contract: A and b are integer
+    multiples of kappa. ``shape`` plants a feasible point ("planted"), makes
+    the all-ones point feasible under nonnegative costs ("all_ones"), or
+    draws b at random ("random_b")."""
+    n = int(rng.integers(1, 7))
+    m = int(rng.integers(1, n + 3))
+    kappa = float(rng.choice([1.0, 2.0]))
+    A = rng.integers(-2, 3, size=(m, n)) * kappa
+    c = rng.integers(-5, 6, size=n)
+    if shape == "planted":
+        b = A @ rng.integers(0, 2, size=n)
+    elif shape == "all_ones":
+        b = A.sum(axis=1)
+        c = np.abs(c)
+    else:
+        b = rng.integers(-2, 3, size=m) * kappa
+    return BlpInstance(c=c, A=A, b=b, kappa=kappa)
+
+
+ORACLE_CONFIG = dict(p=1, node_queries=4, shots=16)
+
+
+def assert_matches_oracle(inst: BlpInstance, res) -> None:
+    bf = brute_force_optimum(inst)
+    if not bf.feasible:
+        assert res.status == "infeasible"
+        return
+    assert res.status == "optimal"
+    assert res.best_value == pytest.approx(bf.value, abs=1e-9)
+    assert inst.is_feasible(res.best_assignment)
+
+
+class TestOracle:
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            # a feasible point costs exactly sum|c|
+            BlpInstance(c=[1, 1], A=[[1, 1]], b=[2]),
+            BlpInstance(c=[2, 3, 5], A=[[1, 1, 0], [0, 1, 1]], b=[2, 2]),
+            # kappa = 2 halves M
+            BlpInstance(c=[10, 1], A=[[2, 0], [0, 2]], b=[2, 0], kappa=2),
+        ],
+        ids=["all_ones", "chain", "kappa2"],
+    )
+    def test_feasible_at_the_penalty_threshold(self, inst):
+        assert_matches_oracle(inst, solve(inst, SolverConfig(seed=0)))
+
+    @pytest.mark.parametrize(
+        "inst, seed",
+        [
+            # the penalized incumbent (1, 0) is infeasible and ties the optimum
+            (BlpInstance(c=[-5, 1], A=[[0, 0], [-1, -2]], b=[0, -2]), 2436),
+            (
+                BlpInstance(
+                    c=[5, 3, 0, 3],
+                    A=[[2, -1, 0, 0], [-1, 1, -2, 2], [1, 0, 0, -1]],
+                    b=[1, 0, 0],
+                ),
+                763,
+            ),
+        ],
+        ids=["two_var", "four_var"],
+    )
+    def test_infeasible_incumbent_tying_the_optimum(self, inst, seed):
+        assert_matches_oracle(inst, solve(inst, SolverConfig(seed=seed, **ORACLE_CONFIG)))
+
+    def test_status_and_value_match_brute_force(self):
+        rng = np.random.default_rng(2025)
+        shapes = ("planted", "all_ones", "random_b")
+        for k in range(300):
+            inst = oracle_instance(rng, shapes[k % 3])
+            res = solve(inst, SolverConfig(seed=k, **ORACLE_CONFIG))
+            assert_matches_oracle(inst, res)
