@@ -31,7 +31,7 @@ class BlpInstance:
 
     ``kappa`` is the numerical precision granularity of the constraint data;
     with integer A and b the default of 1 is exact. Arrays are made read-only
-    so instances can be shared across workers without copies.
+    so instances can be shared without copies.
     """
 
     c: np.ndarray
