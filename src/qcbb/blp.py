@@ -82,15 +82,19 @@ class BlpInstance:
 
 
 def compute_big_m(instance: BlpInstance) -> float:
-    """Penalty constant ``M = (1/kappa) * sum_i |c_i|``.
+    """Penalty constant ``M = sum_i |c_i| / min(kappa, kappa^2)``.
 
-    A zero objective would give M = 0 and a vanishing penalty, so the value
-    is floored at ``1/kappa``.
+    A violated constraint has a residual of at least ``kappa``, so an
+    infeasible point pays a penalty of at least ``M * kappa^2 >= sum|c|``,
+    which is no less than the objective gap between any two binary points.
+    No infeasible point then costs less than the feasible optimum. The
+    ``kappa^2`` term matters only for ``kappa < 1``; with ``kappa >= 1``
+    this is ``sum|c| / kappa``. A zero objective would give M = 0 and a
+    vanishing penalty, so ``sum|c|`` is floored at 1.
     """
-    total = float(np.sum(np.abs(instance.c)))
-    if total == 0.0:
-        return 1.0 / instance.kappa
-    return total / instance.kappa
+    total = float(np.sum(np.abs(instance.c))) or 1.0
+    kappa = instance.kappa
+    return total / min(kappa, kappa * kappa)
 
 
 def penalized_cost(instance: BlpInstance, x: np.ndarray, M: float) -> float:

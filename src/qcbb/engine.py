@@ -24,7 +24,7 @@ import numpy as np
 from . import bound as bound_mod
 from . import vqa
 from .blp import FEASIBILITY_TOL, BlpInstance, compute_big_m
-from .bound import OPTIMALITY_TOL, BoundConfig, BoundResult
+from .bound import OPTIMALITY_TOL, BoundConfig
 from .ising import ReducedProblem, encode, many_body_count, reduce
 from .metrics import TraceEvent, TraceRecorder
 from .vqa import OptimizerTrace, QaoaParams, SampleSet
@@ -146,7 +146,6 @@ class NodeEvaluation:
     fixings: dict[int, int]
     n_free: int
     many_body: int | None = None
-    bound_result: BoundResult | None = None
     optimizer_trace: OptimizerTrace | None = None
     expectation_offset: float = 0.0
     best_candidate: tuple[float, np.ndarray, bool] | None = None
@@ -278,6 +277,7 @@ def _run_vqa(
     red: ReducedProblem, config: SolverConfig, node: Node
 ) -> tuple[OptimizerTrace, QaoaParams, SampleSet]:
     diag = vqa.build_diagonal(red.model, include_constant=False)
+    table = vqa.phase_table(diag)
     init = node.warm if config.warm_start else None
     params, trace = vqa.optimize_angles(
         diag,
@@ -285,8 +285,9 @@ def _run_vqa(
         config.node_queries,
         _node_rng(config.seed, node.id, 1),
         init=init,
+        table=table,
     )
-    state = vqa.qaoa_state(diag, params)
+    state = vqa.qaoa_state(diag, params, table)
     samples = vqa.sample(state, config.shots, _node_rng(config.seed, node.id, 2))
     return trace, params, samples
 
@@ -342,7 +343,6 @@ def evaluate_node(
         fixings=fixings,
         n_free=red.n_free,
         many_body=many_body_count(red.model),
-        bound_result=bres,
         expectation_offset=red.model.constant,
     )
     pruned = _prune(node_lb, ceiling, cutoff, config)
@@ -598,14 +598,15 @@ def run_plain_qaoa(
     model = encode(instance, M)
     rec = TraceRecorder(wall_clock=config.wall_clock)
     diag = vqa.build_diagonal(model, include_constant=False)
+    table = vqa.phase_table(diag)
     params, trace = vqa.optimize_angles(
-        diag, config.p, queries, _node_rng(config.seed, 0, 1)
+        diag, config.p, queries, _node_rng(config.seed, 0, 1), table=table
     )
     for q, value in trace.entries:
         rec.record(
             "optimizer_query", 0, query_index=q, expectation=value + model.constant
         )
-    state = vqa.qaoa_state(diag, params)
+    state = vqa.qaoa_state(diag, params, table)
     samples = vqa.sample(state, config.shots, _node_rng(config.seed, 0, 2))
     red = reduce(instance, M, {})
     best_cand, best_feas = _evaluate_candidates(instance, red, samples, M)

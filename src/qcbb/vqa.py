@@ -205,20 +205,23 @@ def optimize_angles(
     max_queries: int,
     rng: np.random.Generator,
     init: QaoaParams | None = None,
+    table: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[QaoaParams, OptimizerTrace]:
     """Minimize the state expectation over 2p angles under a query budget.
 
     Nelder-Mead from a random start (or ``init`` when warm-starting), with
     fresh random restarts while budget remains. Never evaluates more than
-    ``max_queries`` times; returns the best parameters seen. The phase table
-    of ``diag`` is built once and shared by every query.
+    ``max_queries`` times; returns the best parameters seen. Every query
+    shares one phase table: ``table`` when given (``phase_table(diag)``, so
+    the caller can reuse it for sampling), otherwise one built here.
     """
     if max_queries < 1:
         raise ValueError("max_queries must be at least 1")
     entries: list[tuple[int, float]] = []
     best_x: np.ndarray | None = None
     best_f = np.inf
-    table = phase_table(diag)
+    if table is None:
+        table = phase_table(diag)
 
     def objective(x: np.ndarray) -> float:
         nonlocal best_x, best_f

@@ -49,8 +49,11 @@ class TestBigM:
         assert compute_big_m(BlpInstance(c=[1, 2, 3], A=[[1, 1, 1]], b=[1])) == 6.0
 
     def test_kappa_scaling(self):
+        # sum|c| / min(kappa, kappa^2): kappa^2 below 1, kappa above
         inst = BlpInstance(c=[-1, 1], A=[[1, 1]], b=[1], kappa=0.5)
-        assert compute_big_m(inst) == 4.0
+        assert compute_big_m(inst) == 8.0
+        inst = BlpInstance(c=[-1, 1], A=[[2, 2]], b=[2], kappa=2.0)
+        assert compute_big_m(inst) == 1.0
 
     def test_zero_objective_floor(self):
         assert compute_big_m(BlpInstance(c=[0, 0], A=[[1, 1]], b=[1])) == 1.0
@@ -67,6 +70,27 @@ class TestBigM:
             pen = costs + M * np.sum(residual**2, axis=1)
             assert feas.any() and (~feas).any()
             assert costs[feas].max() < pen[~feas].min()
+
+    @pytest.mark.parametrize("kappa", [0.25, 0.5, 2.0])
+    def test_no_infeasible_point_undercuts_the_optimum(self, kappa):
+        # data on the kappa grid; every feasible optimum <= every infeasible
+        # penalized cost, ties allowed
+        rng = np.random.default_rng(int(kappa * 100))
+        checked = 0
+        for _ in range(200):
+            n, m = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            A = rng.integers(-2, 3, size=(m, n)) * kappa
+            b = A @ rng.integers(0, 2, size=n)  # planted feasible point
+            inst = BlpInstance(c=rng.integers(-5, 6, size=n), A=A, b=b, kappa=kappa)
+            M = compute_big_m(inst)
+            X = enumerate_assignments(inst.n)
+            residual = X @ inst.A.T - inst.b
+            feas = np.all(np.abs(residual) <= 1e-9, axis=1)
+            pen = X @ inst.c + M * np.sum(residual**2, axis=1)
+            if (~feas).any():
+                checked += 1
+                assert pen[feas].min() <= pen[~feas].min() + 1e-9
+        assert checked > 100
 
 
 class TestPenalizedCost:

@@ -114,6 +114,41 @@ class TestSolveSdp:
             cert = sdp_upper_bound(V, graph)
             assert cert >= exhaustive_max_cut(graph) - 1e-9
 
+    def test_objective_nondecreasing_in_sweeps(self):
+        rng = np.random.default_rng(41)
+        for _ in range(5):
+            graph = ising_to_maxcut(random_model(rng, n_max=7))
+            if not graph.edges:
+                continue
+            seed = int(rng.integers(1 << 31))
+            values = [
+                solve_sdp(graph, max_iters=k, rng=np.random.default_rng(seed))[1]
+                for k in range(1, 31)
+            ]
+            for prev, cur in zip(values, values[1:]):
+                assert cur >= prev - 1e-12 * max(1.0, abs(prev))
+
+    def test_isolated_vertex_keeps_unit_row(self):
+        graph = WeightedGraph(n_vertices=4, edges={(0, 1): 1.0, (1, 2): -2.0})
+        V, z = solve_sdp(graph, rng=np.random.default_rng(3))
+        assert np.all(np.isfinite(V))
+        assert np.allclose(np.linalg.norm(V, axis=1), 1.0, atol=1e-12)
+        assert z == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "n_cycle, value",
+        [(3, 2.25), (5, 2.5 * (1.0 + np.cos(np.pi / 5.0)))],
+        ids=["triangle", "five_cycle"],
+    )
+    def test_known_sdp_values(self, n_cycle, value):
+        edges = {tuple(sorted((i, (i + 1) % n_cycle))): 1.0 for i in range(n_cycle)}
+        graph = WeightedGraph(n_vertices=n_cycle, edges=edges)
+        for seed in range(5):
+            V, z = solve_sdp(graph, rng=np.random.default_rng(seed))
+            assert z == pytest.approx(value, abs=1e-6)
+            # the certificate is dual feasible: never below the SDP value
+            assert value - 1e-9 <= sdp_upper_bound(V, graph) <= value + 1e-4
+
 
 class TestGwRound:
     def test_single_edge_cut_every_round(self):

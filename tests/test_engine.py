@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import odd_cycle_instance
+from qcbb import vqa
 from qcbb.blp import (
     BlpInstance,
     brute_force_optimum,
@@ -176,6 +177,19 @@ class TestEvaluateNode:
             assert not inst.is_feasible(x)
 
 
+def count_phase_tables(monkeypatch) -> list[int]:
+    """Patch ``vqa.phase_table`` to count its calls in the returned cell."""
+    calls = [0]
+    original = vqa.phase_table
+
+    def counted(diag):
+        calls[0] += 1
+        return original(diag)
+
+    monkeypatch.setattr(vqa, "phase_table", counted)
+    return calls
+
+
 class TestSolve:
     def test_three_variable_instance(self, three_var_instance):
         res = solve(three_var_instance, SolverConfig(seed=3))
@@ -289,6 +303,14 @@ class TestSolve:
         assert res.status == "optimal"
         assert res.best_value == pytest.approx(bf.value)
 
+    def test_one_phase_table_per_branched_node(self, monkeypatch):
+        calls = count_phase_tables(monkeypatch)
+        config = SolverConfig(p=1, node_queries=4, shots=16, seed=0)
+        res = solve(generate_spp(10, 3, seed=2), config)
+        branched = sum(r.outcome == "branched" for r in res.node_records.values())
+        assert branched > 1
+        assert calls == [branched]
+
     def test_rejects_oversized_instance(self):
         inst = generate_spp(SIMULATOR_LIMIT + 1, 7, seed=0)
         with pytest.raises(ValueError):
@@ -344,15 +366,20 @@ class TestPlainQaoa:
         res = run_plain_qaoa(three_var_instance, SolverConfig(seed=1), queries=500)
         assert res.best_penalized_value >= bf.value - 1e-9
 
+    def test_one_phase_table(self, monkeypatch):
+        calls = count_phase_tables(monkeypatch)
+        run_plain_qaoa(generate_spp(8, 3, seed=0), SolverConfig(p=1, seed=0), queries=10)
+        assert calls == [1]
+
 
 def oracle_instance(rng: np.random.Generator, shape: str) -> BlpInstance:
     """Small instance honouring the penalty contract: A and b are integer
-    multiples of kappa. ``shape`` plants a feasible point ("planted"), makes
-    the all-ones point feasible under nonnegative costs ("all_ones"), or
-    draws b at random ("random_b")."""
+    multiples of kappa (half-integers for kappa = 0.5). ``shape`` plants a
+    feasible point ("planted"), makes the all-ones point feasible under
+    nonnegative costs ("all_ones"), or draws b at random ("random_b")."""
     n = int(rng.integers(1, 7))
     m = int(rng.integers(1, n + 3))
-    kappa = float(rng.choice([1.0, 2.0]))
+    kappa = float(rng.choice([0.5, 1.0, 2.0]))
     A = rng.integers(-2, 3, size=(m, n)) * kappa
     c = rng.integers(-5, 6, size=n)
     if shape == "planted":
@@ -411,6 +438,15 @@ class TestOracle:
     )
     def test_infeasible_incumbent_tying_the_optimum(self, inst, seed):
         assert_matches_oracle(inst, solve(inst, SolverConfig(seed=seed, **ORACLE_CONFIG)))
+
+    def test_kappa_below_one_keeps_penalty_separation(self):
+        # M = sum|c| / kappa = 8 let x = (1, 0) (residual 0.5, penalized -1)
+        # undercut the feasible optimum 0: seeds 0, 20, 30, 35 and 39
+        # returned infeasible
+        inst = BlpInstance(c=[-3, 1], A=[[0.5, -1]], b=[0], kappa=0.5)
+        for seed in range(40):
+            res = solve(inst, SolverConfig(seed=seed, **ORACLE_CONFIG))
+            assert (res.status, res.best_value) == ("optimal", 0.0)
 
     def test_status_and_value_match_brute_force(self):
         rng = np.random.default_rng(2025)
