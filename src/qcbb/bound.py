@@ -69,11 +69,6 @@ class WeightedGraph:
             W[v, u] = w
         return W
 
-    def cut_value(self, side: np.ndarray) -> float:
-        """Weight of edges crossing the bipartition given by a +-1 vector."""
-        side = np.asarray(side)
-        return float(sum(w for (u, v), w in self.edges.items() if side[u] != side[v]))
-
 
 @dataclass(frozen=True)
 class BoundConfig:
@@ -188,25 +183,20 @@ def gw_round(
     rounds: int = 64,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Best cut over random hyperplanes; the returned side vector has vertex 0
-    on the + side."""
+    """Best cut over random hyperplanes, all rounds at once (the first best
+    round wins ties); the returned side vector has vertex 0 on the + side."""
     if rounds < 1:
         raise ValueError("need at least one rounding round")
     if rng is None:
         rng = np.random.default_rng(0)
-    n, k = V.shape
-    best_value = -np.inf
-    best_side = np.ones(n, dtype=int)
-    for _ in range(rounds):
-        h = rng.normal(size=k)
-        side = np.where(V @ h >= 0.0, 1, -1)
-        value = graph.cut_value(side)
-        if value > best_value:
-            best_value = value
-            best_side = side
-    if best_side[0] < 0:
-        best_side = -best_side
-    return float(best_value), best_side
+    H = rng.normal(size=(rounds, V.shape[1]))
+    sides = np.where(H @ V.T >= 0.0, 1, -1)
+    ends = np.array(list(graph.edges), dtype=int).reshape(-1, 2)
+    weights = np.fromiter(graph.edges.values(), dtype=float, count=len(graph.edges))
+    values = (sides[:, ends[:, 0]] != sides[:, ends[:, 1]]) @ weights
+    best = int(np.argmax(values))
+    best_side = sides[best] if sides[best, 0] > 0 else -sides[best]
+    return float(values[best]), best_side
 
 
 def lower_bound(

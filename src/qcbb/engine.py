@@ -26,7 +26,7 @@ from . import vqa
 from .blp import FEASIBILITY_TOL, BlpInstance, compute_big_m
 from .bound import OPTIMALITY_TOL, BoundConfig
 from .ising import ReducedProblem, encode, many_body_count, reduce
-from .metrics import TraceEvent, TraceRecorder
+from .metrics import TraceEvent, TraceRecorder, many_body_fraction
 from .vqa import OptimizerTrace, QaoaParams, SampleSet
 
 
@@ -421,13 +421,6 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
     query_count = 0
     status: str | None = None
 
-    def fraction_of(mb: int | None) -> float | None:
-        if mb is None:
-            return None
-        if master_mb == 0:
-            return 1.0
-        return mb / master_mb
-
     def apply_evaluation(node: Node, ev: NodeEvaluation) -> None:
         nonlocal query_count
         if ev.optimizer_trace is not None:
@@ -452,7 +445,9 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
             kind,
             node_index,
             status=event_status,
-            many_body_fraction=fraction_of(ev.many_body),
+            many_body_fraction=(
+                None if ev.many_body is None else many_body_fraction(ev.many_body, master_mb)
+            ),
         )
         records[node.id] = NodeRecord(
             node_id=node.id,

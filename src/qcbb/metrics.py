@@ -15,10 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-import warnings
 from dataclasses import dataclass, fields as dataclass_fields
-
-from .ising import IsingModel, many_body_count
 
 EVENT_KINDS = (
     "node_start",
@@ -165,13 +162,13 @@ def primal_dual_integral(series: BoundSeries) -> float:
     return total
 
 
-def many_body_fraction(node_model: IsingModel, master_model: IsingModel) -> float:
-    """Fraction of the master's pairwise couplings surviving in a node model."""
-    master = many_body_count(master_model)
-    if master == 0:
-        warnings.warn("master model has no couplings; fraction reported as 1.0")
-        return 1.0
-    return many_body_count(node_model) / master
+def many_body_fraction(node_count: int, master_count: int) -> float:
+    """Fraction of the master's pairwise couplings surviving in a node.
+
+    Both arguments are ``ising.many_body_count`` values; a coupling-free
+    master counts every node as whole (1.0).
+    """
+    return 1.0 if master_count == 0 else node_count / master_count
 
 
 def _cell(value) -> str:

@@ -5,6 +5,15 @@ vector of 2^n complex amplitudes and a phase layer is an elementwise
 multiply. Bit order is LSB-first throughout: bit i of a basis index z is the
 binary value of variable i (bit 0 -> x_0), and spin sigma_i = 2*bit_i - 1.
 
+The cost diagonal is built by spin doubling: with h = f_k + sum_{i<k} w_ik
+sigma_i, spin k's local field over the 2^k configurations of the lower spins
+(itself doubled one lower spin at a time), the table over spins 0..k is
+concat(diag - h, diag + h), lower half sigma_k = -1. That is O(2^n) work with
+about three arrays alive. It sums in another order than a term-by-term
+build, but on penalized set-partitioning data (integer costs and M, 0/1
+rows) every coefficient and partial sum is an exact half-integer, so the
+diagonal is the same to the bit.
+
 The mixer applies R = R_x(beta)^{(x)k}, a symmetric 2^k x 2^k matrix, to
 blocks of at most MIXER_BLOCK spins with one matrix product each. Viewing the
 state as a (2^k, 2^(n-k)) array puts the top k bits of the index on the rows,
@@ -114,22 +123,22 @@ class OptimizerTrace:
 def build_diagonal(
     model: IsingModel, include_constant: bool = True, limit: int = SIMULATOR_LIMIT
 ) -> np.ndarray:
-    """Energy of every basis state, indexed LSB-first by spin configuration."""
+    """Energy of every basis state, indexed LSB-first by spin configuration.
+
+    Built by spin doubling in O(2^n) work (see the module docstring).
+    """
     n = model.n_spins
     if n > limit:
         raise ValueError(f"{n} spins exceeds the simulator limit of {limit}")
-    size = 1 << n
-    diag = np.zeros(size)
+    diag = np.zeros(1)
     if include_constant:
         diag += model.constant
-    z = np.arange(size, dtype=np.int64)
-    spins = [2.0 * ((z >> i) & 1) - 1.0 for i in range(n)]
-    for i in range(n):
-        f = model.fields[i]
-        if f != 0.0:
-            diag += f * spins[i]
-    for (i, j), w in model.couplings.items():
-        diag += w * (spins[i] * spins[j])
+    for k in range(n):
+        h = np.full(1, model.fields[k])  # spin k's local field, over spins < k
+        for i in range(k):
+            w = model.couplings.get((i, k), 0.0)
+            h = np.concatenate((h - w, h + w))
+        diag = np.concatenate((diag - h, diag + h))
     return diag
 
 

@@ -73,13 +73,19 @@ def bound_floor(model: IsingModel, min_energy: float) -> float:
     return min_energy / ALPHA - ((1.0 - ALPHA) / ALPHA) * abs_weight
 
 
+def cut_value(graph: WeightedGraph, side: np.ndarray) -> float:
+    """Weight of edges crossing the bipartition given by a +-1 vector, summed
+    edge by edge."""
+    return float(sum(w for (u, v), w in graph.edges.items() if side[u] != side[v]))
+
+
 def exhaustive_max_cut(graph: WeightedGraph) -> float:
     """Maximum cut by enumerating bipartitions with vertex 0 pinned."""
     best = 0.0
     rest = graph.n_vertices - 1
     for bits in itertools.product((1, -1), repeat=rest):
         side = np.array((1,) + bits)
-        best = max(best, graph.cut_value(side))
+        best = max(best, cut_value(graph, side))
     return best
 
 
@@ -120,6 +126,45 @@ def tensordot_mixer(state: np.ndarray, beta: float, n_spins: int) -> np.ndarray:
     for axis in range(n_spins):
         psi = np.moveaxis(np.tensordot(rot, psi, axes=([1], [axis])), 0, axis)
     return psi.reshape(-1)
+
+
+def spin_product_diagonal(model: IsingModel, include_constant: bool = True) -> np.ndarray:
+    """Reference diagonal: one full-length pass per field and per coupling.
+
+    Materialises every spin as a 2^n array and adds f_i*sigma_i and
+    w_ij*sigma_i*sigma_j term by term, so it shares no logic with the
+    doubling build in ``qcbb.vqa.build_diagonal``.
+    """
+    size = 1 << model.n_spins
+    diag = np.zeros(size)
+    if include_constant:
+        diag += model.constant
+    z = np.arange(size, dtype=np.int64)
+    spins = [2.0 * ((z >> i) & 1) - 1.0 for i in range(model.n_spins)]
+    for i, f in enumerate(model.fields):
+        if f != 0.0:
+            diag += f * spins[i]
+    for (i, j), w in model.couplings.items():
+        diag += w * (spins[i] * spins[j])
+    return diag
+
+
+def loop_gw_round(
+    V: np.ndarray, graph: WeightedGraph, rounds: int, rng: np.random.Generator
+) -> tuple[float, np.ndarray]:
+    """Reference hyperplane rounding: one normal draw and one
+    ``cut_value`` per round, keeping the first strict best."""
+    best_value = -np.inf
+    best_side = np.ones(V.shape[0], dtype=int)
+    for _ in range(rounds):
+        side = np.where(V @ rng.normal(size=V.shape[1]) >= 0.0, 1, -1)
+        value = cut_value(graph, side)
+        if value > best_value:
+            best_value = value
+            best_side = side
+    if best_side[0] < 0:
+        best_side = -best_side
+    return float(best_value), best_side
 
 
 def random_dense_instance(rng: np.random.Generator, n_max: int = 8) -> BlpInstance:

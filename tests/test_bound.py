@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import bound_floor, exhaustive_max_cut, exhaustive_min_energy, random_model
+from conftest import (
+    bound_floor,
+    cut_value,
+    exhaustive_max_cut,
+    exhaustive_min_energy,
+    loop_gw_round,
+    random_model,
+)
 from qcbb.blp import enumerate_assignments, generate_spp, compute_big_m
 from qcbb.bound import (
     ALPHA,
@@ -81,8 +88,8 @@ class TestWeightedGraph:
 
     def test_cut_value(self):
         graph = WeightedGraph(n_vertices=3, edges={(0, 1): 2.0, (1, 2): -1.0})
-        assert graph.cut_value(np.array([1, -1, -1])) == 2.0
-        assert graph.cut_value(np.array([1, -1, 1])) == 1.0
+        assert cut_value(graph, np.array([1, -1, -1])) == 2.0
+        assert cut_value(graph, np.array([1, -1, 1])) == 1.0
 
 
 class TestSolveSdp:
@@ -183,6 +190,37 @@ class TestGwRound:
             V, _ = solve_sdp(graph, rng=rng)
             z, _ = gw_round(V, graph, rounds=16, rng=rng)
             assert z <= exhaustive_max_cut(graph) + 1e-9
+
+    @pytest.mark.parametrize("kind", ["spp", "float", "ties"])
+    def test_matches_loop_reference(self, kind):
+        # Same cut, same side and the same rng state afterwards as one draw
+        # and one cut evaluation per round. SPP and unit weights keep every
+        # cut sum exact; float weights may differ in summation order. Odd
+        # unit cycles have many distinct maximum cuts, so the first-best
+        # tie rule decides the side.
+        rng = np.random.default_rng(11)
+        for trial in range(12):
+            if kind == "spp":
+                inst = generate_spp(14, 3 + trial % 4, seed=trial)
+                fixings = {trial % 14: trial % 2, (trial + 5) % 14: 0}
+                graph = ising_to_maxcut(reduce(inst, compute_big_m(inst), fixings).model)
+            elif kind == "float":
+                graph = ising_to_maxcut(random_model(rng, n_max=12))
+            else:
+                n = 3 + 2 * (trial % 2)
+                graph = WeightedGraph(n, {tuple(sorted((i, (i + 1) % n))): 1.0 for i in range(n)})
+            V, _ = solve_sdp(graph, rng=np.random.default_rng(trial))
+            rounds = (1, 7, 64)[trial % 3]
+            ours_rng = np.random.default_rng(100 + trial)
+            ref_rng = np.random.default_rng(100 + trial)
+            z, side = gw_round(V, graph, rounds=rounds, rng=ours_rng)
+            z_ref, side_ref = loop_gw_round(V, graph, rounds, ref_rng)
+            if kind == "float":
+                assert z == pytest.approx(z_ref, rel=1e-12, abs=1e-12)
+            else:
+                assert z == z_ref
+            assert np.array_equal(side, side_ref)
+            assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestLowerBound:

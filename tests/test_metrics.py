@@ -1,8 +1,9 @@
-import numpy as np
+import warnings
+
 import pytest
 
+from qcbb.blp import BlpInstance
 from qcbb.engine import SolverConfig, solve
-from qcbb.ising import ConstantLedger, IsingModel
 from qcbb.metrics import (
     CSV_COLUMNS,
     BoundSeries,
@@ -14,13 +15,6 @@ from qcbb.metrics import (
     many_body_fraction,
     primal_dual_integral,
 )
-
-
-def model_with_couplings(k, n=6):
-    couplings = {(0, j): 1.0 for j in range(1, k + 1)}
-    return IsingModel(
-        n_spins=n, couplings=couplings, fields=np.zeros(n), ledger=ConstantLedger(), M=1.0
-    )
 
 
 class TestPrimalDualIntegral:
@@ -57,18 +51,16 @@ class TestPrimalDualIntegral:
 
 class TestManyBodyFraction:
     def test_ratio(self):
-        assert many_body_fraction(model_with_couplings(4), model_with_couplings(10, n=12)) == 0.4
+        assert many_body_fraction(4, 10) == 0.4
 
     def test_self_is_one(self):
-        m = model_with_couplings(5)
-        assert many_body_fraction(m, m) == 1.0
+        assert many_body_fraction(5, 5) == 1.0
 
     def test_leaf_is_zero(self):
-        assert many_body_fraction(model_with_couplings(0), model_with_couplings(10, n=12)) == 0.0
+        assert many_body_fraction(0, 10) == 0.0
 
-    def test_zero_master_warns(self):
-        with pytest.warns(UserWarning):
-            assert many_body_fraction(model_with_couplings(0), model_with_couplings(0)) == 1.0
+    def test_zero_master_is_one(self):
+        assert many_body_fraction(0, 0) == 1.0
 
 
 class TestRecorder:
@@ -156,3 +148,12 @@ class TestSolveTraces:
         res = solve(three_var_instance, SolverConfig(seed=1))
         times = [e.wall_time_s for e in res.trace]
         assert times == sorted(times)
+
+    def test_coupling_free_master_reports_one(self):
+        # one variable per row: A^T A is diagonal, so the master has no couplings
+        inst = BlpInstance(c=[1.0, -1.0, 2.0], A=[[1, 0, 0], [0, 0, 1]], b=[1, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve(inst, SolverConfig(p=1, node_queries=4, shots=16, seed=1))
+        fractions = [e.many_body_fraction for e in res.trace if e.many_body_fraction is not None]
+        assert fractions and all(f == 1.0 for f in fractions)

@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from conftest import dense_qaoa_expectation, tensordot_mixer
+from conftest import (
+    dense_qaoa_expectation,
+    random_model,
+    spin_product_diagonal,
+    tensordot_mixer,
+)
 from qcbb import vqa
-from qcbb.blp import BlpInstance, compute_big_m, generate_spp
+from qcbb.blp import BlpInstance, compute_big_m, enumerate_assignments, generate_spp
 from qcbb.ising import ConstantLedger, IsingModel, encode
 from qcbb.vqa import (
     OptimizerTrace,
@@ -57,6 +62,57 @@ class TestBuildDiagonal:
     def test_simulator_limit(self):
         with pytest.raises(ValueError):
             build_diagonal(field_model(np.zeros(5)), limit=4)
+
+    def test_zero_spins(self):
+        assert np.array_equal(build_diagonal(field_model([], constant=3.5)), [3.5])
+        assert np.array_equal(
+            build_diagonal(field_model([], constant=3.5), include_constant=False), [0.0]
+        )
+
+    @pytest.mark.parametrize("shape", ["full", "no_couplings", "zero_fields", "float"])
+    def test_matches_spin_product_reference(self, shape):
+        # Half-integer data keeps every partial sum exact, so the doubling
+        # build and the term-by-term reference agree bit for bit; float data
+        # sums in another order and agrees to rounding.
+        rng = np.random.default_rng(21)
+        for n in range(1, 13):
+            if shape == "float":
+                model = random_model(rng, n_min=n, n_max=n)
+                ours = build_diagonal(model)
+                ref = spin_product_diagonal(model)
+                assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
+                continue
+            fields = rng.integers(-40, 41, size=n) / 2.0
+            if shape == "zero_fields":
+                fields[:] = 0.0
+            couplings = {}
+            if shape != "no_couplings":
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        w = int(rng.integers(-6, 7)) / 2.0
+                        if w != 0.0 and rng.random() < 0.6:
+                            couplings[(i, j)] = w
+            model = IsingModel(
+                n_spins=n,
+                couplings=couplings,
+                fields=fields,
+                ledger=ConstantLedger(transform_part=float(rng.integers(-99, 100)) / 2.0),
+                M=1.0,
+            )
+            for include_constant in (True, False):
+                assert np.array_equal(
+                    build_diagonal(model, include_constant),
+                    spin_product_diagonal(model, include_constant),
+                )
+
+    def test_spp_master_equals_penalized_costs(self):
+        inst = generate_spp(20, 7, seed=0)
+        M = compute_big_m(inst)
+        X = enumerate_assignments(inst.n)
+        residual = X @ inst.A.T - inst.b
+        costs = X @ inst.c + M * np.sum(residual * residual, axis=1)
+        del X, residual
+        assert np.array_equal(build_diagonal(encode(inst, M)), costs)
 
 
 class TestQaoaState:
