@@ -8,13 +8,10 @@ induces, hence
 
     min_sigma E(sigma) = -2 z* + W
 
-for the maximum cut value z*. An approximate cut z_gw from hyperplane
-rounding of a semidefinite relaxation then yields the guaranteed bound
-
-    -(2/alpha) z_gw + (2/alpha - 2) W_minus + W     (alpha = 0.87856)
-
-which is combined (max) with the unconditional relaxation bound
--2 z_sdp + W.
+for the maximum cut value z*. The bound is -2 z_sdp + W for a certified
+relaxation value z_sdp >= z*. Goemans-Williamson hyperplane rounding of the
+same relaxation gives a cut whose side vector is a spin configuration; it is
+returned as a primal point (a candidate solution), never as part of the bound.
 
 The relaxation max sum_(u,v) w_uv (1 - <V_u, V_v>)/2 over unit rows V_u is
 solved on a low-rank Burer-Monteiro factor V by row-wise exact coordinate
@@ -24,6 +21,10 @@ decreases. Sweeps stop when one gains at most tol * max(1, |f|), or after
 ``BoundConfig.max_iters`` sweeps. The bound does not rely on that stop:
 ``sdp_upper_bound`` turns any unit-row V into a certified z_sdp >= z* through
 an eigenvalue shift, so an unconverged ascent only loosens the bound.
+
+When every objective coefficient is an integer, every objective value lies
+on a lattice g*Z (``objective_lattice``), so a bound on the best feasible
+objective can be rounded up to that lattice (``round_up_to_lattice``).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import numpy as np
 
 from .ising import IsingModel
 
-ALPHA = 0.87856
 # Relative slack of the bound-based prunes and of the optimality stop.
 OPTIMALITY_TOL = 1e-9
 
@@ -58,10 +58,6 @@ class WeightedGraph:
     def total_weight(self) -> float:
         return float(sum(self.edges.values()))
 
-    @property
-    def negative_weight(self) -> float:
-        return float(sum(w for w in self.edges.values() if w < 0))
-
     def weight_matrix(self) -> np.ndarray:
         W = np.zeros((self.n_vertices, self.n_vertices))
         for (u, v), w in self.edges.items():
@@ -80,12 +76,10 @@ class BoundConfig:
 
 @dataclass(frozen=True)
 class BoundResult:
-    z_gw: float
-    z_sdp: float
-    W: float
-    W_minus: float
-    lb_value: float
-    alpha: float = ALPHA
+    z_sdp: float  # certified upper bound on the maximum cut
+    W: float  # total edge weight
+    lb_value: float  # -2 z_sdp + W
+    side: np.ndarray  # best rounded cut, +-1 per vertex, vertex 0 on the + side
 
 
 def ising_to_maxcut(model: IsingModel) -> WeightedGraph:
@@ -204,14 +198,12 @@ def lower_bound(
     cfg: BoundConfig | None = None,
     rng: np.random.Generator | None = None,
 ) -> BoundResult:
-    """Lower bound on the constant-free ground-state energy.
+    """Lower bound -2 z_sdp + W on the constant-free ground-state energy.
 
-    Takes the larger of the alpha-corrected rounded-cut bound and the
-    unconditional bound -2 z_sdp + W built on the certified relaxation value
-    z_sdp >= z*. The alpha bound presumes the rounded cut reached its
-    guaranteed quality, which a finite number of rounds cannot promise, so it
-    only enters the max when that premise is verified against the certified
-    value; otherwise the unconditional bound stands alone.
+    z_sdp >= z* is the certified relaxation value, so the bound holds for
+    every configuration. The result also carries the best hyperplane-rounded
+    side of the same factor: ``side[1:]`` is a spin configuration of the
+    model (an all-+1 side when the graph has no edges).
     """
     if cfg is None:
         cfg = BoundConfig()
@@ -219,20 +211,15 @@ def lower_bound(
         rng = np.random.default_rng(0)
     graph = ising_to_maxcut(model)
     if not graph.edges:
-        return BoundResult(z_gw=0.0, z_sdp=0.0, W=0.0, W_minus=0.0, lb_value=0.0)
+        side = np.ones(graph.n_vertices, dtype=int)
+        return BoundResult(z_sdp=0.0, W=0.0, lb_value=0.0, side=side)
     V, _ = solve_sdp(
         graph, rank=cfg.rank, max_iters=cfg.max_iters, rng=rng, tol=cfg.tol
     )
     z_sdp = sdp_upper_bound(V, graph)
-    z_gw, _ = gw_round(V, graph, rounds=cfg.rounds, rng=rng)
+    _, side = gw_round(V, graph, rounds=cfg.rounds, rng=rng)
     W = graph.total_weight
-    W_minus = graph.negative_weight
-    unconditional = -2.0 * z_sdp + W
-    lb = unconditional
-    if z_gw >= ALPHA * (z_sdp - W_minus) + W_minus:
-        guaranteed = -(2.0 / ALPHA) * z_gw + (2.0 / ALPHA - 2.0) * W_minus + W
-        lb = max(guaranteed, unconditional)
-    return BoundResult(z_gw=z_gw, z_sdp=z_sdp, W=W, W_minus=W_minus, lb_value=lb)
+    return BoundResult(z_sdp=z_sdp, W=W, lb_value=-2.0 * z_sdp + W, side=side)
 
 
 def feasible_ceiling(c: np.ndarray, fixings: dict[int, int]) -> float:
@@ -258,3 +245,30 @@ def infeasible_by_bound(lb_value: float, ceiling: float) -> bool:
     never a proof.
     """
     return lb_value > ceiling + OPTIMALITY_TOL * max(1.0, abs(ceiling))
+
+
+def objective_lattice(c: np.ndarray) -> float | None:
+    """Spacing g of a lattice g*Z holding every objective value c @ x, x binary.
+
+    g = gcd(c) when every c_i is an integer with |c_i| < 2^53, the range in
+    which a float holds an integer exactly; all-zero costs give g = 1. Any
+    other costs give None: there is no lattice to round to.
+    """
+    if not all(float(ci).is_integer() and abs(ci) < 2.0**53 for ci in c):
+        return None
+    return float(math.gcd(*(int(ci) for ci in c)) or 1)
+
+
+def round_up_to_lattice(lb_value: float, lattice: float | None) -> float:
+    """max(lb, g * ceil((lb - tol) / g)) for ``lattice`` g; lb when None.
+
+    Valid for a bound lb on the best *feasible* objective: that objective
+    lies on the lattice, so it is at least the least lattice point at or
+    above lb - tol. The slack tol = OPTIMALITY_TOL * max(1, |lb|), the
+    prunes' own, keeps a bound that float error pushed just above a lattice
+    point from skipping to the next one.
+    """
+    if lattice is None:
+        return lb_value
+    tol = OPTIMALITY_TOL * max(1.0, abs(lb_value))
+    return max(lb_value, lattice * math.ceil((lb_value - tol) / lattice))

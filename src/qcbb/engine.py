@@ -4,12 +4,17 @@ Each node is a partial assignment of the master problem. Evaluating a node
 propagates forced fixings, reduces the problem, computes a MaxCut-based lower
 bound (constant ledger added back so bounds live in the master frame), and
 either prunes, fathoms, or runs the QAOA subroutine to sample candidate
-solutions. Violated constraints in the samples yield per-variable conflict
-values; the most conflicting variable is branched on. Best-first selection by
-lowest lower bound; pruning compares bounds with the best feasible value and
-the best penalized cost seen (``Incumbent.cutoff``), while the reported
-answer is the best feasible solution. Nodes are evaluated one at a time, so
-a run is deterministic for a fixed seed.
+solutions. When every cost is an integer, the bound is rounded up to the
+lattice g*Z of objective values (g = gcd of the costs), so it bounds the best
+feasible objective of the node. Violated constraints in the samples yield
+per-variable conflict values; the most conflicting variable is branched on.
+Candidates come from the samples and from the Goemans-Williamson rounded cut
+of the bound's relaxation; each incumbent update records which one (or a
+fathomed leaf) supplied it. Best-first selection by lowest lower bound;
+pruning compares bounds with the best feasible value and the best penalized
+cost seen (``Incumbent.cutoff``), while the reported answer is the best
+feasible solution. Nodes are evaluated one at a time, so a run is
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -150,6 +155,7 @@ class NodeEvaluation:
     expectation_offset: float = 0.0
     best_candidate: tuple[float, np.ndarray, bool] | None = None
     best_feasible_candidate: tuple[float, np.ndarray] | None = None
+    candidate_source: str | None = None  # qaoa | gw | leaf
     best_params: QaoaParams | None = None
     children: tuple[ChildBranch, ...] = ()
 
@@ -251,15 +257,15 @@ def _node_rng(seed: int, node_id: int, stream: int) -> np.random.Generator:
 
 
 def _evaluate_candidates(
-    master: BlpInstance, red: ReducedProblem, samples: SampleSet, M: float
+    master: BlpInstance, red: ReducedProblem, bitstrings: np.ndarray, M: float
 ) -> tuple[tuple[float, np.ndarray, bool], tuple[float, np.ndarray] | None]:
-    """Best penalized (and best feasible, if any) completion among samples."""
-    s = samples.n_distinct
-    full = np.zeros((s, master.n))
+    """Best penalized (and best feasible, if any) completion among the rows
+    of ``bitstrings``, each a 0/1 assignment of the free variables."""
+    full = np.zeros((bitstrings.shape[0], master.n))
     for idx, val in red.fixings.items():
         full[:, idx] = val
     if red.n_free:
-        full[:, red.index_map] = samples.bitstrings
+        full[:, red.index_map] = bitstrings
     residual = full @ master.A.T - master.b
     penalized = full @ master.c + M * np.sum(residual * residual, axis=1)
     feasible = np.all(np.abs(residual) <= FEASIBILITY_TOL, axis=1)
@@ -316,6 +322,7 @@ def evaluate_node(
     node: Node,
     config: SolverConfig,
     cutoff: float | None,
+    lattice: float | None,
 ) -> NodeEvaluation:
     """Full lifecycle of one node; pure given the node's seed streams.
 
@@ -325,6 +332,28 @@ def evaluate_node(
     with both children re-propagated. Both prune checks measure the bound
     against the node's feasible ceiling T, computed once after propagation,
     and against ``cutoff`` (``Incumbent.cutoff``; None prunes nothing).
+
+    The node bound is the SDP bound on the penalized cost, which is also a
+    bound on the best feasible objective f* of the node (a feasible point
+    pays no penalty). With ``lattice`` g (``bound.objective_lattice``; None
+    for fractional costs) f* lies on g*Z, so the bound is rounded up to
+    g * ceil((lb - tol) / g) (``bound.round_up_to_lattice``). The rounded
+    bound bounds f*, not the penalized minimum, and each use stays sound:
+
+    - infeasibility prune: feasible objectives lie in [ceil(lb - tol), T],
+      and T is itself on the lattice, so rounding proves no node empty that
+      the raw bound left open;
+    - dominance prune: a bound that reaches the best feasible value leaves
+      nothing better in the node; one above a penalized incumbent by more
+      than tol is above the global feasible optimum too, because a
+      penalized value is at least that optimum (penalty separation);
+    - optimal stop: every open node's bound is at most its f*, so
+      ``global_lb`` still bounds the optimum and ``optimal`` is a proof.
+
+    At a branched node the best hyperplane-rounded cut of the bound's
+    relaxation, completed with the fixings, is scored next to the QAOA
+    samples and the cheaper candidate is offered (``candidate_source``). It
+    never enters the conflict values, so branching reads the samples alone.
     """
     fixings, feasible = propagate(master.A, master.b, node.fixings)
     pre_bound = dict(node_lb=node.local_lb, fixings=fixings, n_free=master.n - len(fixings))
@@ -337,7 +366,9 @@ def evaluate_node(
 
     red = reduce(master, M, fixings)
     bres = bound_mod.lower_bound(red.model, config.bound, _node_rng(config.seed, node.id, 0))
-    node_lb = max(node.local_lb, bres.lb_value + red.model.constant)
+    node_lb = bound_mod.round_up_to_lattice(
+        max(node.local_lb, bres.lb_value + red.model.constant), lattice
+    )
     common = dict(
         node_lb=node_lb,
         fixings=fixings,
@@ -357,11 +388,18 @@ def evaluate_node(
             reason=None,
             best_candidate=(value, full, True),
             best_feasible_candidate=(value, full),
+            candidate_source="leaf",
             **common,
         )
 
     trace, params, samples = _run_vqa(red, config, node)
-    best_cand, best_feas = _evaluate_candidates(master, red, samples, M)
+    best_cand, best_feas = _evaluate_candidates(master, red, samples.bitstrings, M)
+    gw_cand, gw_feas = _evaluate_candidates(master, red, (bres.side[None, 1:] + 1) // 2, M)
+    source = "qaoa"
+    if gw_cand[0] < best_cand[0]:
+        best_cand, source = gw_cand, "gw"
+    if gw_feas is not None and (best_feas is None or gw_feas[0] < best_feas[0]):
+        best_feas = gw_feas
     conflict = conflict_values(red.A, red.b, samples)
     k_red = select_branching_variable(conflict.gamma, red.model.fields)
     k = int(red.index_map[k_red])
@@ -376,6 +414,7 @@ def evaluate_node(
         best_params=params,
         best_candidate=best_cand,
         best_feasible_candidate=best_feas,
+        candidate_source=source,
         children=tuple(children),
         **common,
     )
@@ -405,6 +444,7 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
             f"{vqa.SIMULATOR_LIMIT}"
         )
     M = compute_big_m(instance)
+    lattice = bound_mod.objective_lattice(instance.c)
     master_mb = many_body_count(encode(instance, M))
     t0 = time.perf_counter()
     rec = TraceRecorder(wall_clock=config.wall_clock)
@@ -439,7 +479,12 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
                 fv, fx = ev.best_feasible_candidate
                 incumbent.offer(fv, fx, True)
             if improved:
-                rec.record("incumbent_update", node_index, ub=incumbent.best_penalized_value)
+                rec.record(
+                    "incumbent_update",
+                    node_index,
+                    ub=incumbent.best_penalized_value,
+                    status=ev.candidate_source,
+                )
         kind, event_status = _OUTCOME_EVENTS[ev.outcome]
         rec.record(
             kind,
@@ -527,7 +572,7 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
             break
 
         node = heapq.heappop(heap)[3]
-        ev = evaluate_node(instance, M, node, config, incumbent.cutoff())
+        ev = evaluate_node(instance, M, node, config, incumbent.cutoff(), lattice)
         node_index += 1
         rec.record("node_start", node_index)
         apply_evaluation(node, ev)
@@ -604,7 +649,7 @@ def run_plain_qaoa(
     state = vqa.qaoa_state(diag, params, table)
     samples = vqa.sample(state, config.shots, _node_rng(config.seed, 0, 2))
     red = reduce(instance, M, {})
-    best_cand, best_feas = _evaluate_candidates(instance, red, samples, M)
+    best_cand, best_feas = _evaluate_candidates(instance, red, samples.bitstrings, M)
     rec.record("incumbent_update", 0, ub=best_cand[0])
     rec.record("done", 0, ub=best_cand[0], status="completed")
     return BaselineResult(

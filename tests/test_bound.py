@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    ALPHA,
     bound_floor,
     cut_value,
     exhaustive_max_cut,
@@ -11,7 +12,6 @@ from conftest import (
 )
 from qcbb.blp import enumerate_assignments, generate_spp, compute_big_m
 from qcbb.bound import (
-    ALPHA,
     BoundConfig,
     WeightedGraph,
     feasible_ceiling,
@@ -19,10 +19,12 @@ from qcbb.bound import (
     infeasible_by_bound,
     ising_to_maxcut,
     lower_bound,
+    objective_lattice,
+    round_up_to_lattice,
     sdp_upper_bound,
     solve_sdp,
 )
-from qcbb.ising import ConstantLedger, IsingModel, reduce
+from qcbb.ising import ConstantLedger, IsingModel, energy, reduce
 
 
 def model_of(couplings, fields):
@@ -41,7 +43,6 @@ class TestIsingToMaxcut:
         graph = ising_to_maxcut(model_of({(0, 1): 2.0}, [0.0, 0.0]))
         assert graph.edges == {(1, 2): 2.0}
         assert graph.total_weight == 2.0
-        assert graph.negative_weight == 0.0
 
     def test_field_becomes_vertex0_edge(self):
         graph = ising_to_maxcut(model_of({}, [2.0]))
@@ -50,7 +51,7 @@ class TestIsingToMaxcut:
     def test_zero_model(self):
         graph = ising_to_maxcut(model_of({}, [0.0, 0.0]))
         assert graph.edges == {}
-        assert graph.total_weight == graph.negative_weight == 0.0
+        assert graph.total_weight == 0.0
 
     @pytest.mark.parametrize("coupling", [2.0, -2.0])
     def test_reduction_identity_on_four_configs(self, coupling):
@@ -225,20 +226,18 @@ class TestGwRound:
 
 class TestLowerBound:
     def test_single_coupling_example(self):
-        # min energy is -2; alpha term 2 - 4/alpha, relaxation term -2
+        # min energy is -2; relaxation term -2, reached by the rounded side
         model = model_of({(0, 1): 2.0}, [0.0, 0.0])
         res = lower_bound(model, rng=np.random.default_rng(0))
         assert res.W == pytest.approx(2.0)
-        assert res.W_minus == 0.0
-        assert res.z_gw == pytest.approx(2.0, abs=1e-6)
-        alpha_term = -(2 / ALPHA) * res.z_gw + (2 / ALPHA - 2) * res.W_minus + res.W
-        assert alpha_term == pytest.approx(2 - 4 / ALPHA, abs=1e-4)
+        assert energy(model, res.side[1:]) == -2.0
         assert res.lb_value == pytest.approx(-2.0, abs=1e-4)
         assert res.lb_value <= exhaustive_min_energy(model) + 1e-9
 
     def test_zero_model(self):
         res = lower_bound(model_of({}, [0.0, 0.0]))
-        assert res.lb_value == 0.0 == res.z_gw == res.z_sdp
+        assert res.lb_value == 0.0 == res.z_sdp
+        assert np.array_equal(res.side, [1, 1, 1])
 
     def test_sound_on_random_models(self):
         rng = np.random.default_rng(123)
@@ -246,13 +245,77 @@ class TestLowerBound:
             model = random_model(rng, n_max=8)
             res = lower_bound(model, rng=np.random.default_rng(trial))
             assert res.lb_value <= exhaustive_min_energy(model) + 1e-9
-            assert res.z_gw <= res.z_sdp + 1e-9
+            # the rounded cut is at most z_sdp: its energy is at least lb
+            assert energy(model, res.side[1:]) >= res.lb_value - 1e-9
 
     def test_invariants(self):
         rng = np.random.default_rng(77)
         model = random_model(rng, n_max=6)
         res = lower_bound(model, rng=rng)
-        assert res.W_minus <= 0.0 <= res.W - res.W_minus
+        assert res.lb_value == -2.0 * res.z_sdp + res.W
+        assert res.side.shape == (model.n_spins + 1,) and res.side[0] == 1
+        assert np.all(np.abs(res.side) == 1)
+
+    def test_rounded_side_maps_to_its_penalized_cost(self):
+        # x = (side[1:] + 1) / 2 completed with the fixings costs exactly the
+        # Ising energy of side[1:], constant included, which is the energy
+        # W - 2 cut(side) of the cut plus the constant
+        for trial in range(12):
+            inst = generate_spp(10, 3 + trial % 3, seed=trial)
+            M = compute_big_m(inst)
+            fixings = {trial % 10: trial % 2} if trial % 2 else {}
+            red = reduce(inst, M, fixings)
+            res = lower_bound(red.model, rng=np.random.default_rng(trial))
+            x = red.merge((res.side[1:] + 1) // 2)
+            r = inst.A @ x - inst.b
+            cost = inst.c @ x + M * (r @ r)
+            assert cost == energy(red.model, res.side[1:])
+            graph = ising_to_maxcut(red.model)
+            cut = cut_value(graph, res.side)
+            assert cost == pytest.approx(res.W - 2.0 * cut + red.model.constant, abs=1e-9)
+
+
+class TestObjectiveLattice:
+    def test_integral_costs(self):
+        assert objective_lattice(np.array([4.0, -6.0, 10.0])) == 2.0
+        assert objective_lattice(np.array([3.0, 5.0, -7.0])) == 1.0
+
+    def test_common_factor_three(self):
+        c = 3.0 * np.array([1.0, 4.0, -5.0])
+        assert objective_lattice(c) == 3.0
+        # 4.5 lies between the lattice points 3 and 6
+        assert round_up_to_lattice(4.5, 3.0) == 6.0
+        assert round_up_to_lattice(-4.5, 3.0) == -3.0
+
+    def test_fractional_costs_are_not_rounded(self):
+        assert objective_lattice(np.array([1.0, 0.5])) is None
+        assert objective_lattice(np.array([2.0**53, 1.0])) is None
+        assert round_up_to_lattice(4.2, None) == 4.2
+
+    def test_all_zero_costs(self):
+        assert objective_lattice(np.zeros(3)) == 1.0
+        assert round_up_to_lattice(-0.5, 1.0) == 0.0
+
+    @pytest.mark.parametrize("g", [1.0, 3.0])
+    def test_bound_on_a_lattice_point(self, g):
+        # float error of 1e-12 around the lattice point 5g must not skip
+        # to the next point; a real excess beyond tol must
+        at = 5.0 * g
+        assert round_up_to_lattice(at, g) == at
+        assert round_up_to_lattice(at - 1e-12, g) == at
+        assert round_up_to_lattice(at + 1e-12, g) == at + 1e-12
+        assert round_up_to_lattice(at + 1e-6, g) == at + g
+
+    def test_never_lowers_and_never_passes_the_best_objective(self):
+        # for any lb at most the best lattice value v, the rounded bound is
+        # in [lb, v]
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            g = float(rng.integers(1, 5))
+            v = g * float(rng.integers(-50, 50))
+            lb = v - float(rng.choice([0.0, 1e-12, 1e-3, 0.5, g, 7.3]))
+            rounded = round_up_to_lattice(lb, g)
+            assert lb <= rounded <= v
 
 
 class TestBoundFloor:

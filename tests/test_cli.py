@@ -68,7 +68,7 @@ class TestSolve:
         from qcbb.blp import generate_spp
 
         path = tmp_path / "inst.json"
-        save_instance(generate_spp(10, 4, seed=5), path)
+        save_instance(generate_spp(10, 4, seed=1), path)
         assert cli.main(["solve", str(path), "--seed", "0", "--node-limit", "1"]) == 3
         assert "node_limit" in capsys.readouterr().out
 
@@ -85,7 +85,7 @@ class TestSolve:
         from qcbb.blp import generate_spp
 
         path = tmp_path / "inst.json"
-        save_instance(generate_spp(10, 4, seed=5), path)
+        save_instance(generate_spp(10, 4, seed=1), path)
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"node_limit": 1, "seed": 0}))
         assert cli.main(["solve", str(path), "--config", str(config)]) == 3

@@ -10,6 +10,7 @@ from qcbb.blp import (
     enumerate_assignments,
     generate_spp,
 )
+from qcbb.bound import objective_lattice
 from qcbb.engine import (
     Incumbent,
     Node,
@@ -21,6 +22,7 @@ from qcbb.engine import (
     select_branching_variable,
     solve,
 )
+from qcbb.ising import encode, many_body_count
 from qcbb.vqa import SIMULATOR_LIMIT, SampleSet
 
 
@@ -136,7 +138,9 @@ class TestEvaluateNode:
     def test_propagation_leaf_is_fathomed(self):
         inst = BlpInstance(c=[2.0, 3.0], A=[[1.0, 0.0], [0.0, 1.0]], b=[1.0, 0.0])
         node = Node(id=0, parent=None, fixings={}, local_lb=-np.inf)
-        ev = evaluate_node(inst, compute_big_m(inst), node, SolverConfig(seed=0), None)
+        ev = evaluate_node(
+            inst, compute_big_m(inst), node, SolverConfig(seed=0), None, objective_lattice(inst.c)
+        )
         assert ev.outcome == "fathomed_leaf"
         value, x, feasible = ev.best_candidate
         assert feasible and value == 2.0
@@ -145,19 +149,19 @@ class TestEvaluateNode:
     def test_inherited_bound_at_penalty_prunes_infeasible(self, three_var_instance):
         M = compute_big_m(three_var_instance)
         node = Node(id=0, parent=None, fixings={}, local_lb=M + 5.0)
-        ev = evaluate_node(three_var_instance, M, node, SolverConfig(seed=0), None)
+        ev = evaluate_node(three_var_instance, M, node, SolverConfig(seed=0), None, 1.0)
         assert ev.outcome == "pruned_infeasible" and ev.reason == "bound"
 
     def test_incumbent_prunes(self, three_var_instance):
         M = compute_big_m(three_var_instance)
         node = Node(id=0, parent=None, fixings={}, local_lb=0.9)
-        ev = evaluate_node(three_var_instance, M, node, SolverConfig(seed=0), 0.5)
+        ev = evaluate_node(three_var_instance, M, node, SolverConfig(seed=0), 0.5, 1.0)
         assert ev.outcome == "pruned_bound"
 
     def test_root_branches_on_one_variable(self, three_var_instance):
         M = compute_big_m(three_var_instance)
         node = Node(id=0, parent=None, fixings={}, local_lb=-np.inf)
-        ev = evaluate_node(three_var_instance, M, node, SolverConfig(seed=1), None)
+        ev = evaluate_node(three_var_instance, M, node, SolverConfig(seed=1), None, 1.0)
         assert ev.outcome == "branched"
         a, b = ev.children
         assert a.branch_var == b.branch_var
@@ -171,7 +175,7 @@ class TestEvaluateNode:
         inst = odd_cycle_instance()
         M = compute_big_m(inst)
         node = Node(id=0, parent=None, fixings={}, local_lb=-np.inf)
-        ev = evaluate_node(inst, M, node, SolverConfig(seed=0), None)
+        ev = evaluate_node(inst, M, node, SolverConfig(seed=0), None, objective_lattice(inst.c))
         assert ev.outcome == "pruned_infeasible" and ev.reason == "bound"
         for x in enumerate_assignments(inst.n):
             assert not inst.is_feasible(x)
@@ -208,7 +212,7 @@ class TestSolve:
         assert res.status == "infeasible"
 
     def test_node_limit(self):
-        inst = generate_spp(10, 4, seed=5)
+        inst = generate_spp(10, 4, seed=1)
         res = solve(inst, SolverConfig(seed=0, node_limit=1))
         assert res.status == "node_limit"
         assert res.nodes_evaluated == 1
@@ -260,7 +264,7 @@ class TestSolve:
             assert record.local_lb >= parent.local_lb - 1e-9
 
     def test_many_body_count_monotone_along_edges(self):
-        inst = generate_spp(10, 4, seed=23)
+        inst = generate_spp(10, 4, seed=1)
         res = solve(inst, SolverConfig(seed=2))
         checked = 0
         for record in res.node_records.values():
@@ -303,10 +307,18 @@ class TestSolve:
         assert res.status == "optimal"
         assert res.best_value == pytest.approx(bf.value)
 
+    def test_rounded_cut_supplies_incumbents(self):
+        # the GW point is offered next to the QAOA samples, and its updates
+        # are labelled; leaves label their own
+        res = solve(generate_spp(12, 3, seed=1), SolverConfig(seed=0, **ORACLE_CONFIG))
+        sources = [e.status for e in res.trace if e.kind == "incumbent_update"]
+        assert "gw" in sources
+        assert set(sources) <= {"qaoa", "gw", "leaf"}
+
     def test_one_phase_table_per_branched_node(self, monkeypatch):
         calls = count_phase_tables(monkeypatch)
         config = SolverConfig(p=1, node_queries=4, shots=16, seed=0)
-        res = solve(generate_spp(10, 3, seed=2), config)
+        res = solve(generate_spp(10, 3, seed=21), config)
         branched = sum(r.outcome == "branched" for r in res.node_records.values())
         assert branched > 1
         assert calls == [branched]
@@ -372,16 +384,31 @@ class TestPlainQaoa:
         assert calls == [1]
 
 
-def oracle_instance(rng: np.random.Generator, shape: str) -> BlpInstance:
+ORACLE_COSTS = {
+    "mixed": lambda rng, n: rng.integers(-5, 6, size=n),
+    "ties": lambda rng, n: rng.integers(0, 2, size=n),
+    "gcd3": lambda rng, n: 3 * rng.integers(-5, 6, size=n),
+    "fractional": lambda rng, n: (rng.integers(-50, 50, size=n) + 0.5) / 10,
+}
+
+
+def oracle_instance(rng: np.random.Generator, shape: str, kind: str = "mixed") -> BlpInstance:
     """Small instance honouring the penalty contract: A and b are integer
     multiples of kappa (half-integers for kappa = 0.5). ``shape`` plants a
     feasible point ("planted"), makes the all-ones point feasible under
-    nonnegative costs ("all_ones"), or draws b at random ("random_b")."""
-    n = int(rng.integers(1, 7))
+    nonnegative costs ("all_ones"), or draws b at random ("random_b").
+    ``kind`` picks the costs (``ORACLE_COSTS``; "mixed" for the other
+    kinds) or the matrix: one nonzero per row gives a model with no
+    couplings ("coupling_free"), and "single" has one variable."""
+    n = 1 if kind == "single" else int(rng.integers(1, 7))
     m = int(rng.integers(1, n + 3))
     kappa = float(rng.choice([0.5, 1.0, 2.0]))
-    A = rng.integers(-2, 3, size=(m, n)) * kappa
-    c = rng.integers(-5, 6, size=n)
+    if kind == "coupling_free":
+        A = np.zeros((m, n))
+        A[np.arange(m), rng.integers(0, n, size=m)] = rng.integers(-2, 3, size=m) * kappa
+    else:
+        A = rng.integers(-2, 3, size=(m, n)) * kappa
+    c = ORACLE_COSTS.get(kind, ORACLE_COSTS["mixed"])(rng, n)
     if shape == "planted":
         b = A @ rng.integers(0, 2, size=n)
     elif shape == "all_ones":
@@ -455,3 +482,38 @@ class TestOracle:
             inst = oracle_instance(rng, shapes[k % 3])
             res = solve(inst, SolverConfig(seed=k, **ORACLE_CONFIG))
             assert_matches_oracle(inst, res)
+
+    @pytest.mark.parametrize(
+        "kind", ["ties", "gcd3", "fractional", "coupling_free", "single"]
+    )
+    def test_lattice_and_shape_draws_match_brute_force(self, kind):
+        # ties and gcd3 round the bound to the lattice 1*Z and 3*Z; fractional
+        # costs must skip the rounding
+        rng = np.random.default_rng(2026)
+        shapes = ("planted", "all_ones", "random_b")
+        for k in range(100):
+            inst = oracle_instance(rng, shapes[k % 3], kind)
+            if kind == "coupling_free":
+                assert many_body_count(encode(inst, compute_big_m(inst))) == 0
+            res = solve(inst, SolverConfig(seed=k, **ORACLE_CONFIG))
+            assert_matches_oracle(inst, res)
+
+    def test_node_bounds_never_pass_the_best_feasible_completion(self):
+        # every recorded node bound is at most the best feasible objective
+        # among the completions of that node's fixings
+        rng = np.random.default_rng(2027)
+        kinds = ("mixed", "ties", "gcd3", "fractional")
+        checked = 0
+        for k in range(120):
+            inst = oracle_instance(rng, "planted", kinds[k % 4])
+            res = solve(inst, SolverConfig(seed=k, **ORACLE_CONFIG))
+            X = enumerate_assignments(inst.n)
+            X = X[[inst.is_feasible(x) for x in X]]
+            for rec in res.node_records.values():
+                keep = np.all([X[:, i] == v for i, v in rec.fixings.items()], axis=0)
+                if not np.any(keep):
+                    continue
+                best = float((X[keep] @ inst.c).min())
+                assert rec.local_lb <= best + 1e-9 * max(1.0, abs(best))
+                checked += 1
+        assert checked > 120
