@@ -19,6 +19,9 @@ FEASIBILITY_TOL = 1e-9
 
 # Enumeration guard for the exhaustive oracle.
 BRUTE_FORCE_MAX_N = 20
+# Distance from the kappa grid, in units of kappa, that a loaded A or b
+# entry may have.
+KAPPA_GRID_TOL = 1e-9
 
 
 class InstanceFormatError(ValueError):
@@ -30,8 +33,10 @@ class BlpInstance:
     """A binary linear program ``min c^T x  s.t.  Ax = b, x binary``.
 
     ``kappa`` is the numerical precision granularity of the constraint data;
-    with integer A and b the default of 1 is exact. Arrays are made read-only
-    so instances can be shared without copies.
+    with integer A and b the default of 1 is exact. Instance files must put
+    every entry of A and b on that grid (``instance_from_dict``); instances
+    built in memory are not checked. Arrays are made read-only so instances
+    can be shared without copies.
     """
 
     c: np.ndarray
@@ -217,7 +222,7 @@ def instance_from_dict(data: dict) -> BlpInstance:
     if b.shape != (m,):
         raise InstanceFormatError(f"b has {b.size} entries, expected m={m}")
     try:
-        return BlpInstance(
+        instance = BlpInstance(
             c=c,
             A=A,
             b=b,
@@ -227,6 +232,15 @@ def instance_from_dict(data: dict) -> BlpInstance:
         )
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from exc
+    # compute_big_m assumes a violated row misses b by at least kappa, which
+    # only holds when A and b lie on the kappa grid.
+    for key, arr in (("A", instance.A), ("b", instance.b)):
+        units = arr / instance.kappa
+        if np.any(np.abs(units - np.round(units)) > KAPPA_GRID_TOL):
+            raise InstanceFormatError(
+                f"{key} has entries that are not integer multiples of kappa={instance.kappa}"
+            )
+    return instance
 
 
 def save_instance(instance: BlpInstance, path) -> None:

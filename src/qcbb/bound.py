@@ -1,10 +1,10 @@
 """Classical lower bounds on Ising ground-state energies via MaxCut.
 
-A pairwise spin model maps to a weighted graph on the spins plus a field
-vertex 0: edge (i+1, j+1) carries the coupling on sigma_i*sigma_j and edge
-(0, i+1) carries the field on sigma_i. With vertex 0 pinned to the +1 side,
+A pairwise spin model maps to a symmetric weight matrix over the spins plus
+a field vertex 0: entry (i+1, j+1) holds the coupling on sigma_i*sigma_j and
+entry (0, i+1) the field on sigma_i. With vertex 0 pinned to the +1 side,
 the constant-free energy of any configuration is W - 2*g(S) for the cut S it
-induces, hence
+induces, where W is the total weight, each vertex pair counted once, hence
 
     min_sigma E(sigma) = -2 z* + W
 
@@ -13,7 +13,7 @@ relaxation value z_sdp >= z*. Goemans-Williamson hyperplane rounding of the
 same relaxation gives a cut whose side vector is a spin configuration; it is
 returned as a primal point (a candidate solution), never as part of the bound.
 
-The relaxation max sum_(u,v) w_uv (1 - <V_u, V_v>)/2 over unit rows V_u is
+The relaxation max sum_(u<v) w_uv (1 - <V_u, V_v>)/2 over unit rows V_u is
 solved on a low-rank Burer-Monteiro factor V by row-wise exact coordinate
 ascent (the mixing method): each row in turn is set to the unit vector that
 maximises the objective with the other rows held, so the objective never
@@ -41,32 +41,6 @@ OPTIMALITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class WeightedGraph:
-    """Undirected graph; edges keyed (u, v) with u < v, weights nonzero."""
-
-    n_vertices: int
-    edges: dict[tuple[int, int], float]
-
-    def __post_init__(self):
-        for (u, v), w in self.edges.items():
-            if not (0 <= u < v < self.n_vertices):
-                raise ValueError(f"bad edge key ({u}, {v})")
-            if w == 0.0 or not math.isfinite(w):
-                raise ValueError(f"edge ({u}, {v}) weight must be finite and nonzero")
-
-    @property
-    def total_weight(self) -> float:
-        return float(sum(self.edges.values()))
-
-    def weight_matrix(self) -> np.ndarray:
-        W = np.zeros((self.n_vertices, self.n_vertices))
-        for (u, v), w in self.edges.items():
-            W[u, v] = w
-            W[v, u] = w
-        return W
-
-
-@dataclass(frozen=True)
 class BoundConfig:
     rank: int | None = None  # default ceil(sqrt(2 |V|))
     max_iters: int = 2000  # cap on ascent sweeps (each updates every row once)
@@ -82,19 +56,18 @@ class BoundResult:
     side: np.ndarray  # best rounded cut, +-1 per vertex, vertex 0 on the + side
 
 
-def ising_to_maxcut(model: IsingModel) -> WeightedGraph:
-    """Graph whose maximum cut z* satisfies min E (constant excluded) = -2 z* + W.
+def ising_to_maxcut(model: IsingModel) -> np.ndarray:
+    """Symmetric (n+1) x (n+1) weight matrix W whose maximum cut z*
+    satisfies min E (constant excluded) = -2 z* + sum(W)/2.
 
-    Edge weights are the stored energy coefficients themselves: couplings
-    between spin vertices, fields to vertex 0.
+    The weights are the energy coefficients themselves: couplings between
+    spin vertices 1..n, fields on row and column 0. The diagonal is zero.
     """
-    edges: dict[tuple[int, int], float] = {}
-    for (i, j), w in model.couplings.items():
-        edges[(i + 1, j + 1)] = w
-    for i, f in enumerate(model.fields):
-        if f != 0.0:
-            edges[(0, i + 1)] = float(f)
-    return WeightedGraph(n_vertices=model.n_spins + 1, edges=edges)
+    n = model.n_spins
+    W = np.zeros((n + 1, n + 1))
+    W[0, 1:] = model.fields
+    W[1:, 1:] = model.couplings
+    return W + W.T
 
 
 def default_rank(n_vertices: int) -> int:
@@ -102,13 +75,14 @@ def default_rank(n_vertices: int) -> int:
 
 
 def solve_sdp(
-    graph: WeightedGraph,
+    W: np.ndarray,
     rank: int | None = None,
     max_iters: int = 2000,
     rng: np.random.Generator | None = None,
     tol: float = 1e-8,
 ) -> tuple[np.ndarray, float]:
-    """Low-rank ascent of f(V) = sum_(u,v) w_uv (1 - <V_u, V_v>)/2 over unit rows.
+    """Low-rank ascent of f(V) = sum_(u<v) W_uv (1 - <V_u, V_v>)/2 over unit rows
+    of V, for a symmetric weight matrix W with zero diagonal.
 
     Row-wise exact coordinate ascent (the mixing method of Wang, Chang and
     Kolter, 2017). With the other rows held, f depends on row i only through
@@ -122,20 +96,18 @@ def solve_sdp(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    n = graph.n_vertices
+    n = W.shape[0]
     k = default_rank(n) if rank is None else rank
     if k < 2:
         raise ValueError("rank must be at least 2")
     V = rng.normal(size=(n, k))
     V /= np.linalg.norm(V, axis=1, keepdims=True)
-    if not graph.edges:
+    if not W.any():
         return V, 0.0
-
-    W = graph.weight_matrix()
-    total = graph.total_weight
+    total = float(W.sum())  # twice the total weight: W is symmetric
 
     def objective(V):
-        return 0.5 * (total - 0.5 * float(np.sum((W @ V) * V)))
+        return 0.25 * (total - float(np.sum((W @ V) * V)))
 
     f = objective(V)
     for _ in range(max_iters):
@@ -150,44 +122,39 @@ def solve_sdp(
     return V, f
 
 
-def sdp_upper_bound(V: np.ndarray, graph: WeightedGraph) -> float:
+def sdp_upper_bound(V: np.ndarray, W: np.ndarray) -> float:
     """Certified upper bound on the maximum cut from a low-rank factor.
 
     For any y with diag(y) + W/4 PSD, every cut value is at most
-    W_total/2 + sum(y). The dual guess y_i = -(W V)_i . V_i / 4 is exact at a
+    sum(W)/4 + sum(y). The dual guess y_i = -(W V)_i . V_i / 4 is exact at a
     stationary factor; an eigenvalue shift repairs any PSD violation, so the
     bound holds whether or not the ascent converged.
     """
-    if not graph.edges:
+    if not W.any():
         return 0.0
-    W = graph.weight_matrix()
     y = -0.25 * np.sum((W @ V) * V, axis=1)
-    S = 0.25 * W + np.diag(y)
-    lam_min = float(np.linalg.eigvalsh(S)[0])
-    return (
-        graph.total_weight / 2.0
-        + float(y.sum())
-        - graph.n_vertices * min(lam_min, 0.0)
-    )
+    lam_min = float(np.linalg.eigvalsh(0.25 * W + np.diag(y))[0])
+    return 0.25 * float(W.sum()) + float(y.sum()) - W.shape[0] * min(lam_min, 0.0)
 
 
 def gw_round(
     V: np.ndarray,
-    graph: WeightedGraph,
+    W: np.ndarray,
     rounds: int = 64,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, np.ndarray]:
     """Best cut over random hyperplanes, all rounds at once (the first best
-    round wins ties); the returned side vector has vertex 0 on the + side."""
+    round wins ties); the returned side vector has vertex 0 on the + side.
+
+    A side vector s cuts sum_(u<v) W_uv (1 - s_u s_v)/2 = (sum(W) - s^T W s)/4.
+    """
     if rounds < 1:
         raise ValueError("need at least one rounding round")
     if rng is None:
         rng = np.random.default_rng(0)
     H = rng.normal(size=(rounds, V.shape[1]))
     sides = np.where(H @ V.T >= 0.0, 1, -1)
-    ends = np.array(list(graph.edges), dtype=int).reshape(-1, 2)
-    weights = np.fromiter(graph.edges.values(), dtype=float, count=len(graph.edges))
-    values = (sides[:, ends[:, 0]] != sides[:, ends[:, 1]]) @ weights
+    values = 0.25 * (float(W.sum()) - np.sum((sides @ W) * sides, axis=1))
     best = int(np.argmax(values))
     best_side = sides[best] if sides[best, 0] > 0 else -sides[best]
     return float(values[best]), best_side
@@ -203,23 +170,20 @@ def lower_bound(
     z_sdp >= z* is the certified relaxation value, so the bound holds for
     every configuration. The result also carries the best hyperplane-rounded
     side of the same factor: ``side[1:]`` is a spin configuration of the
-    model (an all-+1 side when the graph has no edges).
+    model (an all-+1 side when the model has no nonzero coefficient).
     """
     if cfg is None:
         cfg = BoundConfig()
     if rng is None:
         rng = np.random.default_rng(0)
-    graph = ising_to_maxcut(model)
-    if not graph.edges:
-        side = np.ones(graph.n_vertices, dtype=int)
-        return BoundResult(z_sdp=0.0, W=0.0, lb_value=0.0, side=side)
-    V, _ = solve_sdp(
-        graph, rank=cfg.rank, max_iters=cfg.max_iters, rng=rng, tol=cfg.tol
-    )
-    z_sdp = sdp_upper_bound(V, graph)
-    _, side = gw_round(V, graph, rounds=cfg.rounds, rng=rng)
-    W = graph.total_weight
-    return BoundResult(z_sdp=z_sdp, W=W, lb_value=-2.0 * z_sdp + W, side=side)
+    W = ising_to_maxcut(model)
+    if not W.any():
+        return BoundResult(z_sdp=0.0, W=0.0, lb_value=0.0, side=np.ones(W.shape[0], dtype=int))
+    V, _ = solve_sdp(W, rank=cfg.rank, max_iters=cfg.max_iters, rng=rng, tol=cfg.tol)
+    z_sdp = sdp_upper_bound(V, W)
+    _, side = gw_round(V, W, rounds=cfg.rounds, rng=rng)
+    total = 0.5 * float(W.sum())
+    return BoundResult(z_sdp=z_sdp, W=total, lb_value=-2.0 * z_sdp + total, side=side)
 
 
 def feasible_ceiling(c: np.ndarray, fixings: dict[int, int]) -> float:

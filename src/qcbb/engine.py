@@ -2,11 +2,11 @@
 
 Each node is a partial assignment of the master problem. Evaluating a node
 propagates forced fixings, reduces the problem, computes a MaxCut-based lower
-bound (constant ledger added back so bounds live in the master frame), and
-either prunes, fathoms, or runs the QAOA subroutine to sample candidate
-solutions. When every cost is an integer, the bound is rounded up to the
-lattice g*Z of objective values (g = gcd of the costs), so it bounds the best
-feasible objective of the node. Violated constraints in the samples yield
+bound (plus the reduced model's constant, so bounds live in the master
+frame), and either prunes, fathoms, or runs the QAOA subroutine to sample
+candidate solutions. When every cost is an integer, the bound is rounded up
+to the lattice g*Z of objective values (g = gcd of the costs), so it bounds
+the best feasible objective of the node. Violated constraints in the samples yield
 per-variable conflict values; the most conflicting variable is branched on.
 Candidates come from the samples and from the Goemans-Williamson rounded cut
 of the bound's relaxation; each incumbent update records which one (or a
@@ -258,14 +258,11 @@ def _node_rng(seed: int, node_id: int, stream: int) -> np.random.Generator:
 
 def _evaluate_candidates(
     master: BlpInstance, red: ReducedProblem, bitstrings: np.ndarray, M: float
-) -> tuple[tuple[float, np.ndarray, bool], tuple[float, np.ndarray] | None]:
+) -> tuple[tuple[float, np.ndarray, bool], tuple[float, np.ndarray] | None, int]:
     """Best penalized (and best feasible, if any) completion among the rows
-    of ``bitstrings``, each a 0/1 assignment of the free variables."""
-    full = np.zeros((bitstrings.shape[0], master.n))
-    for idx, val in red.fixings.items():
-        full[:, idx] = val
-    if red.n_free:
-        full[:, red.index_map] = bitstrings
+    of ``bitstrings``, each a 0/1 assignment of the free variables, and the
+    row of the best penalized one (the first on ties)."""
+    full = red.merge(bitstrings)
     residual = full @ master.A.T - master.b
     penalized = full @ master.c + M * np.sum(residual * residual, axis=1)
     feasible = np.all(np.abs(residual) <= FEASIBILITY_TOL, axis=1)
@@ -276,25 +273,23 @@ def _evaluate_candidates(
         order = np.where(feasible)[0]
         j = order[int(np.argmin(penalized[order]))]
         best_feas = (float(penalized[j]), full[j].copy())
-    return best_cand, best_feas
+    return best_cand, best_feas, best
 
 
 def _run_vqa(
-    red: ReducedProblem, config: SolverConfig, node: Node
+    red: ReducedProblem,
+    config: SolverConfig,
+    node_id: int,
+    queries: int,
+    init: QaoaParams | None,
 ) -> tuple[OptimizerTrace, QaoaParams, SampleSet]:
     diag = vqa.build_diagonal(red.model, include_constant=False)
     table = vqa.phase_table(diag)
-    init = node.warm if config.warm_start else None
     params, trace = vqa.optimize_angles(
-        diag,
-        config.p,
-        config.node_queries,
-        _node_rng(config.seed, node.id, 1),
-        init=init,
-        table=table,
+        diag, config.p, queries, _node_rng(config.seed, node_id, 1), init=init, table=table
     )
     state = vqa.qaoa_state(diag, params, table)
-    samples = vqa.sample(state, config.shots, _node_rng(config.seed, node.id, 2))
+    samples = vqa.sample(state, config.shots, _node_rng(config.seed, node_id, 2))
     return trace, params, samples
 
 
@@ -351,9 +346,10 @@ def evaluate_node(
       ``global_lb`` still bounds the optimum and ``optimal`` is a proof.
 
     At a branched node the best hyperplane-rounded cut of the bound's
-    relaxation, completed with the fixings, is scored next to the QAOA
-    samples and the cheaper candidate is offered (``candidate_source``). It
-    never enters the conflict values, so branching reads the samples alone.
+    relaxation, completed with the fixings, is scored in one call with the
+    QAOA samples, as the last row, and the cheapest row is offered
+    (``candidate_source``; a tie keeps the sample). It never enters the
+    conflict values, so branching reads the samples alone.
     """
     fixings, feasible = propagate(master.A, master.b, node.fixings)
     pre_bound = dict(node_lb=node.local_lb, fixings=fixings, n_free=master.n - len(fixings))
@@ -392,14 +388,11 @@ def evaluate_node(
             **common,
         )
 
-    trace, params, samples = _run_vqa(red, config, node)
-    best_cand, best_feas = _evaluate_candidates(master, red, samples.bitstrings, M)
-    gw_cand, gw_feas = _evaluate_candidates(master, red, (bres.side[None, 1:] + 1) // 2, M)
-    source = "qaoa"
-    if gw_cand[0] < best_cand[0]:
-        best_cand, source = gw_cand, "gw"
-    if gw_feas is not None and (best_feas is None or gw_feas[0] < best_feas[0]):
-        best_feas = gw_feas
+    init = node.warm if config.warm_start else None
+    trace, params, samples = _run_vqa(red, config, node.id, config.node_queries, init)
+    rows = np.vstack((samples.bitstrings, (bres.side[1:] + 1) // 2))
+    best_cand, best_feas, best = _evaluate_candidates(master, red, rows, M)
+    source = "gw" if best == len(rows) - 1 else "qaoa"
     conflict = conflict_values(red.A, red.b, samples)
     k_red = select_branching_variable(conflict.gamma, red.model.fields)
     k = int(red.index_map[k_red])
@@ -635,21 +628,14 @@ def run_plain_qaoa(
     if instance.n > vqa.SIMULATOR_LIMIT:
         raise ValueError("instance exceeds the simulator limit")
     M = compute_big_m(instance)
-    model = encode(instance, M)
+    red = reduce(instance, M, {})
     rec = TraceRecorder(wall_clock=config.wall_clock)
-    diag = vqa.build_diagonal(model, include_constant=False)
-    table = vqa.phase_table(diag)
-    params, trace = vqa.optimize_angles(
-        diag, config.p, queries, _node_rng(config.seed, 0, 1), table=table
-    )
+    trace, _, samples = _run_vqa(red, config, 0, queries, None)
     for q, value in trace.entries:
         rec.record(
-            "optimizer_query", 0, query_index=q, expectation=value + model.constant
+            "optimizer_query", 0, query_index=q, expectation=value + red.model.constant
         )
-    state = vqa.qaoa_state(diag, params, table)
-    samples = vqa.sample(state, config.shots, _node_rng(config.seed, 0, 2))
-    red = reduce(instance, M, {})
-    best_cand, best_feas = _evaluate_candidates(instance, red, samples.bitstrings, M)
+    best_cand, best_feas, _ = _evaluate_candidates(instance, red, samples.bitstrings, M)
     rec.record("incumbent_update", 0, ub=best_cand[0])
     rec.record("done", 0, ub=best_cand[0], status="completed")
     return BaselineResult(

@@ -5,14 +5,13 @@ to an energy over spins sigma in {-1,1}^n:
 
     E(sigma) = sum_{i<j} w_ij sigma_i sigma_j + sum_i f_i sigma_i + C
 
-with w = (M/2) * offdiag(A^T A), f = (c - 2M A^T b + M (A^T A) 1) / 2, and the
-diagonal quadratic contribution (M/4) * trace(A^T A) folded into the constant
-C together with the transformation constant. The encoding is exact: the
-energy of every spin image equals the penalized cost of the corresponding
-binary assignment, which the tests enforce bit-for-bit.
-
-The constant carries a two-part ledger: the transformation part and the
-accumulated objective of fixed variables, so subproblem energies stay in the
+with w = (M/2) * triu(A^T A, 1), stored as one strictly upper-triangular
+matrix, f = (c - 2M A^T b + M (A^T A) 1) / 2, and the diagonal quadratic
+contribution (M/4) * trace(A^T A) folded into the constant C together with
+the transformation constant. The encoding is exact: the energy of every spin
+image equals the penalized cost of the corresponding binary assignment,
+which the tests enforce bit-for-bit. A reduced subproblem's constant also
+holds the objective of its fixed variables, so its energies stay in the
 master problem's frame.
 """
 
@@ -29,56 +28,33 @@ COUPLING_DROP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class ConstantLedger:
-    transform_part: float = 0.0
-    objective_part: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return self.transform_part + self.objective_part
-
-
-@dataclass(frozen=True)
 class IsingModel:
-    """Pairwise spin model; stored weight w on (i, j) contributes w*s_i*s_j."""
+    """Pairwise spin model E(sigma) = sigma^T J sigma + f^T sigma + C.
 
-    n_spins: int
-    couplings: dict[tuple[int, int], float]
+    ``couplings`` J is strictly upper-triangular: J[i, j], i < j, is the
+    weight on sigma_i * sigma_j. Both arrays are stored read-only.
+    """
+
+    couplings: np.ndarray
     fields: np.ndarray
-    ledger: ConstantLedger
-    M: float
+    constant: float = 0.0
 
     def __post_init__(self):
-        f = np.asarray(self.fields, dtype=float)
-        if f.shape != (self.n_spins,):
-            raise ValueError(f"fields have shape {f.shape}, expected ({self.n_spins},)")
-        f.setflags(write=False)
-        object.__setattr__(self, "fields", f)
-        for (i, j), w in self.couplings.items():
-            if not (0 <= i < j < self.n_spins):
-                raise ValueError(f"coupling key ({i}, {j}) not strictly upper-triangular")
-            if w == 0.0:
-                raise ValueError(f"explicit zero coupling stored at ({i}, {j})")
+        f = np.array(self.fields, dtype=float)
+        J = np.array(self.couplings, dtype=float)
+        if f.ndim != 1:
+            raise ValueError(f"fields have shape {f.shape}, expected a vector")
+        if J.shape != (f.size, f.size):
+            raise ValueError(f"couplings have shape {J.shape}, expected ({f.size}, {f.size})")
+        if np.tril(J).any():
+            raise ValueError("couplings must be strictly upper-triangular")
+        for name, arr in (("fields", f), ("couplings", J)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
-    def constant(self) -> float:
-        return self.ledger.total
-
-
-def sigma_of_x(x: np.ndarray) -> np.ndarray:
-    """Map binary values {0,1} to spins {-1,+1}."""
-    x = np.asarray(x)
-    if x.size and not np.isin(x, (0, 1)).all():
-        raise ValueError("binary vector entries must be 0 or 1")
-    return 2 * x.astype(int) - 1
-
-
-def x_of_sigma(sigma: np.ndarray) -> np.ndarray:
-    """Map spins {-1,+1} to binary values {0,1}."""
-    sigma = np.asarray(sigma)
-    if sigma.size and not np.isin(sigma, (-1, 1)).all():
-        raise ValueError("spin entries must be -1 or +1")
-    return (sigma.astype(int) + 1) // 2
+    def n_spins(self) -> int:
+        return self.fields.size
 
 
 def energy(model: IsingModel, sigma: np.ndarray) -> float:
@@ -88,25 +64,21 @@ def energy(model: IsingModel, sigma: np.ndarray) -> float:
         raise ValueError(f"sigma has shape {sigma.shape}, expected ({model.n_spins},)")
     if sigma.size and not np.isin(sigma, (-1.0, 1.0)).all():
         raise ValueError("spin entries must be -1 or +1")
-    e = model.constant + float(model.fields @ sigma)
-    for (i, j), w in model.couplings.items():
-        e += w * sigma[i] * sigma[j]
-    return e
+    return model.constant + float(model.fields @ sigma + sigma @ model.couplings @ sigma)
 
 
 def many_body_count(model: IsingModel) -> int:
-    """Number of stored nonzero pairwise couplings."""
-    return len(model.couplings)
+    """Number of nonzero pairwise couplings."""
+    return int(np.count_nonzero(model.couplings))
 
 
 def _encode_arrays(
-    A: np.ndarray, b: np.ndarray, c: np.ndarray, M: float, objective_part: float
+    A: np.ndarray, b: np.ndarray, c: np.ndarray, M: float, objective: float
 ) -> IsingModel:
     n = A.shape[1]
     G = A.T @ A
     g = A.T @ b
     h = c - 2.0 * M * g + M * (G @ np.ones(n))
-    fields = 0.5 * h
     transform = (
         0.25 * M * float(G.sum())
         + 0.5 * float(c.sum())
@@ -114,28 +86,16 @@ def _encode_arrays(
         + M * float(b @ b)
         + 0.25 * M * float(np.trace(G))
     )
-    drop = COUPLING_DROP_TOL * M
-    couplings: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        row = G[i]
-        for j in range(i + 1, n):
-            w = 0.5 * M * float(row[j])
-            if abs(w) > drop:
-                couplings[(i, j)] = w
-    return IsingModel(
-        n_spins=n,
-        couplings=couplings,
-        fields=fields,
-        ledger=ConstantLedger(transform_part=transform, objective_part=objective_part),
-        M=M,
-    )
+    couplings = np.triu(0.5 * M * G, 1)
+    couplings[np.abs(couplings) <= COUPLING_DROP_TOL * M] = 0.0
+    return IsingModel(couplings=couplings, fields=0.5 * h, constant=transform + objective)
 
 
 def encode(instance: BlpInstance, M: float) -> IsingModel:
     """Encode the penalized instance; energies match penalized costs exactly."""
     if not M > 0:
         raise ValueError("penalty M must be positive")
-    return _encode_arrays(instance.A, instance.b, instance.c, M, objective_part=0.0)
+    return _encode_arrays(instance.A, instance.b, instance.c, M, objective=0.0)
 
 
 @dataclass(frozen=True)
@@ -159,27 +119,23 @@ class ReducedProblem:
         return self.A.shape[1]
 
     def merge(self, x_free: np.ndarray) -> np.ndarray:
-        """Full assignment from fixed values plus a free-variable completion."""
+        """Full assignments from fixed values plus free-variable completions.
+
+        ``x_free`` is one completion or a 2-D array of them, one per row.
+        """
         x_free = np.asarray(x_free)
-        n = len(self.fixings) + self.n_free
-        full = np.zeros(n, dtype=float)
-        for idx, val in self.fixings.items():
-            full[idx] = val
-        full[self.index_map] = x_free
+        full = np.zeros(x_free.shape[:-1] + (len(self.fixings) + self.n_free,))
+        full[..., list(self.fixings)] = list(self.fixings.values())
+        full[..., self.index_map] = x_free
         return full
 
 
-def reduce(
-    instance: BlpInstance,
-    M: float,
-    fixings: dict[int, int],
-    objective_base: float = 0.0,
-) -> ReducedProblem:
-    """Remove fixed columns, fold their contribution into b and the ledger.
+def reduce(instance: BlpInstance, M: float, fixings: dict[int, int]) -> ReducedProblem:
+    """Remove fixed columns, fold their contribution into b and the constant.
 
     b_new = b - sum_k A[:, k] x_k over fixed k; A and c lose the fixed
-    columns; the fixed objective sum_k c_k x_k accumulates on top of
-    ``objective_base`` in the ledger's objective part.
+    columns; the fixed objective sum_k c_k x_k is added to the constant, so
+    energies stay in the master problem's frame.
     """
     if not M > 0:
         raise ValueError("penalty M must be positive")
@@ -199,8 +155,7 @@ def reduce(
     b_new = instance.b - instance.A @ x_fixed
     A_new = instance.A[:, free]
     c_new = instance.c[free]
-    objective = objective_base + float(instance.c @ x_fixed)
-    model = _encode_arrays(A_new, b_new, c_new, M, objective_part=objective)
+    model = _encode_arrays(A_new, b_new, c_new, M, float(instance.c @ x_fixed))
     return ReducedProblem(
         A=A_new, b=b_new, c=c_new, model=model, index_map=free, fixings=fixed
     )

@@ -136,7 +136,7 @@ def build_diagonal(
     for k in range(n):
         h = np.full(1, model.fields[k])  # spin k's local field, over spins < k
         for i in range(k):
-            w = model.couplings.get((i, k), 0.0)
+            w = model.couplings[i, k]
             h = np.concatenate((h - w, h + w))
         diag = np.concatenate((diag - h, diag + h))
     return diag

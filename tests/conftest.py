@@ -9,8 +9,8 @@ import pytest
 from scipy.linalg import expm
 
 from qcbb.blp import BlpInstance
-from qcbb.bound import WeightedGraph, ising_to_maxcut
-from qcbb.ising import ConstantLedger, IsingModel
+from qcbb.bound import ising_to_maxcut
+from qcbb.ising import IsingModel
 from qcbb.vqa import QaoaParams
 
 # Goemans-Williamson approximation ratio of hyperplane rounding.
@@ -23,6 +23,38 @@ def three_var_instance() -> BlpInstance:
     return BlpInstance(c=[1.0, 1.0, 1.0], A=[[1, 1, 0], [0, 1, 1]], b=[1, 1])
 
 
+def sigma_of_x(x: np.ndarray) -> np.ndarray:
+    """Map binary values {0,1} to spins {-1,+1}."""
+    x = np.asarray(x)
+    if x.size and not np.isin(x, (0, 1)).all():
+        raise ValueError("binary vector entries must be 0 or 1")
+    return 2 * x.astype(int) - 1
+
+
+def x_of_sigma(sigma: np.ndarray) -> np.ndarray:
+    """Map spins {-1,+1} to binary values {0,1}."""
+    sigma = np.asarray(sigma)
+    if sigma.size and not np.isin(sigma, (-1, 1)).all():
+        raise ValueError("spin entries must be -1 or +1")
+    return (sigma.astype(int) + 1) // 2
+
+
+def upper_entries(matrix: np.ndarray):
+    """(i, j, w) for every nonzero entry above the diagonal, row by row."""
+    n = matrix.shape[0]
+    return [
+        (i, j, float(matrix[i, j]))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if matrix[i, j] != 0.0
+    ]
+
+
+def total_weight(W: np.ndarray) -> float:
+    """Total weight of a symmetric weight matrix, summed edge by edge."""
+    return sum(w for _, _, w in upper_entries(W))
+
+
 def random_model(
     rng: np.random.Generator,
     n_min: int = 2,
@@ -32,17 +64,13 @@ def random_model(
 ) -> IsingModel:
     """Random mixed-sign pairwise model."""
     n = int(rng.integers(n_min, n_max + 1))
-    couplings = {}
+    couplings = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < density:
-                w = float(rng.normal())
-                if w != 0.0:
-                    couplings[(i, j)] = w
+                couplings[i, j] = float(rng.normal())
     fields = rng.normal(size=n) * (rng.random(size=n) < field_density)
-    return IsingModel(
-        n_spins=n, couplings=couplings, fields=fields, ledger=ConstantLedger(), M=1.0
-    )
+    return IsingModel(couplings=couplings, fields=fields)
 
 
 def exhaustive_energies(model: IsingModel) -> np.ndarray:
@@ -56,7 +84,7 @@ def exhaustive_energies(model: IsingModel) -> np.ndarray:
     spins = 2.0 * ((z[:, None] >> np.arange(n)) & 1) - 1.0
     table = np.full(1 << n, model.constant)
     table += spins @ model.fields
-    for (i, j), w in model.couplings.items():
+    for i, j, w in upper_entries(model.couplings):
         table += w * spins[:, i] * spins[:, j]
     return table
 
@@ -71,23 +99,23 @@ def bound_floor(model: IsingModel, min_energy: float) -> float:
     (1/alpha) min E - ((1-alpha)/alpha) sum|w| over the MaxCut edge weights
     w. ``bound.lower_bound`` never falls below it.
     """
-    abs_weight = sum(abs(w) for w in ising_to_maxcut(model).edges.values())
+    abs_weight = sum(abs(w) for _, _, w in upper_entries(ising_to_maxcut(model)))
     return min_energy / ALPHA - ((1.0 - ALPHA) / ALPHA) * abs_weight
 
 
-def cut_value(graph: WeightedGraph, side: np.ndarray) -> float:
-    """Weight of edges crossing the bipartition given by a +-1 vector, summed
-    edge by edge."""
-    return float(sum(w for (u, v), w in graph.edges.items() if side[u] != side[v]))
+def cut_value(W: np.ndarray, side: np.ndarray) -> float:
+    """Weight of the pairs of a symmetric weight matrix that cross the
+    bipartition given by a +-1 vector, summed edge by edge."""
+    return float(sum(w for u, v, w in upper_entries(W) if side[u] != side[v]))
 
 
-def exhaustive_max_cut(graph: WeightedGraph) -> float:
+def exhaustive_max_cut(W: np.ndarray) -> float:
     """Maximum cut by enumerating bipartitions with vertex 0 pinned."""
     best = 0.0
-    rest = graph.n_vertices - 1
+    rest = W.shape[0] - 1
     for bits in itertools.product((1, -1), repeat=rest):
         side = np.array((1,) + bits)
-        best = max(best, cut_value(graph, side))
+        best = max(best, cut_value(W, side))
     return best
 
 
@@ -146,13 +174,13 @@ def spin_product_diagonal(model: IsingModel, include_constant: bool = True) -> n
     for i, f in enumerate(model.fields):
         if f != 0.0:
             diag += f * spins[i]
-    for (i, j), w in model.couplings.items():
+    for i, j, w in upper_entries(model.couplings):
         diag += w * (spins[i] * spins[j])
     return diag
 
 
 def loop_gw_round(
-    V: np.ndarray, graph: WeightedGraph, rounds: int, rng: np.random.Generator
+    V: np.ndarray, W: np.ndarray, rounds: int, rng: np.random.Generator
 ) -> tuple[float, np.ndarray]:
     """Reference hyperplane rounding: one normal draw and one
     ``cut_value`` per round, keeping the first strict best."""
@@ -160,7 +188,7 @@ def loop_gw_round(
     best_side = np.ones(V.shape[0], dtype=int)
     for _ in range(rounds):
         side = np.where(V @ rng.normal(size=V.shape[1]) >= 0.0, 1, -1)
-        value = cut_value(graph, side)
+        value = cut_value(W, side)
         if value > best_value:
             best_value = value
             best_side = side

@@ -202,14 +202,39 @@ class TestInstanceIO:
         assert loaded.kappa == inst.kappa
 
     def test_round_trip_preserves_rationals(self, tmp_path):
-        inst = BlpInstance(c=[0.1, -2.5], A=[[1.25, -0.75]], b=[3.125], kappa=0.5)
+        inst = BlpInstance(c=[0.1, -2.5], A=[[1.25, -0.75]], b=[3.125], kappa=0.125)
         path = tmp_path / "inst.json"
         save_instance(inst, path)
         loaded = load_instance(path)
         assert np.array_equal(loaded.c, inst.c)
         assert np.array_equal(loaded.A, inst.A)
         assert np.array_equal(loaded.b, inst.b)
-        assert loaded.kappa == 0.5
+        assert loaded.kappa == 0.125
+
+    @pytest.mark.parametrize(
+        "A, b, kappa",
+        [([[1, 0.3]], [1], None), ([[1, 1]], [1.5], None), ([[1.25, 1]], [1], 0.5)],
+        ids=["A_fractional", "b_fractional", "A_off_half_grid"],
+    )
+    def test_rejects_data_off_the_kappa_grid(self, tmp_path, A, b, kappa):
+        data = {"n": 2, "m": 1, "c": [1, 2], "A": A, "b": b}
+        if kappa is not None:
+            data["kappa"] = kappa
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(InstanceFormatError, match="kappa"):
+            load_instance(path)
+
+    def test_loads_data_on_the_kappa_grid(self, tmp_path):
+        path = tmp_path / "half.json"
+        data = {"n": 2, "m": 1, "c": [1, 2], "A": [[1.5, -0.5]], "b": [1.0], "kappa": 0.5}
+        path.write_text(json.dumps(data))
+        loaded = load_instance(path)
+        assert np.array_equal(loaded.A, [[1.5, -0.5]]) and loaded.kappa == 0.5
+        # 0.3 / 0.1 is 2.9999999999999996 in floats: on the grid within tolerance
+        data.update(A=[[0.3, 0.7]], b=[0.3], kappa=0.1)
+        path.write_text(json.dumps(data))
+        assert load_instance(path).kappa == 0.1
 
     def test_optimum_field_round_trip(self, tmp_path):
         inst = BlpInstance(c=[1, 2], A=[[1, 1]], b=[1], optimum=1.0)

@@ -9,11 +9,11 @@ from conftest import (
     exhaustive_min_energy,
     loop_gw_round,
     random_model,
+    total_weight,
 )
 from qcbb.blp import enumerate_assignments, generate_spp, compute_big_m
 from qcbb.bound import (
     BoundConfig,
-    WeightedGraph,
     feasible_ceiling,
     gw_round,
     infeasible_by_bound,
@@ -24,90 +24,96 @@ from qcbb.bound import (
     sdp_upper_bound,
     solve_sdp,
 )
-from qcbb.ising import ConstantLedger, IsingModel, energy, reduce
+from qcbb.ising import IsingModel, energy, reduce
 
 
 def model_of(couplings, fields):
+    """Model from a {(i, j): w} dict of upper-triangle couplings."""
     fields = np.asarray(fields, dtype=float)
-    return IsingModel(
-        n_spins=fields.size,
-        couplings=couplings,
-        fields=fields,
-        ledger=ConstantLedger(),
-        M=1.0,
-    )
+    J = np.zeros((fields.size, fields.size))
+    for (i, j), w in couplings.items():
+        J[i, j] = w
+    return IsingModel(couplings=J, fields=fields)
+
+
+def weights(n_vertices, edges):
+    """Symmetric weight matrix from a {(u, v): w} dict of edges."""
+    W = np.zeros((n_vertices, n_vertices))
+    for (u, v), w in edges.items():
+        W[u, v] = W[v, u] = w
+    return W
 
 
 class TestIsingToMaxcut:
     def test_coupling_becomes_spin_edge(self):
-        graph = ising_to_maxcut(model_of({(0, 1): 2.0}, [0.0, 0.0]))
-        assert graph.edges == {(1, 2): 2.0}
-        assert graph.total_weight == 2.0
+        W = ising_to_maxcut(model_of({(0, 1): 2.0}, [0.0, 0.0]))
+        assert np.array_equal(W, weights(3, {(1, 2): 2.0}))
+        assert total_weight(W) == 2.0
 
     def test_field_becomes_vertex0_edge(self):
-        graph = ising_to_maxcut(model_of({}, [2.0]))
-        assert graph.edges == {(0, 1): 2.0}
+        W = ising_to_maxcut(model_of({}, [2.0]))
+        assert np.array_equal(W, weights(2, {(0, 1): 2.0}))
 
     def test_zero_model(self):
-        graph = ising_to_maxcut(model_of({}, [0.0, 0.0]))
-        assert graph.edges == {}
-        assert graph.total_weight == 0.0
+        W = ising_to_maxcut(model_of({}, [0.0, 0.0]))
+        assert np.array_equal(W, np.zeros((3, 3)))
+        assert total_weight(W) == 0.0
+
+    def test_symmetric_with_zero_diagonal(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            model = random_model(rng, n_max=8)
+            W = ising_to_maxcut(model)
+            n = model.n_spins
+            assert W.shape == (n + 1, n + 1)
+            assert np.array_equal(W, W.T)
+            assert not np.diag(W).any()
+            assert np.array_equal(W[0, 1:], model.fields)
+            assert np.array_equal(np.triu(W[1:, 1:]), model.couplings)
 
     @pytest.mark.parametrize("coupling", [2.0, -2.0])
     def test_reduction_identity_on_four_configs(self, coupling):
         model = model_of({(0, 1): coupling}, [0.0, 0.0])
-        graph = ising_to_maxcut(model)
-        z_star = exhaustive_max_cut(graph)
-        assert exhaustive_min_energy(model) == pytest.approx(
-            -2 * z_star + graph.total_weight
-        )
+        W = ising_to_maxcut(model)
+        z_star = exhaustive_max_cut(W)
+        assert exhaustive_min_energy(model) == pytest.approx(-2 * z_star + total_weight(W))
 
     def test_reduction_identity_with_field(self):
         model = model_of({}, [2.0])
-        graph = ising_to_maxcut(model)
-        z_star = exhaustive_max_cut(graph)
-        assert exhaustive_min_energy(model) == pytest.approx(
-            -2 * z_star + graph.total_weight
-        )
+        W = ising_to_maxcut(model)
+        z_star = exhaustive_max_cut(W)
+        assert exhaustive_min_energy(model) == pytest.approx(-2 * z_star + total_weight(W))
 
     def test_reduction_identity_random_models(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
             model = random_model(rng, n_max=7)
-            graph = ising_to_maxcut(model)
-            z_star = exhaustive_max_cut(graph)
+            W = ising_to_maxcut(model)
+            z_star = exhaustive_max_cut(W)
             lhs = exhaustive_min_energy(model)
-            assert abs(lhs - (-2 * z_star + graph.total_weight)) <= 1e-9 * max(1, abs(lhs))
-
-
-class TestWeightedGraph:
-    def test_rejects_self_loops_and_zero_weights(self):
-        with pytest.raises(ValueError):
-            WeightedGraph(n_vertices=2, edges={(1, 1): 1.0})
-        with pytest.raises(ValueError):
-            WeightedGraph(n_vertices=2, edges={(0, 1): 0.0})
+            assert abs(lhs - (-2 * z_star + total_weight(W))) <= 1e-9 * max(1, abs(lhs))
 
     def test_cut_value(self):
-        graph = WeightedGraph(n_vertices=3, edges={(0, 1): 2.0, (1, 2): -1.0})
-        assert cut_value(graph, np.array([1, -1, -1])) == 2.0
-        assert cut_value(graph, np.array([1, -1, 1])) == 1.0
+        W = weights(3, {(0, 1): 2.0, (1, 2): -1.0})
+        assert cut_value(W, np.array([1, -1, -1])) == 2.0
+        assert cut_value(W, np.array([1, -1, 1])) == 1.0
 
 
 class TestSolveSdp:
     def test_single_positive_edge(self):
-        graph = WeightedGraph(n_vertices=2, edges={(0, 1): 2.0})
-        V, z = solve_sdp(graph, rng=np.random.default_rng(0))
+        W = weights(2, {(0, 1): 2.0})
+        V, z = solve_sdp(W, rng=np.random.default_rng(0))
         assert z == pytest.approx(2.0, abs=1e-4)
         assert np.allclose(np.linalg.norm(V, axis=1), 1.0, atol=1e-8)
 
     def test_triangle_between_integral_and_sdp_value(self):
-        graph = WeightedGraph(n_vertices=3, edges={(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0})
-        _, z = solve_sdp(graph, rng=np.random.default_rng(1))
+        W = weights(3, {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0})
+        _, z = solve_sdp(W, rng=np.random.default_rng(1))
         assert 2.0 - 1e-3 <= z <= 2.25 + 1e-3
 
     def test_empty_graph(self):
-        graph = WeightedGraph(n_vertices=4, edges={})
-        V, z = solve_sdp(graph, rng=np.random.default_rng(2))
+        W = np.zeros((4, 4))
+        V, z = solve_sdp(W, rng=np.random.default_rng(2))
         assert z == 0.0
         assert V.shape[0] == 4
 
@@ -115,30 +121,30 @@ class TestSolveSdp:
         rng = np.random.default_rng(31)
         for _ in range(15):
             model = random_model(rng, n_max=7)
-            graph = ising_to_maxcut(model)
-            if not graph.edges:
+            W = ising_to_maxcut(model)
+            if not W.any():
                 continue
-            V, _ = solve_sdp(graph, rng=rng)
-            cert = sdp_upper_bound(V, graph)
-            assert cert >= exhaustive_max_cut(graph) - 1e-9
+            V, _ = solve_sdp(W, rng=rng)
+            cert = sdp_upper_bound(V, W)
+            assert cert >= exhaustive_max_cut(W) - 1e-9
 
     def test_objective_nondecreasing_in_sweeps(self):
         rng = np.random.default_rng(41)
         for _ in range(5):
-            graph = ising_to_maxcut(random_model(rng, n_max=7))
-            if not graph.edges:
+            W = ising_to_maxcut(random_model(rng, n_max=7))
+            if not W.any():
                 continue
             seed = int(rng.integers(1 << 31))
             values = [
-                solve_sdp(graph, max_iters=k, rng=np.random.default_rng(seed))[1]
+                solve_sdp(W, max_iters=k, rng=np.random.default_rng(seed))[1]
                 for k in range(1, 31)
             ]
             for prev, cur in zip(values, values[1:]):
                 assert cur >= prev - 1e-12 * max(1.0, abs(prev))
 
     def test_isolated_vertex_keeps_unit_row(self):
-        graph = WeightedGraph(n_vertices=4, edges={(0, 1): 1.0, (1, 2): -2.0})
-        V, z = solve_sdp(graph, rng=np.random.default_rng(3))
+        W = weights(4, {(0, 1): 1.0, (1, 2): -2.0})
+        V, z = solve_sdp(W, rng=np.random.default_rng(3))
         assert np.all(np.isfinite(V))
         assert np.allclose(np.linalg.norm(V, axis=1), 1.0, atol=1e-12)
         assert z == pytest.approx(1.0, abs=1e-6)
@@ -150,34 +156,34 @@ class TestSolveSdp:
     )
     def test_known_sdp_values(self, n_cycle, value):
         edges = {tuple(sorted((i, (i + 1) % n_cycle))): 1.0 for i in range(n_cycle)}
-        graph = WeightedGraph(n_vertices=n_cycle, edges=edges)
+        W = weights(n_cycle, edges)
         for seed in range(5):
-            V, z = solve_sdp(graph, rng=np.random.default_rng(seed))
+            V, z = solve_sdp(W, rng=np.random.default_rng(seed))
             assert z == pytest.approx(value, abs=1e-6)
             # the certificate is dual feasible: never below the SDP value
-            assert value - 1e-9 <= sdp_upper_bound(V, graph) <= value + 1e-4
+            assert value - 1e-9 <= sdp_upper_bound(V, W) <= value + 1e-4
 
 
 class TestGwRound:
     def test_single_edge_cut_every_round(self):
-        graph = WeightedGraph(n_vertices=2, edges={(0, 1): 2.0})
+        W = weights(2, {(0, 1): 2.0})
         V = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        z, side = gw_round(V, graph, rounds=8, rng=np.random.default_rng(0))
+        z, side = gw_round(V, W, rounds=8, rng=np.random.default_rng(0))
         assert z == 2.0
         assert side[0] == 1 and side[1] == -1
 
     def test_empty_graph(self):
-        graph = WeightedGraph(n_vertices=3, edges={})
-        z, side = gw_round(np.ones((3, 2)), graph, rounds=4, rng=np.random.default_rng(0))
+        W = np.zeros((3, 3))
+        z, side = gw_round(np.ones((3, 2)), W, rounds=4, rng=np.random.default_rng(0))
         assert z == 0.0
         assert side[0] == 1
 
     def test_triangle_never_exceeds_optimum(self):
-        graph = WeightedGraph(n_vertices=3, edges={(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0})
-        z_star = exhaustive_max_cut(graph)
+        W = weights(3, {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0})
+        z_star = exhaustive_max_cut(W)
         assert z_star == 2.0
-        V, _ = solve_sdp(graph, rng=np.random.default_rng(3))
-        z, _ = gw_round(V, graph, rounds=64, rng=np.random.default_rng(4))
+        V, _ = solve_sdp(W, rng=np.random.default_rng(3))
+        z, _ = gw_round(V, W, rounds=64, rng=np.random.default_rng(4))
         assert z <= z_star + 1e-12
         assert z == pytest.approx(2.0)
 
@@ -185,12 +191,12 @@ class TestGwRound:
         rng = np.random.default_rng(6)
         for _ in range(10):
             model = random_model(rng, n_max=6)
-            graph = ising_to_maxcut(model)
-            if not graph.edges:
+            W = ising_to_maxcut(model)
+            if not W.any():
                 continue
-            V, _ = solve_sdp(graph, rng=rng)
-            z, _ = gw_round(V, graph, rounds=16, rng=rng)
-            assert z <= exhaustive_max_cut(graph) + 1e-9
+            V, _ = solve_sdp(W, rng=rng)
+            z, _ = gw_round(V, W, rounds=16, rng=rng)
+            assert z <= exhaustive_max_cut(W) + 1e-9
 
     @pytest.mark.parametrize("kind", ["spp", "float", "ties"])
     def test_matches_loop_reference(self, kind):
@@ -204,18 +210,18 @@ class TestGwRound:
             if kind == "spp":
                 inst = generate_spp(14, 3 + trial % 4, seed=trial)
                 fixings = {trial % 14: trial % 2, (trial + 5) % 14: 0}
-                graph = ising_to_maxcut(reduce(inst, compute_big_m(inst), fixings).model)
+                W = ising_to_maxcut(reduce(inst, compute_big_m(inst), fixings).model)
             elif kind == "float":
-                graph = ising_to_maxcut(random_model(rng, n_max=12))
+                W = ising_to_maxcut(random_model(rng, n_max=12))
             else:
                 n = 3 + 2 * (trial % 2)
-                graph = WeightedGraph(n, {tuple(sorted((i, (i + 1) % n))): 1.0 for i in range(n)})
-            V, _ = solve_sdp(graph, rng=np.random.default_rng(trial))
+                W = weights(n, {tuple(sorted((i, (i + 1) % n))): 1.0 for i in range(n)})
+            V, _ = solve_sdp(W, rng=np.random.default_rng(trial))
             rounds = (1, 7, 64)[trial % 3]
             ours_rng = np.random.default_rng(100 + trial)
             ref_rng = np.random.default_rng(100 + trial)
-            z, side = gw_round(V, graph, rounds=rounds, rng=ours_rng)
-            z_ref, side_ref = loop_gw_round(V, graph, rounds, ref_rng)
+            z, side = gw_round(V, W, rounds=rounds, rng=ours_rng)
+            z_ref, side_ref = loop_gw_round(V, W, rounds, ref_rng)
             if kind == "float":
                 assert z == pytest.approx(z_ref, rel=1e-12, abs=1e-12)
             else:
@@ -270,8 +276,8 @@ class TestLowerBound:
             r = inst.A @ x - inst.b
             cost = inst.c @ x + M * (r @ r)
             assert cost == energy(red.model, res.side[1:])
-            graph = ising_to_maxcut(red.model)
-            cut = cut_value(graph, res.side)
+            W = ising_to_maxcut(red.model)
+            cut = cut_value(W, res.side)
             assert cost == pytest.approx(res.W - 2.0 * cut + red.model.constant, abs=1e-9)
 
 

@@ -75,6 +75,12 @@ class TestSolve:
     def test_missing_instance_is_config_error(self, tmp_path):
         assert cli.main(["solve", str(tmp_path / "nope.json")]) == 1
 
+    def test_data_off_the_kappa_grid_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "offgrid.json"
+        path.write_text(json.dumps({"n": 2, "m": 1, "c": [1, 2], "A": [[1, 0.5]], "b": [1]}))
+        assert cli.main(["solve", str(path)]) == 1
+        assert "kappa" in capsys.readouterr().err
+
     def test_reproducible_trace_bytes(self, fixture_instance, tmp_path):
         t1, t2 = tmp_path / "a.csv", tmp_path / "b.csv"
         cli.main(["solve", str(fixture_instance), "--seed", "11", "--trace", str(t1)])

@@ -1,17 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import sigma_of_x, x_of_sigma
 from qcbb.blp import BlpInstance, enumerate_assignments, generate_spp, penalized_cost
-from qcbb.ising import (
-    ConstantLedger,
-    IsingModel,
-    encode,
-    energy,
-    many_body_count,
-    reduce,
-    sigma_of_x,
-    x_of_sigma,
-)
+from qcbb.ising import IsingModel, encode, energy, many_body_count, reduce
 
 
 @pytest.fixture
@@ -52,7 +44,7 @@ class TestEncode:
     def test_shared_constraint_coefficients(self, pair_instance):
         M = 10.0
         model = encode(pair_instance, M)
-        assert model.couplings == {(0, 1): M / 2}
+        assert np.array_equal(model.couplings, [[0.0, M / 2], [0.0, 0.0]])
         assert np.allclose(model.fields, [0.5, 1.0])
         assert model.constant == pytest.approx(M / 2 + 1.5)
         assert all_energies_match(pair_instance, model, M)
@@ -90,30 +82,51 @@ class TestEncode:
 
 class TestEnergy:
     def test_single_coupling(self):
-        model = IsingModel(
-            n_spins=2, couplings={(0, 1): 2.0}, fields=np.zeros(2), ledger=ConstantLedger(), M=1.0
-        )
+        model = IsingModel(couplings=[[0.0, 2.0], [0.0, 0.0]], fields=np.zeros(2))
         assert energy(model, [1, 1]) == 2.0
         assert energy(model, [1, -1]) == -2.0
 
     def test_validates_input(self):
-        model = IsingModel(
-            n_spins=2, couplings={}, fields=np.zeros(2), ledger=ConstantLedger(), M=1.0
-        )
+        model = IsingModel(couplings=np.zeros((2, 2)), fields=np.zeros(2))
         with pytest.raises(ValueError):
             energy(model, [1, 1, 1])
         with pytest.raises(ValueError):
             energy(model, [1, 0])
 
     def test_model_validation(self):
+        with pytest.raises(ValueError, match="upper-triangular"):
+            IsingModel(couplings=[[0.0, 0.0], [1.0, 0.0]], fields=np.zeros(2))
+
+
+class TestIsingModel:
+    def test_rejects_diagonal_entry(self):
+        with pytest.raises(ValueError, match="upper-triangular"):
+            IsingModel(couplings=[[0.0, 1.0], [0.0, 3.0]], fields=np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "couplings, fields",
+        [
+            (np.zeros((2, 3)), np.zeros(2)),
+            (np.zeros((3, 3)), np.zeros(2)),
+            (np.zeros((2, 2)), np.zeros((2, 1))),
+        ],
+        ids=["not_square", "wrong_size", "fields_not_a_vector"],
+    )
+    def test_rejects_wrong_shape(self, couplings, fields):
+        with pytest.raises(ValueError, match="shape"):
+            IsingModel(couplings=couplings, fields=fields)
+
+    def test_arrays_are_read_only_copies(self):
+        couplings = np.array([[0.0, 1.0], [0.0, 0.0]])
+        fields = np.array([0.5, -0.5])
+        model = IsingModel(couplings=couplings, fields=fields, constant=2.0)
         with pytest.raises(ValueError):
-            IsingModel(
-                n_spins=2, couplings={(1, 0): 1.0}, fields=np.zeros(2), ledger=ConstantLedger(), M=1.0
-            )
+            model.couplings[0, 1] = 5.0
         with pytest.raises(ValueError):
-            IsingModel(
-                n_spins=2, couplings={(0, 1): 0.0}, fields=np.zeros(2), ledger=ConstantLedger(), M=1.0
-            )
+            model.fields[0] = 5.0
+        couplings[0, 1] = 7.0  # the caller's arrays stay writable and unshared
+        assert model.couplings[0, 1] == 1.0
+        assert model.n_spins == 2
 
 
 class TestReduce:
@@ -122,16 +135,17 @@ class TestReduce:
         assert np.array_equal(red.b, [0, 0])
         assert np.array_equal(red.A, [[1, 0], [0, 1]])
         assert np.array_equal(red.c, [1, 1])
-        assert red.model.ledger.objective_part == 1.0
+        # constant = that of the reduced data plus the fixed objective c_1 = 1
+        bare = encode(BlpInstance(c=red.c, A=red.A, b=red.b), 10.0)
+        assert red.model.constant == bare.constant + 1.0
         assert np.array_equal(red.index_map, [0, 2])
 
     def test_empty_fixing_is_identity(self, three_var_instance):
         red = reduce(three_var_instance, 10.0, {})
         master = encode(three_var_instance, 10.0)
-        assert red.model.couplings == master.couplings
+        assert np.array_equal(red.model.couplings, master.couplings)
         assert np.allclose(red.model.fields, master.fields)
         assert red.model.constant == pytest.approx(master.constant)
-        assert red.model.ledger.objective_part == 0.0
 
     def test_fix_everything(self, three_var_instance):
         x = [0, 1, 0]
@@ -156,6 +170,13 @@ class TestReduce:
                 p = penalized_cost(inst, full, M)
                 assert abs(e - p) <= 1e-9 * max(1.0, abs(p))
 
+    def test_merge_completes_each_row(self, three_var_instance):
+        red = reduce(three_var_instance, 10.0, {1: 1})
+        rows = np.array([[0, 0], [1, 0], [0, 1]])
+        full = red.merge(rows)
+        assert np.array_equal(full, [[0, 1, 0], [1, 1, 0], [0, 1, 1]])
+        assert np.array_equal(full[1], red.merge(rows[1]))
+
     def test_inconsistent_fixing_values(self, three_var_instance):
         with pytest.raises(ValueError):
             reduce(three_var_instance, 10.0, {0: 2})
@@ -173,20 +194,21 @@ class TestReduce:
         interim = BlpInstance(c=r1.c, A=r1.A, b=r1.b, kappa=inst.kappa)
         orig_to_interim = {int(o): i for i, o in enumerate(r1.index_map)}
         second_local = {orig_to_interim[k]: v for k, v in second_orig.items()}
-        r2 = reduce(interim, M, second_local, objective_base=r1.model.ledger.objective_part)
+        r2 = reduce(interim, M, second_local)
+        x_first = np.zeros(inst.n)
+        x_first[list(first)] = list(first.values())
 
-        assert set(r2.model.couplings) == set(combined.model.couplings)
-        for key, w in combined.model.couplings.items():
-            assert r2.model.couplings[key] == pytest.approx(w, abs=1e-9)
+        assert np.array_equal(r2.model.couplings != 0, combined.model.couplings != 0)
+        assert np.allclose(r2.model.couplings, combined.model.couplings, rtol=0, atol=1e-9)
         assert np.allclose(r2.model.fields, combined.model.fields, atol=1e-9)
-        assert r2.model.constant == pytest.approx(combined.model.constant, abs=1e-9)
+        assert r2.model.constant + inst.c @ x_first == pytest.approx(
+            combined.model.constant, abs=1e-9
+        )
 
 
 class TestManyBodyCount:
     def test_empty(self):
-        model = IsingModel(
-            n_spins=3, couplings={}, fields=np.zeros(3), ledger=ConstantLedger(), M=1.0
-        )
+        model = IsingModel(couplings=np.zeros((3, 3)), fields=np.zeros(3))
         assert many_body_count(model) == 0
 
     def test_shared_constraint_pair(self, pair_instance):

@@ -10,7 +10,7 @@ from conftest import (
 )
 from qcbb import vqa
 from qcbb.blp import BlpInstance, compute_big_m, enumerate_assignments, generate_spp
-from qcbb.ising import ConstantLedger, IsingModel, encode
+from qcbb.ising import IsingModel, encode
 from qcbb.vqa import (
     OptimizerTrace,
     QaoaParams,
@@ -28,11 +28,7 @@ from qcbb.vqa import (
 def field_model(fields, constant=0.0):
     fields = np.asarray(fields, dtype=float)
     return IsingModel(
-        n_spins=fields.size,
-        couplings={},
-        fields=fields,
-        ledger=ConstantLedger(transform_part=constant),
-        M=1.0,
+        couplings=np.zeros((fields.size, fields.size)), fields=fields, constant=constant
     )
 
 
@@ -85,19 +81,17 @@ class TestBuildDiagonal:
             fields = rng.integers(-40, 41, size=n) / 2.0
             if shape == "zero_fields":
                 fields[:] = 0.0
-            couplings = {}
+            couplings = np.zeros((n, n))
             if shape != "no_couplings":
                 for i in range(n):
                     for j in range(i + 1, n):
                         w = int(rng.integers(-6, 7)) / 2.0
                         if w != 0.0 and rng.random() < 0.6:
-                            couplings[(i, j)] = w
+                            couplings[i, j] = w
             model = IsingModel(
-                n_spins=n,
                 couplings=couplings,
                 fields=fields,
-                ledger=ConstantLedger(transform_part=float(rng.integers(-99, 100)) / 2.0),
-                M=1.0,
+                constant=float(rng.integers(-99, 100)) / 2.0,
             )
             for include_constant in (True, False):
                 assert np.array_equal(
