@@ -110,12 +110,13 @@ def solve_sdp(
         return 0.25 * (total - float(np.sum((W @ V) * V)))
 
     f = objective(V)
+    rows = list(zip(W, V))  # v_i is a view, so each update writes V in place
     for _ in range(max_iters):
-        for i, w_i in enumerate(W):
-            g = w_i @ V
-            norm = math.sqrt(g @ g)
+        for w_i, v_i in rows:
+            g = np.dot(w_i, V)
+            norm = math.sqrt(np.dot(g, g))
             if norm > 0.0:
-                V[i] = g / -norm
+                np.divide(g, -norm, out=v_i)
         f_prev, f = f, objective(V)
         if f - f_prev <= tol * max(1.0, abs(f)):
             break

@@ -267,7 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
         dest="node_queries",
         type=int,
         default=None,
-        help="optimizer query budget per node (default 50)",
+        help=(
+            "optimizer query cap per node (default 50); a node stops after "
+            "2(2p+1) queries with no new best"
+        ),
     )
     solve.add_argument("--node-limit", dest="node_limit", type=int, default=None)
     solve.add_argument("--time-limit", dest="time_limit", type=float, default=None)

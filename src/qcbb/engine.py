@@ -37,6 +37,13 @@ from .vqa import OptimizerTrace, QaoaParams, SampleSet
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Solver settings.
+
+    ``node_queries`` caps the optimizer queries of each branched node; a
+    node stops earlier once 2(2p+1) consecutive queries have found no
+    expectation below its best (``vqa.optimize_angles``' ``patience``).
+    """
+
     p: int = 3
     shots: int = 1024
     node_queries: int = 50
@@ -282,11 +289,18 @@ def _run_vqa(
     node_id: int,
     queries: int,
     init: QaoaParams | None,
+    patience: int | None,
 ) -> tuple[OptimizerTrace, QaoaParams, SampleSet]:
     diag = vqa.build_diagonal(red.model, include_constant=False)
     table = vqa.phase_table(diag)
     params, trace = vqa.optimize_angles(
-        diag, config.p, queries, _node_rng(config.seed, node_id, 1), init=init, table=table
+        diag,
+        config.p,
+        queries,
+        _node_rng(config.seed, node_id, 1),
+        init=init,
+        table=table,
+        patience=patience,
     )
     state = vqa.qaoa_state(diag, params, table)
     samples = vqa.sample(state, config.shots, _node_rng(config.seed, node_id, 2))
@@ -389,7 +403,10 @@ def evaluate_node(
         )
 
     init = node.warm if config.warm_start else None
-    trace, params, samples = _run_vqa(red, config, node.id, config.node_queries, init)
+    # Stop after two Nelder-Mead simplex sizes (2p+1 points over 2p angles)
+    # of queries without a new best.
+    patience = 2 * (2 * config.p + 1)
+    trace, params, samples = _run_vqa(red, config, node.id, config.node_queries, init, patience)
     rows = np.vstack((samples.bitstrings, (bres.side[1:] + 1) // 2))
     best_cand, best_feas, best = _evaluate_candidates(master, red, rows, M)
     source = "gw" if best == len(rows) - 1 else "qaoa"
@@ -630,7 +647,7 @@ def run_plain_qaoa(
     M = compute_big_m(instance)
     red = reduce(instance, M, {})
     rec = TraceRecorder(wall_clock=config.wall_clock)
-    trace, _, samples = _run_vqa(red, config, 0, queries, None)
+    trace, _, samples = _run_vqa(red, config, 0, queries, None, None)
     for q, value in trace.entries:
         rec.record(
             "optimizer_query", 0, query_index=q, expectation=value + red.model.constant

@@ -15,7 +15,9 @@ rows) every coefficient and partial sum is an exact half-integer, so the
 diagonal is the same to the bit.
 
 The mixer applies R = R_x(beta)^{(x)k}, a symmetric 2^k x 2^k matrix, to
-blocks of at most MIXER_BLOCK spins with one matrix product each. Viewing the
+blocks of at most MIXER_BLOCK spins with one matrix product each. Each R is
+built from the one below it as a broadcast outer product, the same products
+``np.kron`` forms, so it equals the Kronecker fold to the bit. Viewing the
 state as a (2^k, 2^(n-k)) array puts the top k bits of the index on the rows,
 and ``psi.reshape(2^k, -1).T @ R`` mixes them and writes them back at the
 bottom of the index, so the next block meets the next k bits on top. After
@@ -25,19 +27,24 @@ product's output.
 
 A phase layer multiplies by exp(-i*gamma*E_z). Cost diagonals repeat few
 energies, so ``phase_table`` lists the distinct energies once with each
-entry's index among them, and a layer evaluates exp only on those. Every
-entry meets the same elementwise exp of the same float as it would on the
-full diagonal, so the phase factors are bit-identical to exp(-i*gamma*diag).
+entry's index among them, and a layer evaluates its factors only on those.
+``phase_factors`` writes cos and sin of the real angle -gamma*E into one
+complex array, the value exp(-i*gamma*E) takes, without the complex exp;
+the two agree within one ulp per part. Every entry meets the same
+elementwise functions of the same float as it would on the full diagonal.
 
-Angle optimization is derivative-free under a hard query budget: Nelder-Mead
-runs with random restarts until the budget is exhausted, every expectation
-evaluation is recorded, and the best parameters seen are returned.
+Angle optimization is derivative-free under a query cap: Nelder-Mead runs
+with random restarts, every expectation evaluation is recorded, and the best
+parameters seen are returned. It stops when the cap is reached or, with a
+``patience`` k, once k queries in a row have found no strictly lower
+expectation, whichever comes first. The tree solver stops each node after
+2(2p+1) such queries, two Nelder-Mead simplex sizes; the plain-QAOA
+baseline sets no patience and spends its whole budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 from scipy.optimize import minimize
@@ -150,7 +157,10 @@ def _apply_mixer(state: np.ndarray, beta: float, n_spins: int) -> np.ndarray:
     sizes = [MIXER_BLOCK] * (n_spins // MIXER_BLOCK)
     if n_spins % MIXER_BLOCK:
         sizes.append(n_spins % MIXER_BLOCK)
-    blocks = {k: reduce(np.kron, [rot] * k) for k in set(sizes)}
+    blocks = {1: rot}  # blocks[k] = rot kron ... kron rot, k factors
+    for k in range(2, max(sizes) + 1):
+        prev = blocks[k - 1]
+        blocks[k] = (prev[:, None, :, None] * rot[None, :, None, :]).reshape(1 << k, 1 << k)
     psi = state
     for k in sizes:
         psi = psi.reshape(1 << k, -1).T @ blocks[k]
@@ -160,6 +170,15 @@ def _apply_mixer(state: np.ndarray, beta: float, n_spins: int) -> np.ndarray:
 def phase_table(diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct energies of ``diag`` and the index of each entry among them."""
     return np.unique(diag, return_inverse=True)
+
+
+def phase_factors(levels: np.ndarray, gamma: float) -> np.ndarray:
+    """exp(-i*gamma*levels), written as cos + i*sin of the real angle."""
+    theta = -gamma * levels
+    factors = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=factors.real)
+    np.sin(theta, out=factors.imag)
+    return factors
 
 
 def qaoa_state(
@@ -178,7 +197,7 @@ def qaoa_state(
     levels, index = phase_table(diag) if table is None else table
     state = np.full(size, 1.0 / np.sqrt(size), dtype=complex)
     for gamma, beta in zip(params.gammas, params.betas):
-        state *= np.exp(-1j * gamma * levels)[index]
+        state *= phase_factors(levels, gamma)[index]
         if n_spins:
             state = _apply_mixer(state, beta, n_spins)
     return state
@@ -204,7 +223,7 @@ def sample(state: np.ndarray, q: int, rng: np.random.Generator) -> SampleSet:
     return SampleSet(bitstrings=bitstrings.astype(np.int8), counts=counts, shots=q)
 
 
-class _BudgetExhausted(Exception):
+class _StopQueries(Exception):
     pass
 
 
@@ -215,32 +234,45 @@ def optimize_angles(
     rng: np.random.Generator,
     init: QaoaParams | None = None,
     table: tuple[np.ndarray, np.ndarray] | None = None,
+    patience: int | None = None,
 ) -> tuple[QaoaParams, OptimizerTrace]:
     """Minimize the state expectation over 2p angles under a query budget.
 
     Nelder-Mead from a random start (or ``init`` when warm-starting), with
     fresh random restarts while budget remains. Never evaluates more than
-    ``max_queries`` times; returns the best parameters seen. Every query
-    shares one phase table: ``table`` when given (``phase_table(diag)``, so
-    the caller can reuse it for sampling), otherwise one built here.
+    ``max_queries`` times; returns the best parameters seen. With
+    ``patience`` k, it also stops once k consecutive queries have not found
+    an expectation strictly below the best so far (the count runs across
+    restarts), so the last query is k after the last improvement; None
+    spends the whole budget. Every query shares one phase table: ``table``
+    when given (``phase_table(diag)``, so the caller can reuse it for
+    sampling), otherwise one built here.
     """
     if max_queries < 1:
         raise ValueError("max_queries must be at least 1")
+    if patience is not None and patience < 1:
+        raise ValueError("patience must be at least 1 when set")
     entries: list[tuple[int, float]] = []
     best_x: np.ndarray | None = None
     best_f = np.inf
+    stale = 0  # consecutive queries since the last strict improvement
     if table is None:
         table = phase_table(diag)
 
     def objective(x: np.ndarray) -> float:
-        nonlocal best_x, best_f
+        nonlocal best_x, best_f, stale
         if len(entries) >= max_queries:
-            raise _BudgetExhausted
+            raise _StopQueries
         value = expectation(qaoa_state(diag, QaoaParams.from_vector(x), table), diag)
         entries.append((len(entries) + 1, value))
         if value < best_f:
             best_f = value
             best_x = x.copy()
+            stale = 0
+        else:
+            stale += 1
+            if stale == patience:
+                raise _StopQueries
         return value
 
     x0 = init.as_vector() if init is not None else rng.uniform(0.0, np.pi, size=2 * p)
@@ -253,7 +285,7 @@ def optimize_angles(
                 options={"maxfev": max_queries - len(entries), "xatol": 1e-4, "fatol": 1e-8},
             )
             x0 = rng.uniform(0.0, np.pi, size=2 * p)
-    except _BudgetExhausted:
+    except _StopQueries:
         pass
     assert best_x is not None
     return QaoaParams.from_vector(best_x), OptimizerTrace(entries=tuple(entries))

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import itertools
+import math
+from functools import reduce
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from qcbb.blp import BlpInstance
-from qcbb.bound import ising_to_maxcut
+from qcbb.bound import default_rank, ising_to_maxcut
 from qcbb.ising import IsingModel
-from qcbb.vqa import QaoaParams
+from qcbb.vqa import MIXER_BLOCK, QaoaParams
 
 # Goemans-Williamson approximation ratio of hyperplane rounding.
 ALPHA = 0.87856
@@ -158,6 +160,22 @@ def tensordot_mixer(state: np.ndarray, beta: float, n_spins: int) -> np.ndarray:
     return psi.reshape(-1)
 
 
+def kron_mixer(state: np.ndarray, beta: float, n_spins: int) -> np.ndarray:
+    """Bitwise reference for ``qcbb.vqa._apply_mixer``: the same block
+    products, with each block matrix built by ``np.kron`` folds."""
+    c = np.cos(beta)
+    s = -1j * np.sin(beta)
+    rot = np.array([[c, s], [s, c]])
+    sizes = [MIXER_BLOCK] * (n_spins // MIXER_BLOCK)
+    if n_spins % MIXER_BLOCK:
+        sizes.append(n_spins % MIXER_BLOCK)
+    blocks = {k: reduce(np.kron, [rot] * k) for k in set(sizes)}
+    psi = state
+    for k in sizes:
+        psi = psi.reshape(1 << k, -1).T @ blocks[k]
+    return psi.reshape(-1)
+
+
 def spin_product_diagonal(model: IsingModel, include_constant: bool = True) -> np.ndarray:
     """Reference diagonal: one full-length pass per field and per coupling.
 
@@ -195,6 +213,41 @@ def loop_gw_round(
     if best_side[0] < 0:
         best_side = -best_side
     return float(best_value), best_side
+
+
+def indexed_row_solve_sdp(
+    W: np.ndarray,
+    rank: int | None = None,
+    max_iters: int = 2000,
+    rng: np.random.Generator | None = None,
+    tol: float = 1e-8,
+) -> tuple[np.ndarray, float]:
+    """Bitwise reference for ``qcbb.bound.solve_sdp``: the same mixing-method
+    sweeps, each row read as ``W[i] @ V`` and written back as ``V[i] = ...``."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    n = W.shape[0]
+    k = default_rank(n) if rank is None else rank
+    V = rng.normal(size=(n, k))
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    if not W.any():
+        return V, 0.0
+    total = float(W.sum())
+
+    def objective(V):
+        return 0.25 * (total - float(np.sum((W @ V) * V)))
+
+    f = objective(V)
+    for _ in range(max_iters):
+        for i, w_i in enumerate(W):
+            g = w_i @ V
+            norm = math.sqrt(g @ g)
+            if norm > 0.0:
+                V[i] = g / -norm
+        f_prev, f = f, objective(V)
+        if f - f_prev <= tol * max(1.0, abs(f)):
+            break
+    return V, f
 
 
 def random_dense_instance(rng: np.random.Generator, n_max: int = 8) -> BlpInstance:

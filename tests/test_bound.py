@@ -7,6 +7,7 @@ from conftest import (
     cut_value,
     exhaustive_max_cut,
     exhaustive_min_energy,
+    indexed_row_solve_sdp,
     loop_gw_round,
     random_model,
     total_weight,
@@ -24,7 +25,7 @@ from qcbb.bound import (
     sdp_upper_bound,
     solve_sdp,
 )
-from qcbb.ising import IsingModel, energy, reduce
+from qcbb.ising import IsingModel, encode, energy, reduce
 
 
 def model_of(couplings, fields):
@@ -141,6 +142,22 @@ class TestSolveSdp:
             ]
             for prev, cur in zip(values, values[1:]):
                 assert cur >= prev - 1e-12 * max(1.0, abs(prev))
+
+    def test_bit_identical_to_indexed_row_sweeps(self):
+        rng = np.random.default_rng(43)
+        graphs = [ising_to_maxcut(random_model(rng, n_max=12)) for _ in range(8)]
+        graphs.append(weights(4, {(0, 1): 1.0, (1, 2): -2.0}))  # isolated vertex
+        spp = generate_spp(14, 4, seed=0)
+        graphs.append(ising_to_maxcut(encode(spp, compute_big_m(spp))))
+        for W in graphs:
+            for max_iters in (1, 5, 2000):
+                seed = int(rng.integers(1 << 31))
+                V, f = solve_sdp(W, max_iters=max_iters, rng=np.random.default_rng(seed))
+                V_ref, f_ref = indexed_row_solve_sdp(
+                    W, max_iters=max_iters, rng=np.random.default_rng(seed)
+                )
+                assert np.array_equal(V, V_ref)
+                assert f == f_ref
 
     def test_isolated_vertex_keeps_unit_row(self):
         W = weights(4, {(0, 1): 1.0, (1, 2): -2.0})

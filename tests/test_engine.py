@@ -194,6 +194,35 @@ def count_phase_tables(monkeypatch) -> list[int]:
     return calls
 
 
+def record_optimizer_runs(monkeypatch) -> list[tuple[int, tuple[float, ...]]]:
+    """Patch ``vqa.optimize_angles`` to log each call's budget and the
+    expectation of every query it made, in order."""
+    runs = []
+    original = vqa.optimize_angles
+
+    def logged(diag, p, max_queries, *args, **kwargs):
+        params, trace = original(diag, p, max_queries, *args, **kwargs)
+        runs.append((max_queries, tuple(v for _, v in trace.entries)))
+        return params, trace
+
+    monkeypatch.setattr(vqa, "optimize_angles", logged)
+    return runs
+
+
+def stalls(values: tuple[float, ...]) -> list[int]:
+    """Lengths of the runs of queries without a strictly lower expectation
+    than all before them; the last entry is the run that ends the call."""
+    runs = []
+    best = np.inf
+    for value in values:
+        if value < best:
+            best = value
+            runs.append(0)
+        else:
+            runs[-1] += 1
+    return runs
+
+
 class TestSolve:
     def test_three_variable_instance(self, three_var_instance):
         res = solve(three_var_instance, SolverConfig(seed=3))
@@ -338,6 +367,18 @@ class TestSolve:
         with pytest.raises(ValueError):
             SolverConfig(node_limit=0)
 
+    def test_node_stops_two_simplex_sizes_after_last_improvement(self, monkeypatch):
+        runs = record_optimizer_runs(monkeypatch)
+        config = SolverConfig(p=3, node_queries=50, seed=0)
+        res = solve(generate_spp(12, 4, seed=1), config)
+        assert res.status == "optimal"
+        early = [values for budget, values in runs if len(values) < budget]
+        assert early, "no node stopped before its budget"
+        for budget, values in runs:
+            assert len(values) <= budget
+        for values in early:
+            assert stalls(values)[-1] == max(stalls(values)) == 2 * (2 * config.p + 1)
+
 
 class TestIncumbent:
     def test_penalized_and_feasible_tracked_separately(self):
@@ -377,6 +418,13 @@ class TestPlainQaoa:
         bf = brute_force_optimum(three_var_instance)
         res = run_plain_qaoa(three_var_instance, SolverConfig(seed=1), queries=500)
         assert res.best_penalized_value >= bf.value - 1e-9
+
+    def test_spends_whole_budget_at_p3(self, monkeypatch):
+        runs = record_optimizer_runs(monkeypatch)
+        res = run_plain_qaoa(generate_spp(10, 3, seed=0), SolverConfig(p=3, seed=0), queries=80)
+        assert res.queries == 80
+        # the flat budget outlasts a stall the tree solver would stop at
+        assert max(stalls(runs[0][1])) >= 2 * (2 * 3 + 1)
 
     def test_one_phase_table(self, monkeypatch):
         calls = count_phase_tables(monkeypatch)

@@ -4,6 +4,7 @@ from scipy.stats import chisquare
 
 from conftest import (
     dense_qaoa_expectation,
+    kron_mixer,
     random_model,
     spin_product_diagonal,
     tensordot_mixer,
@@ -19,6 +20,7 @@ from qcbb.vqa import (
     build_diagonal,
     expectation,
     optimize_angles,
+    phase_factors,
     phase_table,
     qaoa_state,
     sample,
@@ -174,6 +176,7 @@ class TestMixer:
                 ours = _apply_mixer(state, beta, n)
                 ref = tensordot_mixer(state, beta, n)
                 assert np.max(np.abs(ours - ref)) <= 1e-12
+                assert np.array_equal(ours, kron_mixer(state, beta, n))
 
 
 def spp_diagonal(n, m, seed):
@@ -198,7 +201,19 @@ class TestPhaseTable:
             assert np.unique(diag).size == diag.size
         levels, index = phase_table(diag)
         for gamma in (0.0, 0.37, -1.9, 2.5e3):
-            assert np.array_equal(np.exp(-1j * gamma * levels)[index], np.exp(-1j * gamma * diag))
+            assert np.array_equal(phase_factors(levels, gamma)[index], phase_factors(diag, gamma))
+
+    @pytest.mark.parametrize("kind", ["spp", "distinct"])
+    def test_phase_factors_within_one_ulp_of_exp(self, kind):
+        if kind == "spp":
+            levels = phase_table(spp_diagonal(12, 4, seed=2))[0]
+        else:
+            levels = np.random.default_rng(8).normal(size=1 << 10) * 7.0
+        for gamma in (0.0, 0.37, -1.9, np.pi, 2.5e3):
+            ours = phase_factors(levels, gamma)
+            ref = np.exp(-1j * gamma * levels)
+            for part in (np.real, np.imag):
+                assert np.all(np.abs(part(ours) - part(ref)) <= np.spacing(np.abs(part(ref))))
 
     def test_given_table_matches_built_table(self):
         rng = np.random.default_rng(6)
@@ -291,6 +306,35 @@ class TestOptimizeAngles:
         _, trace = optimize_angles(diag, 1, 20, np.random.default_rng(1))
         values = [v for _, v in trace.entries]
         assert np.allclose(values, 3.0)
+
+    @pytest.mark.parametrize("patience", [1, 3, 7])
+    def test_patience_on_constant_diagonal(self, patience):
+        # every query reads exactly 0, so only the first sets a best
+        diag = np.zeros(8)
+        _, trace = optimize_angles(diag, 2, 50, np.random.default_rng(1), patience=patience)
+        assert trace.n_queries == 1 + patience
+
+    def test_no_patience_spends_whole_budget(self):
+        diag = np.zeros(8)
+        _, trace = optimize_angles(diag, 2, 50, np.random.default_rng(1), patience=None)
+        assert trace.n_queries == 50
+
+    def test_patience_stops_k_queries_after_last_improvement(self):
+        diag = spp_diagonal(8, 3, seed=1)
+        for seed in range(5):
+            _, full = optimize_angles(diag, 2, 200, np.random.default_rng(seed))
+            params, trace = optimize_angles(diag, 2, 200, np.random.default_rng(seed), patience=6)
+            values = [v for _, v in trace.entries]
+            # the same queries as without patience, cut 6 after the last new best
+            assert trace.entries == full.entries[: trace.n_queries]
+            last = values.index(min(values))
+            assert trace.n_queries == last + 1 + 6
+            assert all(v >= values[last] for v in values[last:])
+            assert expectation(qaoa_state(diag, params), diag) == trace.best_value
+
+    def test_patience_validation(self, pair_diag):
+        with pytest.raises(ValueError):
+            optimize_angles(pair_diag, 1, 10, np.random.default_rng(0), patience=0)
 
     def test_budget_respected_and_best_reported(self, pair_diag):
         _, trace = optimize_angles(pair_diag, 3, 200, np.random.default_rng(5))
