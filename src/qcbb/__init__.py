@@ -18,7 +18,7 @@ from .blp import (
     penalized_cost,
     save_instance,
 )
-from .bound import BoundConfig, BoundResult, lower_bound
+from .bound import BoundResult, lower_bound
 from .engine import (
     BaselineResult,
     SolveResult,
@@ -43,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BaselineResult",
     "BlpInstance",
-    "BoundConfig",
     "BoundResult",
     "BoundSeries",
     "BruteForceResult",

@@ -207,11 +207,19 @@ def instance_to_dict(instance: BlpInstance) -> dict:
     return out
 
 
+def _scalar_field(data: dict, key: str, kind: type):
+    """``kind(data[key])`` for ``kind`` int or float."""
+    try:
+        return kind(data[key])
+    except (TypeError, ValueError) as exc:
+        raise InstanceFormatError(f"field {key!r} is not a number: {data[key]!r}") from exc
+
+
 def instance_from_dict(data: dict) -> BlpInstance:
     for key in ("n", "m", "c", "A", "b"):
         if key not in data:
             raise InstanceFormatError(f"missing field {key!r}")
-    n, m = int(data["n"]), int(data["m"])
+    n, m = _scalar_field(data, "n", int), _scalar_field(data, "m", int)
     c = np.asarray(data["c"], dtype=float)
     A = np.asarray(data["A"], dtype=float)
     b = np.asarray(data["b"], dtype=float)
@@ -227,8 +235,8 @@ def instance_from_dict(data: dict) -> BlpInstance:
             A=A,
             b=b,
             name=data.get("name"),
-            kappa=float(data.get("kappa", 1.0)),
-            optimum=None if data.get("optimum") is None else float(data["optimum"]),
+            kappa=_scalar_field(data, "kappa", float) if "kappa" in data else 1.0,
+            optimum=None if data.get("optimum") is None else _scalar_field(data, "optimum", float),
         )
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from exc

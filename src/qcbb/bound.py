@@ -17,10 +17,11 @@ The relaxation max sum_(u<v) w_uv (1 - <V_u, V_v>)/2 over unit rows V_u is
 solved on a low-rank Burer-Monteiro factor V by row-wise exact coordinate
 ascent (the mixing method): each row in turn is set to the unit vector that
 maximises the objective with the other rows held, so the objective never
-decreases. Sweeps stop when one gains at most tol * max(1, |f|), or after
-``BoundConfig.max_iters`` sweeps. The bound does not rely on that stop:
-``sdp_upper_bound`` turns any unit-row V into a certified z_sdp >= z* through
-an eigenvalue shift, so an unconverged ascent only loosens the bound.
+decreases. Sweeps stop when one gains at most SDP_TOL * max(1, |f|), or
+after ``solve_sdp``'s ``max_iters`` sweeps. The bound does not rely on that
+stop: ``sdp_upper_bound`` turns any unit-row V into a certified
+z_sdp >= z* through an eigenvalue shift, so an unconverged ascent only
+loosens the bound.
 
 When every objective coefficient is an integer, every objective value lies
 on a lattice g*Z (``objective_lattice``), so a bound on the best feasible
@@ -38,14 +39,8 @@ from .ising import IsingModel
 
 # Relative slack of the bound-based prunes and of the optimality stop.
 OPTIMALITY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class BoundConfig:
-    rank: int | None = None  # default ceil(sqrt(2 |V|))
-    max_iters: int = 2000  # cap on ascent sweeps (each updates every row once)
-    tol: float = 1e-8  # stop once a sweep gains at most tol * max(1, |f|)
-    rounds: int = 64
+# The SDP ascent stops once a sweep gains at most SDP_TOL * max(1, |f|).
+SDP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -75,14 +70,11 @@ def default_rank(n_vertices: int) -> int:
 
 
 def solve_sdp(
-    W: np.ndarray,
-    rank: int | None = None,
-    max_iters: int = 2000,
-    rng: np.random.Generator | None = None,
-    tol: float = 1e-8,
+    W: np.ndarray, max_iters: int = 2000, rng: np.random.Generator | None = None
 ) -> tuple[np.ndarray, float]:
     """Low-rank ascent of f(V) = sum_(u<v) W_uv (1 - <V_u, V_v>)/2 over unit rows
-    of V, for a symmetric weight matrix W with zero diagonal.
+    of V (``default_rank`` columns), for a symmetric weight matrix W with
+    zero diagonal.
 
     Row-wise exact coordinate ascent (the mixing method of Wang, Chang and
     Kolter, 2017). With the other rows held, f depends on row i only through
@@ -90,17 +82,14 @@ def solve_sdp(
     unit sphere; a row with g = 0 keeps its vector. Every update is therefore
     a maximiser over its row and f never decreases. A sweep updates every row
     in order; the ascent stops after ``max_iters`` sweeps or once a sweep
-    gains at most tol * max(1, |f|). Returns the last factor and its f.
+    gains at most SDP_TOL * max(1, |f|). Returns the last factor and its f.
     Soundness does not need the stop to be reached: ``sdp_upper_bound``
     certifies an upper bound on the maximum cut from any unit-row factor.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     n = W.shape[0]
-    k = default_rank(n) if rank is None else rank
-    if k < 2:
-        raise ValueError("rank must be at least 2")
-    V = rng.normal(size=(n, k))
+    V = rng.normal(size=(n, default_rank(n)))
     V /= np.linalg.norm(V, axis=1, keepdims=True)
     if not W.any():
         return V, 0.0
@@ -118,7 +107,7 @@ def solve_sdp(
             if norm > 0.0:
                 np.divide(g, -norm, out=v_i)
         f_prev, f = f, objective(V)
-        if f - f_prev <= tol * max(1.0, abs(f)):
+        if f - f_prev <= SDP_TOL * max(1.0, abs(f)):
             break
     return V, f
 
@@ -161,11 +150,7 @@ def gw_round(
     return float(values[best]), best_side
 
 
-def lower_bound(
-    model: IsingModel,
-    cfg: BoundConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> BoundResult:
+def lower_bound(model: IsingModel, rng: np.random.Generator | None = None) -> BoundResult:
     """Lower bound -2 z_sdp + W on the constant-free ground-state energy.
 
     z_sdp >= z* is the certified relaxation value, so the bound holds for
@@ -173,16 +158,14 @@ def lower_bound(
     side of the same factor: ``side[1:]`` is a spin configuration of the
     model (an all-+1 side when the model has no nonzero coefficient).
     """
-    if cfg is None:
-        cfg = BoundConfig()
     if rng is None:
         rng = np.random.default_rng(0)
     W = ising_to_maxcut(model)
     if not W.any():
         return BoundResult(z_sdp=0.0, W=0.0, lb_value=0.0, side=np.ones(W.shape[0], dtype=int))
-    V, _ = solve_sdp(W, rank=cfg.rank, max_iters=cfg.max_iters, rng=rng, tol=cfg.tol)
+    V, _ = solve_sdp(W, rng=rng)
     z_sdp = sdp_upper_bound(V, W)
-    _, side = gw_round(V, W, rounds=cfg.rounds, rng=rng)
+    _, side = gw_round(V, W, rng=rng)
     total = 0.5 * float(W.sum())
     return BoundResult(z_sdp=z_sdp, W=total, lb_value=-2.0 * z_sdp + total, side=side)
 

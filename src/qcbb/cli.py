@@ -3,8 +3,9 @@
 Exit codes for ``solve``: 0 when optimal or the gap target was reached, 2 on
 a proven infeasible instance, 3 when a node or time limit stopped the run,
 1 on usage, configuration or I/O errors. A JSON config file can seed any
-flag and must hold no other key; explicit flags override the file. The
-environment variable ``QCBB_SEED`` serves as a fallback seed.
+flag and must hold no other key, each value of the flag's JSON type;
+explicit flags override the file. The environment variable ``QCBB_SEED``
+serves as a fallback seed.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import blp, engine, metrics
-from .bound import BoundConfig
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -35,7 +35,6 @@ SOLVE_DEFAULTS = {
     "time_limit": None,
     "gap": None,
     "seed": None,
-    "warm_start": False,
     "wall_clock": False,
     "queries": 500,
 }
@@ -46,6 +45,23 @@ def _fallback_seed() -> int:
     if env is not None:
         return int(env)
     return 0
+
+
+def _check_config_value(key: str, value) -> None:
+    """Reject a config-file value of another JSON type than the flag's.
+
+    ``null`` is allowed where the default is None; a JSON bool is no integer.
+    """
+    if value is None and SOLVE_DEFAULTS[key] is None:
+        return
+    if key == "wall_clock":
+        ok, kind = isinstance(value, bool), "true or false"
+    elif key in ("time_limit", "gap"):
+        ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    else:
+        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    if not ok:
+        raise ValueError(f"config key {key!r} must be {kind}, not {json.dumps(value)}")
 
 
 def _merge_config(args: argparse.Namespace, keys) -> dict:
@@ -59,6 +75,8 @@ def _merge_config(args: argparse.Namespace, keys) -> dict:
         unknown = sorted(set(file_values) - set(SOLVE_DEFAULTS))
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+        for key, value in file_values.items():
+            _check_config_value(key, value)
     merged = {}
     for key in keys:
         value = getattr(args, key, None)
@@ -72,16 +90,14 @@ def _merge_config(args: argparse.Namespace, keys) -> dict:
 
 def _solver_config(merged: dict) -> engine.SolverConfig:
     return engine.SolverConfig(
-        p=int(merged["p"]),
-        shots=int(merged["shots"]),
-        node_queries=int(merged["node_queries"]),
-        node_limit=None if merged["node_limit"] is None else int(merged["node_limit"]),
-        time_limit=None if merged["time_limit"] is None else float(merged["time_limit"]),
-        gap_target=None if merged["gap"] is None else float(merged["gap"]),
-        seed=int(merged["seed"]),
-        warm_start=bool(merged["warm_start"]),
-        wall_clock=bool(merged["wall_clock"]),
-        bound=BoundConfig(),
+        p=merged["p"],
+        shots=merged["shots"],
+        node_queries=merged["node_queries"],
+        node_limit=merged["node_limit"],
+        time_limit=merged["time_limit"],
+        gap_target=merged["gap"],
+        seed=merged["seed"],
+        wall_clock=merged["wall_clock"],
     )
 
 
@@ -153,13 +169,10 @@ def _fmt(value) -> str:
 def cmd_baseline(args: argparse.Namespace) -> int:
     merged = _merge_config(args, ("p", "shots", "seed", "queries", "wall_clock"))
     config = engine.SolverConfig(
-        p=int(merged["p"]),
-        shots=int(merged["shots"]),
-        seed=int(merged["seed"]),
-        wall_clock=bool(merged["wall_clock"]),
+        p=merged["p"], shots=merged["shots"], seed=merged["seed"], wall_clock=merged["wall_clock"]
     )
     instance = blp.load_instance(args.instance)
-    result = engine.run_plain_qaoa(instance, config, queries=int(merged["queries"]))
+    result = engine.run_plain_qaoa(instance, config, queries=merged["queries"])
     if args.trace:
         metrics.export_trace(result.trace, args.trace)
     print(f"completed {result.best_penalized_value:g}")
@@ -277,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--gap", type=float, default=None, help="relative gap target")
     solve.add_argument("--seed", type=int, default=None)
     solve.add_argument("--trace", default=None, help="write the event trace (csv or json)")
-    solve.add_argument("--warm-start", dest="warm_start", action="store_const", const=True, default=None)
     solve.add_argument(
         "--wall-clock",
         dest="wall_clock",

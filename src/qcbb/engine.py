@@ -22,17 +22,17 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bound as bound_mod
 from . import vqa
 from .blp import FEASIBILITY_TOL, BlpInstance, compute_big_m
-from .bound import OPTIMALITY_TOL, BoundConfig
+from .bound import OPTIMALITY_TOL
 from .ising import ReducedProblem, encode, many_body_count, reduce
 from .metrics import TraceEvent, TraceRecorder, many_body_fraction
-from .vqa import OptimizerTrace, QaoaParams, SampleSet
+from .vqa import OptimizerTrace, SampleSet
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,8 @@ class SolverConfig:
     time_limit: float | None = None
     gap_target: float | None = None
     seed: int = 0
-    warm_start: bool = False
     prune: bool = True
     wall_clock: bool = False
-    bound: BoundConfig = field(default_factory=BoundConfig)
 
     def __post_init__(self):
         if self.p < 1 or self.shots < 1 or self.node_queries < 1:
@@ -74,7 +72,6 @@ class Node:
     parent: int | None
     fixings: dict[int, int]
     local_lb: float
-    warm: QaoaParams | None = None
 
     @property
     def depth(self) -> int:
@@ -163,7 +160,6 @@ class NodeEvaluation:
     best_candidate: tuple[float, np.ndarray, bool] | None = None
     best_feasible_candidate: tuple[float, np.ndarray] | None = None
     candidate_source: str | None = None  # qaoa | gw | leaf
-    best_params: QaoaParams | None = None
     children: tuple[ChildBranch, ...] = ()
 
 
@@ -288,9 +284,8 @@ def _run_vqa(
     config: SolverConfig,
     node_id: int,
     queries: int,
-    init: QaoaParams | None,
     patience: int | None,
-) -> tuple[OptimizerTrace, QaoaParams, SampleSet]:
+) -> tuple[OptimizerTrace, SampleSet]:
     diag = vqa.build_diagonal(red.model, include_constant=False)
     table = vqa.phase_table(diag)
     params, trace = vqa.optimize_angles(
@@ -298,13 +293,12 @@ def _run_vqa(
         config.p,
         queries,
         _node_rng(config.seed, node_id, 1),
-        init=init,
         table=table,
         patience=patience,
     )
     state = vqa.qaoa_state(diag, params, table)
     samples = vqa.sample(state, config.shots, _node_rng(config.seed, node_id, 2))
-    return trace, params, samples
+    return trace, samples
 
 
 def _prune(
@@ -375,7 +369,7 @@ def evaluate_node(
         return NodeEvaluation(*pruned, **pre_bound)
 
     red = reduce(master, M, fixings)
-    bres = bound_mod.lower_bound(red.model, config.bound, _node_rng(config.seed, node.id, 0))
+    bres = bound_mod.lower_bound(red.model, _node_rng(config.seed, node.id, 0))
     node_lb = bound_mod.round_up_to_lattice(
         max(node.local_lb, bres.lb_value + red.model.constant), lattice
     )
@@ -402,11 +396,10 @@ def evaluate_node(
             **common,
         )
 
-    init = node.warm if config.warm_start else None
     # Stop after two Nelder-Mead simplex sizes (2p+1 points over 2p angles)
     # of queries without a new best.
     patience = 2 * (2 * config.p + 1)
-    trace, params, samples = _run_vqa(red, config, node.id, config.node_queries, init, patience)
+    trace, samples = _run_vqa(red, config, node.id, config.node_queries, patience)
     rows = np.vstack((samples.bitstrings, (bres.side[1:] + 1) // 2))
     best_cand, best_feas, best = _evaluate_candidates(master, red, rows, M)
     source = "gw" if best == len(rows) - 1 else "qaoa"
@@ -421,7 +414,6 @@ def evaluate_node(
         outcome="branched",
         reason=None,
         optimizer_trace=trace,
-        best_params=params,
         best_candidate=best_cand,
         best_feasible_candidate=best_feas,
         candidate_source=source,
@@ -531,13 +523,7 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
                     many_body_count=None,
                 )
                 continue
-            child_node = Node(
-                id=cid,
-                parent=node.id,
-                fixings=child.fixings,
-                local_lb=ev.node_lb,
-                warm=ev.best_params if config.warm_start else None,
-            )
+            child_node = Node(id=cid, parent=node.id, fixings=child.fixings, local_lb=ev.node_lb)
             heapq.heappush(
                 heap, (child_node.local_lb, -child_node.depth, child_node.id, child_node)
             )
@@ -647,7 +633,7 @@ def run_plain_qaoa(
     M = compute_big_m(instance)
     red = reduce(instance, M, {})
     rec = TraceRecorder(wall_clock=config.wall_clock)
-    trace, _, samples = _run_vqa(red, config, 0, queries, None, None)
+    trace, samples = _run_vqa(red, config, 0, queries, None)
     for q, value in trace.entries:
         rec.record(
             "optimizer_query", 0, query_index=q, expectation=value + red.model.constant

@@ -75,10 +75,6 @@ class TraceRecorder:
         event = TraceEvent(
             wall_time_s=self._now(), node_index=node_index, kind=kind, **payload
         )
-        if self.events and event.wall_time_s < self.events[-1].wall_time_s:
-            event = TraceEvent(
-                **{**_event_dict(event), "wall_time_s": self.events[-1].wall_time_s}
-            )
         self.events.append(event)
         return event
 
@@ -179,21 +175,22 @@ def _cell(value) -> str:
     return str(value)
 
 
-def export_trace(events, path, format: str | None = None) -> None:
-    """Write a trace as CSV or JSON (format inferred from the suffix)."""
-    fmt = format or ("json" if str(path).endswith(".json") else "csv")
-    if fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for e in events:
-                writer.writerow([_cell(getattr(e, col)) for col in CSV_COLUMNS])
-    elif fmt == "json":
+def _is_json(path) -> bool:
+    return str(path).endswith(".json")
+
+
+def export_trace(events, path) -> None:
+    """Write a trace as JSON when ``path`` ends in .json, else as CSV."""
+    if _is_json(path):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump([_event_dict(e) for e in events], fh, indent=1)
             fh.write("\n")
-    else:
-        raise ValueError(f"unknown trace format {fmt!r}")
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for e in events:
+            writer.writerow([_cell(getattr(e, col)) for col in CSV_COLUMNS])
 
 
 def _parse_cell(column: str, text: str):
@@ -206,23 +203,33 @@ def _parse_cell(column: str, text: str):
     return float(text)
 
 
-def load_trace(path, format: str | None = None) -> list[TraceEvent]:
-    fmt = format or ("json" if str(path).endswith(".json") else "csv")
-    events: list[TraceEvent] = []
-    if fmt == "csv":
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+def _csv_row(row: list[str]) -> dict:
+    if len(row) != len(CSV_COLUMNS):
+        raise ValueError(f"{len(row)} cells, the header has {len(CSV_COLUMNS)}")
+    return {col: _parse_cell(col, cell) for col, cell in zip(CSV_COLUMNS, row)}
+
+
+def load_trace(path) -> list[TraceEvent]:
+    """Read a trace written by ``export_trace`` (JSON when ``path`` ends in
+    .json, else CSV). A malformed event raises ValueError naming its row,
+    counted from 1 after the CSV header."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        if _is_json(path):
+            rows = json.load(fh)
+            if not isinstance(rows, list):
+                raise ValueError("trace JSON must hold a list of events")
+            parse = dict
+        else:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or tuple(header) != CSV_COLUMNS:
                 raise ValueError("trace CSV header does not match the schema")
-            for row in reader:
-                data = {col: _parse_cell(col, cell) for col, cell in zip(CSV_COLUMNS, row)}
-                events.append(TraceEvent(**data))
-    elif fmt == "json":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        for data in raw:
-            events.append(TraceEvent(**data))
-    else:
-        raise ValueError(f"unknown trace format {fmt!r}")
+            rows = list(reader)
+            parse = _csv_row
+    events: list[TraceEvent] = []
+    for i, row in enumerate(rows, start=1):
+        try:
+            events.append(TraceEvent(**parse(row)))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"trace {path} row {i}: {exc}") from exc
     return events

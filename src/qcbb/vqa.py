@@ -232,14 +232,13 @@ def optimize_angles(
     p: int,
     max_queries: int,
     rng: np.random.Generator,
-    init: QaoaParams | None = None,
     table: tuple[np.ndarray, np.ndarray] | None = None,
     patience: int | None = None,
 ) -> tuple[QaoaParams, OptimizerTrace]:
     """Minimize the state expectation over 2p angles under a query budget.
 
-    Nelder-Mead from a random start (or ``init`` when warm-starting), with
-    fresh random restarts while budget remains. Never evaluates more than
+    Nelder-Mead from a random start, with fresh random restarts while
+    budget remains. Never evaluates more than
     ``max_queries`` times; returns the best parameters seen. With
     ``patience`` k, it also stops once k consecutive queries have not found
     an expectation strictly below the best so far (the count runs across
@@ -275,16 +274,14 @@ def optimize_angles(
                 raise _StopQueries
         return value
 
-    x0 = init.as_vector() if init is not None else rng.uniform(0.0, np.pi, size=2 * p)
     try:
         while len(entries) < max_queries:
             minimize(
                 objective,
-                x0,
+                rng.uniform(0.0, np.pi, size=2 * p),
                 method="Nelder-Mead",
                 options={"maxfev": max_queries - len(entries), "xatol": 1e-4, "fatol": 1e-8},
             )
-            x0 = rng.uniform(0.0, np.pi, size=2 * p)
     except _StopQueries:
         pass
     assert best_x is not None

@@ -253,6 +253,12 @@ class TestInstanceIO:
         path.write_text(json.dumps({"n": 2, "m": 1, "c": [1, 2], "A": [[1, 1]]}))
         with pytest.raises(InstanceFormatError):
             load_instance(path)
+        # a null scalar is no value either
+        for key in ("n", "kappa"):
+            data = {"n": 2, "m": 1, "c": [1, 2], "A": [[1, 1]], "b": [1], key: None}
+            path.write_text(json.dumps(data))
+            with pytest.raises(InstanceFormatError, match=key):
+                load_instance(path)
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"

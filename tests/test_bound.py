@@ -14,7 +14,6 @@ from conftest import (
 )
 from qcbb.blp import enumerate_assignments, generate_spp, compute_big_m
 from qcbb.bound import (
-    BoundConfig,
     feasible_ceiling,
     gw_round,
     infeasible_by_bound,
@@ -397,7 +396,7 @@ class TestInfeasibleByBound:
             idx = rng.choice(inst.n, size=k, replace=False)
             fixings = {int(i): int(rng.integers(0, 2)) for i in idx}
             red = reduce(inst, M, fixings)
-            res = lower_bound(red.model, BoundConfig(), rng=np.random.default_rng(trial))
+            res = lower_bound(red.model, rng=np.random.default_rng(trial))
             lb = res.lb_value + red.model.constant
             if infeasible_by_bound(lb, feasible_ceiling(inst.c, fixings)):
                 flagged += 1

@@ -111,6 +111,26 @@ class TestSolve:
         config.write_text(json.dumps({"node_querys": 1, "workerz": 9}))
         assert cli.main(["solve", str(fixture_instance), "--config", str(config)]) == 1
         assert "node_querys, workerz" in capsys.readouterr().err
+        config.write_text(json.dumps({"warm_start": True}))
+        assert cli.main(["solve", str(fixture_instance), "--config", str(config)]) == 1
+        assert "warm_start" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "values, key",
+        [
+            ({"wall_clock": "false"}, "wall_clock"),
+            ({"p": 1.9, "node_queries": 4.7}, "p"),
+            ({"node_queries": 4.7}, "node_queries"),
+            ({"seed": True}, "seed"),
+            ({"p": None}, "p"),
+        ],
+        ids=["bool_as_string", "float_p", "float_node_queries", "bool_seed", "null_p"],
+    )
+    def test_bad_config_value_rejected(self, fixture_instance, tmp_path, capsys, values, key):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(values))
+        assert cli.main(["solve", str(fixture_instance), "--config", str(config)]) == 1
+        assert f"config key {key!r}" in capsys.readouterr().err
 
     def test_env_seed_fallback(self, fixture_instance, tmp_path, monkeypatch):
         t1, t2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -321,12 +321,6 @@ class TestSolve:
             without = solve(inst, SolverConfig(seed=trial, prune=False))
             assert with_pruning.best_value == without.best_value
 
-    def test_warm_start_still_optimal(self):
-        inst = generate_spp(9, 3, seed=43)
-        bf = brute_force_optimum(inst)
-        res = solve(inst, SolverConfig(seed=0, warm_start=True))
-        assert res.status == "optimal" and res.best_value == pytest.approx(bf.value)
-
     def test_fifteen_variable_reference_class(self):
         # reference problem size (node counts are stochastic, only the
         # optimality contract is asserted)

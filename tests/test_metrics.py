@@ -124,6 +124,21 @@ class TestExportImport:
         with pytest.raises(ValueError):
             load_trace(path)
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("bad.json", '[{"foo": 1}]'),
+            ("bad.csv", ",".join(CSV_COLUMNS) + "\n1e-06,0,node_start,,,,,,\n1e-06,0\n"),
+        ],
+        ids=["json_unknown_key", "csv_short_row"],
+    )
+    def test_malformed_row_rejected(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        row = 1 if name.endswith(".json") else 2
+        with pytest.raises(ValueError, match=f"row {row}"):
+            load_trace(path)
+
 
 class TestSolveTraces:
     def test_done_row_carries_status(self, three_var_instance):

@@ -294,12 +294,18 @@ class TestSample:
 
 
 class TestOptimizeAngles:
-    def test_budget_of_one_returns_initial(self, pair_diag):
-        rng = np.random.default_rng(0)
-        init = QaoaParams(gammas=[0.5], betas=[0.5])
-        params, trace = optimize_angles(pair_diag, 1, 1, rng, init=init)
-        assert trace.n_queries == 1
-        assert np.array_equal(params.as_vector(), init.as_vector())
+    def test_budget_of_one_returns_initial(self, pair_diag, monkeypatch):
+        queried = []
+        original = vqa.qaoa_state
+
+        def recording(diag, params, table=None):
+            queried.append(params.as_vector())
+            return original(diag, params, table)
+
+        monkeypatch.setattr(vqa, "qaoa_state", recording)
+        params, trace = optimize_angles(pair_diag, 1, 1, np.random.default_rng(0))
+        assert trace.n_queries == 1 and len(queried) == 1
+        assert np.array_equal(params.as_vector(), queried[0])
 
     def test_constant_diagonal(self):
         diag = np.full(4, 3.0)
