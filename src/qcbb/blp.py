@@ -208,11 +208,13 @@ def instance_to_dict(instance: BlpInstance) -> dict:
 
 
 def _scalar_field(data: dict, key: str, kind: type):
-    """``kind(data[key])`` for ``kind`` int or float."""
-    try:
-        return kind(data[key])
-    except (TypeError, ValueError) as exc:
-        raise InstanceFormatError(f"field {key!r} is not a number: {data[key]!r}") from exc
+    """``data[key]`` as ``kind``: a JSON integer for int, any JSON number for
+    float. A bool is neither, and 2.7 is not rounded to an int."""
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        what = "an integer" if kind is int else "a number"
+        raise InstanceFormatError(f"field {key!r} is not {what}: {value!r}")
+    return kind(value)
 
 
 def instance_from_dict(data: dict) -> BlpInstance:

@@ -15,6 +15,9 @@ pruning compares bounds with the best feasible value and the best penalized
 cost seen (``Incumbent.cutoff``), while the reported answer is the best
 feasible solution. Nodes are evaluated one at a time, so a run is
 deterministic for a fixed seed.
+
+``evaluate_node`` returns the node's ``NodeRecord``, which ``solve`` keeps,
+with what ``solve`` applies: query expectations, candidates and children.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .blp import FEASIBILITY_TOL, BlpInstance, compute_big_m
 from .bound import OPTIMALITY_TOL
 from .ising import ReducedProblem, encode, many_body_count, reduce
 from .metrics import TraceEvent, TraceRecorder, many_body_fraction
-from .vqa import OptimizerTrace, SampleSet
+from .vqa import SampleSet
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,7 @@ class SolverConfig:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         for limit in (self.node_limit, self.time_limit, self.gap_target):
-            if limit is not None and limit <= 0:
+            if limit is not None and not limit > 0:  # NaN is not a limit
                 raise ValueError("limits must be positive when set")
 
 
@@ -130,37 +133,28 @@ class NodeRecord:
 
     node_id: int
     parent_id: int | None
-    depth: int
-    outcome: str
+    outcome: str  # pruned_infeasible | pruned_bound | fathomed_leaf | branched
     reason: str | None
     local_lb: float
     fixings: dict[int, int]
     n_free: int
-    many_body_count: int | None
+    many_body_count: int | None = None
 
-
-@dataclass(frozen=True)
-class ChildBranch:
-    fixings: dict[int, int]
-    branch_var: int
-    branch_value: int
-    feasible: bool
+    @property
+    def depth(self) -> int:
+        return len(self.fixings)
 
 
 @dataclass(frozen=True)
 class NodeEvaluation:
-    outcome: str  # pruned_infeasible | pruned_bound | fathomed_leaf | branched
-    reason: str | None
-    node_lb: float
-    fixings: dict[int, int]
-    n_free: int
-    many_body: int | None = None
-    optimizer_trace: OptimizerTrace | None = None
-    expectation_offset: float = 0.0
-    best_candidate: tuple[float, np.ndarray, bool] | None = None
-    best_feasible_candidate: tuple[float, np.ndarray] | None = None
+    """A node's ``NodeRecord`` plus what ``solve`` applies to the search."""
+
+    record: NodeRecord
+    expectations: tuple[float, ...] = ()
+    candidates: tuple[tuple[float, np.ndarray, bool], ...] = ()
     candidate_source: str | None = None  # qaoa | gw | leaf
-    children: tuple[ChildBranch, ...] = ()
+    branch_var: int | None = None
+    children: tuple[tuple[dict[int, int], bool], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -261,22 +255,22 @@ def _node_rng(seed: int, node_id: int, stream: int) -> np.random.Generator:
 
 def _evaluate_candidates(
     master: BlpInstance, red: ReducedProblem, bitstrings: np.ndarray, M: float
-) -> tuple[tuple[float, np.ndarray, bool], tuple[float, np.ndarray] | None, int]:
-    """Best penalized (and best feasible, if any) completion among the rows
-    of ``bitstrings``, each a 0/1 assignment of the free variables, and the
-    row of the best penalized one (the first on ties)."""
+) -> tuple[tuple[tuple[float, np.ndarray, bool], ...], int]:
+    """Candidates among the rows of ``bitstrings``, each a 0/1 assignment of
+    the free variables: the best penalized completion as (value, x,
+    feasible), then the best feasible one if any; and the row of the best
+    penalized one (the first on ties)."""
     full = red.merge(bitstrings)
     residual = full @ master.A.T - master.b
     penalized = full @ master.c + M * np.sum(residual * residual, axis=1)
     feasible = np.all(np.abs(residual) <= FEASIBILITY_TOL, axis=1)
     best = int(np.argmin(penalized))
-    best_cand = (float(penalized[best]), full[best].copy(), bool(feasible[best]))
-    best_feas = None
+    candidates = [(float(penalized[best]), full[best].copy(), bool(feasible[best]))]
     if feasible.any():
         order = np.where(feasible)[0]
         j = order[int(np.argmin(penalized[order]))]
-        best_feas = (float(penalized[j]), full[j].copy())
-    return best_cand, best_feas, best
+        candidates.append((float(penalized[j]), full[j].copy(), True))
+    return tuple(candidates), best
 
 
 def _run_vqa(
@@ -285,20 +279,18 @@ def _run_vqa(
     node_id: int,
     queries: int,
     patience: int | None,
-) -> tuple[OptimizerTrace, SampleSet]:
+) -> tuple[tuple[float, ...], SampleSet]:
+    """Every query's expectation, in the master frame, and the samples of
+    the best angles."""
     diag = vqa.build_diagonal(red.model, include_constant=False)
     table = vqa.phase_table(diag)
-    params, trace = vqa.optimize_angles(
-        diag,
-        config.p,
-        queries,
-        _node_rng(config.seed, node_id, 1),
-        table=table,
-        patience=patience,
+    rng = _node_rng(config.seed, node_id, 1)
+    params, values = vqa.optimize_angles(
+        diag, config.p, queries, rng, table=table, patience=patience
     )
     state = vqa.qaoa_state(diag, params, table)
     samples = vqa.sample(state, config.shots, _node_rng(config.seed, node_id, 2))
-    return trace, samples
+    return tuple(v + red.model.constant for v in values), samples
 
 
 def _prune(
@@ -336,6 +328,13 @@ def evaluate_node(
     against the node's feasible ceiling T, computed once after propagation,
     and against ``cutoff`` (``Incumbent.cutoff``; None prunes nothing).
 
+    Every exit builds the node's ``NodeRecord`` once, through ``finish``,
+    with the bound and many-body count reached by then. A branched node's
+    evaluation also holds every query's expectation in the master frame,
+    the best penalized candidate then the best feasible one (if any), and
+    the children as (fixings, feasible) pairs on ``branch_var``; a fathomed
+    leaf holds its one completed point.
+
     The node bound is the SDP bound on the penalized cost, which is also a
     bound on the best feasible objective f* of the node (a feasible point
     pays no penalty). With ``lattice`` g (``bound.objective_lattice``; None
@@ -360,65 +359,53 @@ def evaluate_node(
     conflict values, so branching reads the samples alone.
     """
     fixings, feasible = propagate(master.A, master.b, node.fixings)
-    pre_bound = dict(node_lb=node.local_lb, fixings=fixings, n_free=master.n - len(fixings))
+    node_lb, many_body = node.local_lb, None
+
+    def finish(outcome: str, reason: str | None = None, **rest) -> NodeEvaluation:
+        # The record takes the bound and many-body count reached so far.
+        n_free = master.n - len(fixings)
+        record = NodeRecord(
+            node.id, node.parent, outcome, reason, node_lb, fixings, n_free, many_body
+        )
+        return NodeEvaluation(record, **rest)
+
     if not feasible:
-        return NodeEvaluation("pruned_infeasible", "propagation", **pre_bound)
+        return finish("pruned_infeasible", "propagation")
     ceiling = bound_mod.feasible_ceiling(master.c, fixings)
-    pruned = _prune(node.local_lb, ceiling, cutoff, config)
+    pruned = _prune(node_lb, ceiling, cutoff, config)
     if pruned is not None:
-        return NodeEvaluation(*pruned, **pre_bound)
+        return finish(*pruned)
 
     red = reduce(master, M, fixings)
     bres = bound_mod.lower_bound(red.model, _node_rng(config.seed, node.id, 0))
     node_lb = bound_mod.round_up_to_lattice(
-        max(node.local_lb, bres.lb_value + red.model.constant), lattice
+        max(node_lb, bres.lb_value + red.model.constant), lattice
     )
-    common = dict(
-        node_lb=node_lb,
-        fixings=fixings,
-        n_free=red.n_free,
-        many_body=many_body_count(red.model),
-        expectation_offset=red.model.constant,
-    )
+    many_body = many_body_count(red.model)
     pruned = _prune(node_lb, ceiling, cutoff, config)
     if pruned is not None:
-        return NodeEvaluation(*pruned, **common)
+        return finish(*pruned)
 
     if red.n_free == 0:
-        full = red.merge(np.zeros(0))
-        value = red.model.constant  # penalized cost of the completed assignment
-        return NodeEvaluation(
-            outcome="fathomed_leaf",
-            reason=None,
-            best_candidate=(value, full, True),
-            best_feasible_candidate=(value, full),
-            candidate_source="leaf",
-            **common,
-        )
+        # The penalized cost of the completed assignment is the constant.
+        leaf = (red.model.constant, red.merge(np.zeros(0)), True)
+        return finish("fathomed_leaf", candidates=(leaf,), candidate_source="leaf")
 
     # Stop after two Nelder-Mead simplex sizes (2p+1 points over 2p angles)
     # of queries without a new best.
     patience = 2 * (2 * config.p + 1)
-    trace, samples = _run_vqa(red, config, node.id, config.node_queries, patience)
+    expectations, samples = _run_vqa(red, config, node.id, config.node_queries, patience)
     rows = np.vstack((samples.bitstrings, (bres.side[1:] + 1) // 2))
-    best_cand, best_feas, best = _evaluate_candidates(master, red, rows, M)
-    source = "gw" if best == len(rows) - 1 else "qaoa"
+    candidates, best = _evaluate_candidates(master, red, rows, M)
     conflict = conflict_values(red.A, red.b, samples)
-    k_red = select_branching_variable(conflict.gamma, red.model.fields)
-    k = int(red.index_map[k_red])
-    children = []
-    for value in (0, 1):
-        child_fix, child_ok = propagate(master.A, master.b, {**fixings, k: value})
-        children.append(ChildBranch(child_fix, k, value, child_ok))
-    return NodeEvaluation(
-        outcome="branched",
-        reason=None,
-        optimizer_trace=trace,
-        best_candidate=best_cand,
-        best_feasible_candidate=best_feas,
-        candidate_source=source,
-        children=tuple(children),
-        **common,
+    k = int(red.index_map[select_branching_variable(conflict.gamma, red.model.fields)])
+    return finish(
+        "branched",
+        expectations=expectations,
+        candidates=candidates,
+        candidate_source="gw" if best == len(rows) - 1 else "qaoa",
+        branch_var=k,
+        children=tuple(propagate(master.A, master.b, {**fixings, k: v}) for v in (0, 1)),
     )
 
 
@@ -463,69 +450,33 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
     query_count = 0
     status: str | None = None
 
-    def apply_evaluation(node: Node, ev: NodeEvaluation) -> None:
+    def apply_evaluation(ev: NodeEvaluation) -> None:
         nonlocal query_count
-        if ev.optimizer_trace is not None:
-            for _, value in ev.optimizer_trace.entries:
-                query_count += 1
-                rec.record(
-                    "optimizer_query",
-                    node_index,
-                    query_index=query_count,
-                    expectation=value + ev.expectation_offset,
-                )
-        if ev.best_candidate is not None:
-            value, x, feas = ev.best_candidate
-            improved = incumbent.offer(value, x, feas)
-            if ev.best_feasible_candidate is not None:
-                fv, fx = ev.best_feasible_candidate
-                incumbent.offer(fv, fx, True)
-            if improved:
-                rec.record(
-                    "incumbent_update",
-                    node_index,
-                    ub=incumbent.best_penalized_value,
-                    status=ev.candidate_source,
-                )
-        kind, event_status = _OUTCOME_EVENTS[ev.outcome]
-        rec.record(
-            kind,
-            node_index,
-            status=event_status,
-            many_body_fraction=(
-                None if ev.many_body is None else many_body_fraction(ev.many_body, master_mb)
-            ),
-        )
-        records[node.id] = NodeRecord(
-            node_id=node.id,
-            parent_id=node.parent,
-            depth=len(ev.fixings),
-            outcome=ev.outcome,
-            reason=ev.reason,
-            local_lb=ev.node_lb,
-            fixings=dict(ev.fixings),
-            n_free=ev.n_free,
-            many_body_count=ev.many_body,
-        )
-        for child in ev.children:
+        for value in ev.expectations:
+            query_count += 1
+            rec.record("optimizer_query", node_index, query_index=query_count, expectation=value)
+        improved = False
+        for candidate in ev.candidates:
+            improved |= incumbent.offer(*candidate)
+        if improved:
+            ub = incumbent.best_penalized_value
+            rec.record("incumbent_update", node_index, ub=ub, status=ev.candidate_source)
+        done = ev.record
+        kind, event_status = _OUTCOME_EVENTS[done.outcome]
+        mb = done.many_body_count
+        fraction = None if mb is None else many_body_fraction(mb, master_mb)
+        rec.record(kind, node_index, status=event_status, many_body_fraction=fraction)
+        records[done.node_id] = done
+        for fixings, feasible in ev.children:
             cid = next(ids)
-            if not child.feasible:
-                rec.record("prune", node_index, status="infeasible")
-                records[cid] = NodeRecord(
-                    node_id=cid,
-                    parent_id=node.id,
-                    depth=len(child.fixings),
-                    outcome="pruned_infeasible",
-                    reason="propagation",
-                    local_lb=ev.node_lb,
-                    fixings=dict(child.fixings),
-                    n_free=instance.n - len(child.fixings),
-                    many_body_count=None,
-                )
+            if feasible:
+                child = Node(id=cid, parent=done.node_id, fixings=fixings, local_lb=done.local_lb)
+                heapq.heappush(heap, (child.local_lb, -child.depth, child.id, child))
                 continue
-            child_node = Node(id=cid, parent=node.id, fixings=child.fixings, local_lb=ev.node_lb)
-            heapq.heappush(
-                heap, (child_node.local_lb, -child_node.depth, child_node.id, child_node)
+            rec.record("prune", node_index, status="infeasible")
+            records[cid] = NodeRecord(
+                cid, done.node_id, "pruned_infeasible", "propagation", done.local_lb, fixings,
+                instance.n - len(fixings),
             )
 
     def refresh_global_lb() -> None:
@@ -571,7 +522,7 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
         ev = evaluate_node(instance, M, node, config, incumbent.cutoff(), lattice)
         node_index += 1
         rec.record("node_start", node_index)
-        apply_evaluation(node, ev)
+        apply_evaluation(ev)
         refresh_global_lb()
 
     if status is None:
@@ -633,19 +584,19 @@ def run_plain_qaoa(
     M = compute_big_m(instance)
     red = reduce(instance, M, {})
     rec = TraceRecorder(wall_clock=config.wall_clock)
-    trace, samples = _run_vqa(red, config, 0, queries, None)
-    for q, value in trace.entries:
-        rec.record(
-            "optimizer_query", 0, query_index=q, expectation=value + red.model.constant
-        )
-    best_cand, best_feas, _ = _evaluate_candidates(instance, red, samples.bitstrings, M)
-    rec.record("incumbent_update", 0, ub=best_cand[0])
-    rec.record("done", 0, ub=best_cand[0], status="completed")
+    expectations, samples = _run_vqa(red, config, 0, queries, None)
+    for q, value in enumerate(expectations, start=1):
+        rec.record("optimizer_query", 0, query_index=q, expectation=value)
+    best = Incumbent()
+    for candidate in _evaluate_candidates(instance, red, samples.bitstrings, M)[0]:
+        best.offer(*candidate)
+    rec.record("incumbent_update", 0, ub=best.best_penalized_value)
+    rec.record("done", 0, ub=best.best_penalized_value, status="completed")
     return BaselineResult(
-        best_penalized_value=best_cand[0],
-        best_penalized_assignment=best_cand[1],
-        best_feasible_value=None if best_feas is None else best_feas[0],
-        best_feasible_assignment=None if best_feas is None else best_feas[1],
-        queries=trace.n_queries,
+        best_penalized_value=best.best_penalized_value,
+        best_penalized_assignment=best.best_penalized_x,
+        best_feasible_value=best.best_feasible_value,
+        best_feasible_assignment=best.best_feasible_x,
+        queries=len(expectations),
         trace=tuple(rec.events),
     )

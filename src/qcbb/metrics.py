@@ -193,20 +193,38 @@ def export_trace(events, path) -> None:
             writer.writerow([_cell(getattr(e, col)) for col in CSV_COLUMNS])
 
 
-def _parse_cell(column: str, text: str):
-    if text == "":
-        return None
+def _column_type(column: str) -> type:
     if column in ("node_index", "query_index"):
-        return int(text)
+        return int
     if column in ("kind", "status"):
-        return text
-    return float(text)
+        return str
+    return float
+
+
+def _parse_cell(column: str, text: str):
+    return None if text == "" else _column_type(column)(text)
 
 
 def _csv_row(row: list[str]) -> dict:
     if len(row) != len(CSV_COLUMNS):
         raise ValueError(f"{len(row)} cells, the header has {len(CSV_COLUMNS)}")
     return {col: _parse_cell(col, cell) for col, cell in zip(CSV_COLUMNS, row)}
+
+
+def _json_row(row) -> dict:
+    """A JSON event whose cells have their CSV columns' types (a float
+    column takes any number, a bool is none) and null only where optional."""
+    if not isinstance(row, dict):
+        raise ValueError("an event must be a JSON object")
+    for column in CSV_COLUMNS:
+        value, kind = row.get(column), _column_type(column)
+        if value is None:
+            ok = column not in ("wall_time_s", "node_index", "kind")
+        else:
+            ok = isinstance(value, (int, float) if kind is float else kind)
+        if not ok or isinstance(value, bool):
+            raise ValueError(f"{column} cannot be {json.dumps(value)}")
+    return row
 
 
 def load_trace(path) -> list[TraceEvent]:
@@ -218,7 +236,7 @@ def load_trace(path) -> list[TraceEvent]:
             rows = json.load(fh)
             if not isinstance(rows, list):
                 raise ValueError("trace JSON must hold a list of events")
-            parse = dict
+            parse = _json_row
         else:
             reader = csv.reader(fh)
             header = next(reader, None)

@@ -74,9 +74,6 @@ class QaoaParams:
     def p(self) -> int:
         return self.gammas.size
 
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.gammas, self.betas])
-
     @staticmethod
     def from_vector(v: np.ndarray) -> "QaoaParams":
         v = np.asarray(v, dtype=float)
@@ -101,30 +98,6 @@ class SampleSet:
             raise ValueError("counts must be positive")
         if int(self.counts.sum()) != self.shots:
             raise ValueError("counts must sum to the number of shots")
-
-    @property
-    def n_distinct(self) -> int:
-        return self.bitstrings.shape[0]
-
-
-@dataclass(frozen=True)
-class OptimizerTrace:
-    """Expectation value of every optimizer query, in query order."""
-
-    entries: tuple[tuple[int, float], ...]
-
-    def __post_init__(self):
-        indices = [q for q, _ in self.entries]
-        if any(b <= a for a, b in zip(indices, indices[1:])):
-            raise ValueError("query indices must be strictly increasing")
-
-    @property
-    def n_queries(self) -> int:
-        return len(self.entries)
-
-    @property
-    def best_value(self) -> float:
-        return min(v for _, v in self.entries)
 
 
 def build_diagonal(
@@ -234,12 +207,12 @@ def optimize_angles(
     rng: np.random.Generator,
     table: tuple[np.ndarray, np.ndarray] | None = None,
     patience: int | None = None,
-) -> tuple[QaoaParams, OptimizerTrace]:
+) -> tuple[QaoaParams, tuple[float, ...]]:
     """Minimize the state expectation over 2p angles under a query budget.
 
     Nelder-Mead from a random start, with fresh random restarts while
-    budget remains. Never evaluates more than
-    ``max_queries`` times; returns the best parameters seen. With
+    budget remains. Never evaluates more than ``max_queries`` times; returns
+    the best parameters seen and every query's expectation, in order. With
     ``patience`` k, it also stops once k consecutive queries have not found
     an expectation strictly below the best so far (the count runs across
     restarts), so the last query is k after the last improvement; None
@@ -251,7 +224,7 @@ def optimize_angles(
         raise ValueError("max_queries must be at least 1")
     if patience is not None and patience < 1:
         raise ValueError("patience must be at least 1 when set")
-    entries: list[tuple[int, float]] = []
+    values: list[float] = []
     best_x: np.ndarray | None = None
     best_f = np.inf
     stale = 0  # consecutive queries since the last strict improvement
@@ -260,10 +233,10 @@ def optimize_angles(
 
     def objective(x: np.ndarray) -> float:
         nonlocal best_x, best_f, stale
-        if len(entries) >= max_queries:
+        if len(values) >= max_queries:
             raise _StopQueries
         value = expectation(qaoa_state(diag, QaoaParams.from_vector(x), table), diag)
-        entries.append((len(entries) + 1, value))
+        values.append(value)
         if value < best_f:
             best_f = value
             best_x = x.copy()
@@ -275,14 +248,14 @@ def optimize_angles(
         return value
 
     try:
-        while len(entries) < max_queries:
+        while len(values) < max_queries:
             minimize(
                 objective,
                 rng.uniform(0.0, np.pi, size=2 * p),
                 method="Nelder-Mead",
-                options={"maxfev": max_queries - len(entries), "xatol": 1e-4, "fatol": 1e-8},
+                options={"maxfev": max_queries - len(values), "xatol": 1e-4, "fatol": 1e-8},
             )
     except _StopQueries:
         pass
     assert best_x is not None
-    return QaoaParams.from_vector(best_x), OptimizerTrace(entries=tuple(entries))
+    return QaoaParams.from_vector(best_x), tuple(values)

@@ -121,6 +121,11 @@ def exhaustive_max_cut(W: np.ndarray) -> float:
     return best
 
 
+def as_vector(params: QaoaParams) -> np.ndarray:
+    """The 2p angles, gammas then betas (the inverse of ``from_vector``)."""
+    return np.concatenate([params.gammas, params.betas])
+
+
 def dense_qaoa_expectation(diag: np.ndarray, params: QaoaParams) -> float:
     """Reference expectation via explicit matrix exponentials.
 

@@ -253,12 +253,18 @@ class TestInstanceIO:
         path.write_text(json.dumps({"n": 2, "m": 1, "c": [1, 2], "A": [[1, 1]]}))
         with pytest.raises(InstanceFormatError):
             load_instance(path)
-        # a null scalar is no value either
-        for key in ("n", "kappa"):
-            data = {"n": 2, "m": 1, "c": [1, 2], "A": [[1, 1]], "b": [1], key: None}
+        # null, a bool or a string is no number, and n and m are JSON integers
+        bad = [("n", None), ("kappa", None), ("n", True), ("m", True), ("n", 2.7), ("m", 1.0)]
+        bad += [("kappa", True), ("optimum", True), ("kappa", "0.5")]
+        for key, value in bad:
+            data = {"n": 2, "m": 1, "c": [1, 2], "A": [[1, 1]], "b": [1], key: value}
             path.write_text(json.dumps(data))
-            with pytest.raises(InstanceFormatError, match=key):
+            with pytest.raises(InstanceFormatError, match=f"field '{key}'"):
                 load_instance(path)
+        # n = true would otherwise load as n = 1 and fit these arrays
+        path.write_text(json.dumps({"n": True, "m": 1, "c": [5], "A": [[1]], "b": [1]}))
+        with pytest.raises(InstanceFormatError, match="field 'n'"):
+            load_instance(path)
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -132,6 +132,23 @@ class TestSolve:
         assert cli.main(["solve", str(fixture_instance), "--config", str(config)]) == 1
         assert f"config key {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--time-limit", "nan"], None),
+            (["--gap", "nan"], None),
+            ([], {"time_limit": float("nan")}),
+        ],
+        ids=["time_limit_flag", "gap_flag", "time_limit_config"],
+    )
+    def test_nan_limit_rejected(self, fixture_instance, tmp_path, capsys, flags, config):
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))  # writes the NaN token json.load reads
+            flags = ["--config", str(path)]
+        assert cli.main(["solve", str(fixture_instance), *flags]) == 1
+        assert "limits must be positive" in capsys.readouterr().err
+
     def test_env_seed_fallback(self, fixture_instance, tmp_path, monkeypatch):
         t1, t2 = tmp_path / "a.csv", tmp_path / "b.csv"
         monkeypatch.setenv("QCBB_SEED", "21")

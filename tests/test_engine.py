@@ -141,8 +141,8 @@ class TestEvaluateNode:
         ev = evaluate_node(
             inst, compute_big_m(inst), node, SolverConfig(seed=0), None, objective_lattice(inst.c)
         )
-        assert ev.outcome == "fathomed_leaf"
-        value, x, feasible = ev.best_candidate
+        assert ev.record.outcome == "fathomed_leaf"
+        ((value, x, feasible),) = ev.candidates
         assert feasible and value == 2.0
         assert np.array_equal(x, [1, 0])
 
@@ -150,24 +150,23 @@ class TestEvaluateNode:
         M = compute_big_m(three_var_instance)
         node = Node(id=0, parent=None, fixings={}, local_lb=M + 5.0)
         ev = evaluate_node(three_var_instance, M, node, SolverConfig(seed=0), None, 1.0)
-        assert ev.outcome == "pruned_infeasible" and ev.reason == "bound"
+        assert ev.record.outcome == "pruned_infeasible" and ev.record.reason == "bound"
 
     def test_incumbent_prunes(self, three_var_instance):
         M = compute_big_m(three_var_instance)
         node = Node(id=0, parent=None, fixings={}, local_lb=0.9)
         ev = evaluate_node(three_var_instance, M, node, SolverConfig(seed=0), 0.5, 1.0)
-        assert ev.outcome == "pruned_bound"
+        assert ev.record.outcome == "pruned_bound"
 
     def test_root_branches_on_one_variable(self, three_var_instance):
         M = compute_big_m(three_var_instance)
         node = Node(id=0, parent=None, fixings={}, local_lb=-np.inf)
         ev = evaluate_node(three_var_instance, M, node, SolverConfig(seed=1), None, 1.0)
-        assert ev.outcome == "branched"
-        a, b = ev.children
-        assert a.branch_var == b.branch_var
-        assert (a.branch_value, b.branch_value) == (0, 1)
-        assert a.fixings[a.branch_var] == 0
-        assert b.fixings[b.branch_var] == 1
+        assert ev.record.outcome == "branched"
+        (zero, _), (one, _) = ev.children
+        assert ev.branch_var not in ev.record.fixings
+        assert zero[ev.branch_var] == 0
+        assert one[ev.branch_var] == 1
 
     def test_bound_proves_cycle_infeasible(self):
         # 3-cycle of equality pairs has no binary solution, yet every row
@@ -176,7 +175,7 @@ class TestEvaluateNode:
         M = compute_big_m(inst)
         node = Node(id=0, parent=None, fixings={}, local_lb=-np.inf)
         ev = evaluate_node(inst, M, node, SolverConfig(seed=0), None, objective_lattice(inst.c))
-        assert ev.outcome == "pruned_infeasible" and ev.reason == "bound"
+        assert ev.record.outcome == "pruned_infeasible" and ev.record.reason == "bound"
         for x in enumerate_assignments(inst.n):
             assert not inst.is_feasible(x)
 
@@ -201,9 +200,9 @@ def record_optimizer_runs(monkeypatch) -> list[tuple[int, tuple[float, ...]]]:
     original = vqa.optimize_angles
 
     def logged(diag, p, max_queries, *args, **kwargs):
-        params, trace = original(diag, p, max_queries, *args, **kwargs)
-        runs.append((max_queries, tuple(v for _, v in trace.entries)))
-        return params, trace
+        params, values = original(diag, p, max_queries, *args, **kwargs)
+        runs.append((max_queries, values))
+        return params, values
 
     monkeypatch.setattr(vqa, "optimize_angles", logged)
     return runs
@@ -360,6 +359,9 @@ class TestSolve:
             SolverConfig(seed=-1)
         with pytest.raises(ValueError):
             SolverConfig(node_limit=0)
+        for limit in ("time_limit", "gap_target"):
+            with pytest.raises(ValueError):
+                SolverConfig(**{limit: float("nan")})
 
     def test_node_stops_two_simplex_sizes_after_last_improvement(self, monkeypatch):
         runs = record_optimizer_runs(monkeypatch)

@@ -129,8 +129,19 @@ class TestExportImport:
         [
             ("bad.json", '[{"foo": 1}]'),
             ("bad.csv", ",".join(CSV_COLUMNS) + "\n1e-06,0,node_start,,,,,,\n1e-06,0\n"),
+            ("bad.json", '[{"wall_time_s": "a", "node_index": 0, "kind": "done", "lb": 1.0}]'),
+            ("bad.json", '[{"wall_time_s": 1e-06, "node_index": true, "kind": "done"}]'),
+            ("bad.json", '[{"wall_time_s": 1e-06, "node_index": 0, "kind": "done", "status": 1}]'),
+            ("bad.json", '[{"wall_time_s": null, "node_index": 0, "kind": "done"}]'),
         ],
-        ids=["json_unknown_key", "csv_short_row"],
+        ids=[
+            "json_unknown_key",
+            "csv_short_row",
+            "json_string_time",
+            "json_bool_index",
+            "json_int_status",
+            "json_null_time",
+        ],
     )
     def test_malformed_row_rejected(self, tmp_path, name, text):
         path = tmp_path / name

@@ -3,6 +3,7 @@ import pytest
 from scipy.stats import chisquare
 
 from conftest import (
+    as_vector,
     dense_qaoa_expectation,
     kron_mixer,
     random_model,
@@ -13,7 +14,6 @@ from qcbb import vqa
 from qcbb.blp import BlpInstance, compute_big_m, enumerate_assignments, generate_spp
 from qcbb.ising import IsingModel, encode
 from qcbb.vqa import (
-    OptimizerTrace,
     QaoaParams,
     SampleSet,
     _apply_mixer,
@@ -247,7 +247,7 @@ class TestSample:
         state = np.zeros(4, dtype=complex)
         state[1] = 1.0  # x = (1, 0)
         got = sample(state, 100, np.random.default_rng(0))
-        assert got.n_distinct == 1
+        assert len(got.bitstrings) == 1
         assert np.array_equal(got.bitstrings[0], [1, 0])
         assert got.counts[0] == 100
 
@@ -299,65 +299,62 @@ class TestOptimizeAngles:
         original = vqa.qaoa_state
 
         def recording(diag, params, table=None):
-            queried.append(params.as_vector())
+            queried.append(as_vector(params))
             return original(diag, params, table)
 
         monkeypatch.setattr(vqa, "qaoa_state", recording)
-        params, trace = optimize_angles(pair_diag, 1, 1, np.random.default_rng(0))
-        assert trace.n_queries == 1 and len(queried) == 1
-        assert np.array_equal(params.as_vector(), queried[0])
+        params, values = optimize_angles(pair_diag, 1, 1, np.random.default_rng(0))
+        assert len(values) == 1 and len(queried) == 1
+        assert np.array_equal(as_vector(params), queried[0])
 
     def test_constant_diagonal(self):
         diag = np.full(4, 3.0)
-        _, trace = optimize_angles(diag, 1, 20, np.random.default_rng(1))
-        values = [v for _, v in trace.entries]
+        _, values = optimize_angles(diag, 1, 20, np.random.default_rng(1))
         assert np.allclose(values, 3.0)
 
     @pytest.mark.parametrize("patience", [1, 3, 7])
     def test_patience_on_constant_diagonal(self, patience):
         # every query reads exactly 0, so only the first sets a best
         diag = np.zeros(8)
-        _, trace = optimize_angles(diag, 2, 50, np.random.default_rng(1), patience=patience)
-        assert trace.n_queries == 1 + patience
+        _, values = optimize_angles(diag, 2, 50, np.random.default_rng(1), patience=patience)
+        assert len(values) == 1 + patience
 
     def test_no_patience_spends_whole_budget(self):
         diag = np.zeros(8)
-        _, trace = optimize_angles(diag, 2, 50, np.random.default_rng(1), patience=None)
-        assert trace.n_queries == 50
+        _, values = optimize_angles(diag, 2, 50, np.random.default_rng(1), patience=None)
+        assert len(values) == 50
 
     def test_patience_stops_k_queries_after_last_improvement(self):
         diag = spp_diagonal(8, 3, seed=1)
         for seed in range(5):
             _, full = optimize_angles(diag, 2, 200, np.random.default_rng(seed))
-            params, trace = optimize_angles(diag, 2, 200, np.random.default_rng(seed), patience=6)
-            values = [v for _, v in trace.entries]
+            params, values = optimize_angles(diag, 2, 200, np.random.default_rng(seed), patience=6)
             # the same queries as without patience, cut 6 after the last new best
-            assert trace.entries == full.entries[: trace.n_queries]
+            assert values == full[: len(values)]
             last = values.index(min(values))
-            assert trace.n_queries == last + 1 + 6
+            assert len(values) == last + 1 + 6
             assert all(v >= values[last] for v in values[last:])
-            assert expectation(qaoa_state(diag, params), diag) == trace.best_value
+            assert expectation(qaoa_state(diag, params), diag) == min(values)
 
     def test_patience_validation(self, pair_diag):
         with pytest.raises(ValueError):
             optimize_angles(pair_diag, 1, 10, np.random.default_rng(0), patience=0)
 
     def test_budget_respected_and_best_reported(self, pair_diag):
-        _, trace = optimize_angles(pair_diag, 3, 200, np.random.default_rng(5))
-        assert trace.n_queries <= 200
-        first = trace.entries[0][1]
-        assert trace.best_value <= first
+        _, values = optimize_angles(pair_diag, 3, 200, np.random.default_rng(5))
+        assert len(values) <= 200
+        assert min(values) <= values[0]
 
     def test_best_params_reproduce_best_value(self, pair_diag):
-        params, trace = optimize_angles(pair_diag, 2, 60, np.random.default_rng(9))
+        params, values = optimize_angles(pair_diag, 2, 60, np.random.default_rng(9))
         value = expectation(qaoa_state(pair_diag, params), pair_diag)
-        assert value == pytest.approx(trace.best_value, abs=1e-12)
+        assert value == pytest.approx(min(values), abs=1e-12)
 
     def test_seeded_determinism(self, pair_diag):
         p1, t1 = optimize_angles(pair_diag, 2, 80, np.random.default_rng(3))
         p2, t2 = optimize_angles(pair_diag, 2, 80, np.random.default_rng(3))
-        assert np.array_equal(p1.as_vector(), p2.as_vector())
-        assert t1.entries == t2.entries
+        assert np.array_equal(as_vector(p1), as_vector(p2))
+        assert t1 == t2
 
     def test_phase_table_built_once_per_call(self, monkeypatch):
         calls = {"phase_table": 0, "qaoa_state": 0}
@@ -373,10 +370,6 @@ class TestOptimizeAngles:
 
         counted("phase_table")
         counted("qaoa_state")
-        _, trace = optimize_angles(spp_diagonal(8, 3, seed=1), 2, 30, np.random.default_rng(2))
-        assert calls == {"phase_table": 1, "qaoa_state": trace.n_queries}
-        assert trace.n_queries == 30
-
-    def test_trace_indices_strictly_increase(self):
-        with pytest.raises(ValueError):
-            OptimizerTrace(entries=((1, 0.0), (1, 1.0)))
+        _, values = optimize_angles(spp_diagonal(8, 3, seed=1), 2, 30, np.random.default_rng(2))
+        assert calls == {"phase_table": 1, "qaoa_state": len(values)}
+        assert len(values) == 30
