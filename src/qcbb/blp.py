@@ -207,14 +207,29 @@ def instance_to_dict(instance: BlpInstance) -> dict:
     return out
 
 
+def _is_json_number(value, kind: type) -> bool:
+    """A JSON integer for int, any JSON number for float. A bool is neither,
+    and 2.7 is not rounded to an int."""
+    return not isinstance(value, bool) and isinstance(value, int if kind is int else (int, float))
+
+
 def _scalar_field(data: dict, key: str, kind: type):
-    """``data[key]`` as ``kind``: a JSON integer for int, any JSON number for
-    float. A bool is neither, and 2.7 is not rounded to an int."""
+    """``data[key]`` as ``kind`` (see ``_is_json_number``)."""
     value = data[key]
-    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+    if not _is_json_number(value, kind):
         what = "an integer" if kind is int else "a number"
         raise InstanceFormatError(f"field {key!r} is not {what}: {value!r}")
     return kind(value)
+
+
+def _array_field(data: dict, key: str) -> np.ndarray:
+    """``data[key]`` as a float array whose every entry is a JSON number:
+    ``np.asarray(..., dtype=float)`` alone would load true as 1 and "1" as 1."""
+    arr = np.asarray(data[key], dtype=object)
+    for value in arr.flat:
+        if not _is_json_number(value, float):
+            raise InstanceFormatError(f"field {key!r} has an entry that is not a number: {value!r}")
+    return arr.astype(float)
 
 
 def instance_from_dict(data: dict) -> BlpInstance:
@@ -222,9 +237,7 @@ def instance_from_dict(data: dict) -> BlpInstance:
         if key not in data:
             raise InstanceFormatError(f"missing field {key!r}")
     n, m = _scalar_field(data, "n", int), _scalar_field(data, "m", int)
-    c = np.asarray(data["c"], dtype=float)
-    A = np.asarray(data["A"], dtype=float)
-    b = np.asarray(data["b"], dtype=float)
+    c, A, b = (_array_field(data, key) for key in ("c", "A", "b"))
     if c.shape != (n,):
         raise InstanceFormatError(f"c has {c.size} entries, expected n={n}")
     if A.shape != (m, n):

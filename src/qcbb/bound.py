@@ -45,8 +45,6 @@ SDP_TOL = 1e-8
 
 @dataclass(frozen=True)
 class BoundResult:
-    z_sdp: float  # certified upper bound on the maximum cut
-    W: float  # total edge weight
     lb_value: float  # -2 z_sdp + W
     side: np.ndarray  # best rounded cut, +-1 per vertex, vertex 0 on the + side
 
@@ -162,12 +160,11 @@ def lower_bound(model: IsingModel, rng: np.random.Generator | None = None) -> Bo
         rng = np.random.default_rng(0)
     W = ising_to_maxcut(model)
     if not W.any():
-        return BoundResult(z_sdp=0.0, W=0.0, lb_value=0.0, side=np.ones(W.shape[0], dtype=int))
+        return BoundResult(lb_value=0.0, side=np.ones(W.shape[0], dtype=int))
     V, _ = solve_sdp(W, rng=rng)
     z_sdp = sdp_upper_bound(V, W)
     _, side = gw_round(V, W, rng=rng)
-    total = 0.5 * float(W.sum())
-    return BoundResult(z_sdp=z_sdp, W=total, lb_value=-2.0 * z_sdp + total, side=side)
+    return BoundResult(lb_value=-2.0 * z_sdp + 0.5 * float(W.sum()), side=side)
 
 
 def feasible_ceiling(c: np.ndarray, fixings: dict[int, int]) -> float:

@@ -2,17 +2,18 @@
 
 Exit codes for ``solve``: 0 when optimal or the gap target was reached, 2 on
 a proven infeasible instance, 3 when a node or time limit stopped the run,
-1 on usage, configuration or I/O errors. A JSON config file can seed any
-flag and must hold no other key, each value of the flag's JSON type;
-explicit flags override the file. The environment variable ``QCBB_SEED``
-serves as a fallback seed.
+1 on usage, configuration or I/O errors. A JSON config file may set any
+``engine.SolverConfig`` field but the library-only ``prune``, and the
+baseline's ``queries``, under the flag's name; explicit flags override the
+file. ``SolverConfig`` owns each setting's default and rejects a value of
+another JSON type or out of range.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -27,78 +28,29 @@ EXIT_LIMIT = 3
 
 BRUTE_FORCE_REPORT_MAX_N = 16
 
-SOLVE_DEFAULTS = {
-    "p": 3,
-    "shots": 1024,
-    "node_queries": 50,
-    "node_limit": None,
-    "time_limit": None,
-    "gap": None,
-    "seed": None,
-    "wall_clock": False,
-    "queries": 500,
-}
+DEFAULTS = engine.SolverConfig()
+CONFIG_KEYS = {f.name for f in dataclasses.fields(engine.SolverConfig)} - {"prune"} | {"queries"}
 
 
-def _fallback_seed() -> int:
-    env = os.environ.get("QCBB_SEED")
-    if env is not None:
-        return int(env)
-    return 0
-
-
-def _check_config_value(key: str, value) -> None:
-    """Reject a config-file value of another JSON type than the flag's.
-
-    ``null`` is allowed where the default is None; a JSON bool is no integer.
-    """
-    if value is None and SOLVE_DEFAULTS[key] is None:
-        return
-    if key == "wall_clock":
-        ok, kind = isinstance(value, bool), "true or false"
-    elif key in ("time_limit", "gap"):
-        ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
-    else:
-        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
-    if not ok:
-        raise ValueError(f"config key {key!r} must be {kind}, not {json.dumps(value)}")
-
-
-def _merge_config(args: argparse.Namespace, keys) -> dict:
-    """Flag value if given, else config-file value, else the default."""
-    file_values = {}
-    if getattr(args, "config", None):
+def _settings(args: argparse.Namespace) -> tuple[engine.SolverConfig, int]:
+    """The solver config and the baseline's query budget: the config file's
+    values, overridden by the flags given; a key set by neither takes the
+    library default."""
+    values = {}
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            file_values = json.load(fh)
-        if not isinstance(file_values, dict):
+            values = json.load(fh)
+        if not isinstance(values, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = sorted(set(file_values) - set(SOLVE_DEFAULTS))
+        unknown = sorted(set(values) - CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-        for key, value in file_values.items():
-            _check_config_value(key, value)
-    merged = {}
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is None:
-            value = file_values.get(key, SOLVE_DEFAULTS[key])
-        merged[key] = value
-    if merged.get("seed") is None:
-        merged["seed"] = _fallback_seed()
-    return merged
-
-
-def _solver_config(merged: dict) -> engine.SolverConfig:
-    return engine.SolverConfig(
-        p=merged["p"],
-        shots=merged["shots"],
-        node_queries=merged["node_queries"],
-        node_limit=merged["node_limit"],
-        time_limit=merged["time_limit"],
-        gap_target=merged["gap"],
-        seed=merged["seed"],
-        wall_clock=merged["wall_clock"],
-    )
+    for key in CONFIG_KEYS:
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
+    queries = values.pop("queries", engine.BASELINE_QUERIES)
+    engine.check_setting("queries", queries, "int")
+    return engine.SolverConfig(**values), queries
 
 
 def _assignment_string(x) -> str:
@@ -108,9 +60,8 @@ def _assignment_string(x) -> str:
 def cmd_gen(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else _fallback_seed()
     for i in range(args.count):
-        instance_seed = seed + i
+        instance_seed = args.seed + i
         instance = blp.generate_spp(
             args.n, args.m, instance_seed, cost_low=args.cost_low, cost_high=args.cost_high
         )
@@ -132,8 +83,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    merged = _merge_config(args, [key for key in SOLVE_DEFAULTS if key != "queries"])
-    config = _solver_config(merged)
+    config, _ = _settings(args)
     instance = blp.load_instance(args.instance)
     result = engine.solve(instance, config)
 
@@ -167,12 +117,9 @@ def _fmt(value) -> str:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    merged = _merge_config(args, ("p", "shots", "seed", "queries", "wall_clock"))
-    config = engine.SolverConfig(
-        p=merged["p"], shots=merged["shots"], seed=merged["seed"], wall_clock=merged["wall_clock"]
-    )
+    config, queries = _settings(args)
     instance = blp.load_instance(args.instance)
-    result = engine.run_plain_qaoa(instance, config, queries=merged["queries"])
+    result = engine.run_plain_qaoa(instance, config, queries=queries)
     if args.trace:
         metrics.export_trace(result.trace, args.trace)
     print(f"completed {result.best_penalized_value:g}")
@@ -257,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate set-partitioning instances")
     gen.add_argument("--n", type=int, required=True, help="number of variables (subsets)")
     gen.add_argument("--m", type=int, required=True, help="number of ground elements")
-    gen.add_argument("--seed", type=int, default=None)
+    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--count", type=int, default=1)
     gen.add_argument("--cost-low", dest="cost_low", type=int, default=1)
     gen.add_argument("--cost-high", dest="cost_high", type=int, default=20)
@@ -273,16 +220,18 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve an instance to proven optimality")
     solve.add_argument("instance", help="instance JSON file")
     solve.add_argument("--config", default=None, help="JSON config file; flags override")
-    solve.add_argument("--p", type=int, default=None, help="QAOA depth (default 3)")
-    solve.add_argument("--shots", type=int, default=None, help="shots per node (default 1024)")
+    solve.add_argument("--p", type=int, default=None, help=f"QAOA depth (default {DEFAULTS.p})")
+    solve.add_argument(
+        "--shots", type=int, default=None, help=f"shots per node (default {DEFAULTS.shots})"
+    )
     solve.add_argument(
         "--node-queries",
         dest="node_queries",
         type=int,
         default=None,
         help=(
-            "optimizer query cap per node (default 50); a node stops after "
-            "2(2p+1) queries with no new best"
+            f"optimizer query cap per node (default {DEFAULTS.node_queries}); a node "
+            "stops after 2(2p+1) queries with no new best"
         ),
     )
     solve.add_argument("--node-limit", dest="node_limit", type=int, default=None)
@@ -305,7 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
     baseline.add_argument("--config", default=None)
     baseline.add_argument("--p", type=int, default=None)
     baseline.add_argument("--shots", type=int, default=None)
-    baseline.add_argument("--queries", type=int, default=None, help="query budget (default 500)")
+    baseline.add_argument(
+        "--queries",
+        type=int,
+        default=None,
+        help=f"query budget (default {engine.BASELINE_QUERIES})",
+    )
     baseline.add_argument("--seed", type=int, default=None)
     baseline.add_argument("--trace", default=None)
     baseline.add_argument(

@@ -23,7 +23,9 @@ with what ``solve`` applies: query expectations, candidates and children.
 from __future__ import annotations
 
 import heapq
+import dataclasses
 import itertools
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -38,13 +40,32 @@ from .metrics import TraceEvent, TraceRecorder, many_body_fraction
 from .vqa import SampleSet
 
 
+def check_setting(name: str, value, annotation: str) -> None:
+    """Raise ValueError unless ``value`` has the JSON-style type that
+    ``annotation`` names: ``int`` (a bool is none, and 1.5 is not rounded),
+    ``float`` (any real number) or ``bool``; None only under ``| None``."""
+    kind, _, optional = annotation.partition(" | ")
+    if value is None:
+        ok = optional == "None"
+    elif kind == "bool":
+        ok = isinstance(value, bool)
+    else:
+        number = numbers.Integral if kind == "int" else numbers.Real
+        ok = isinstance(value, number) and not isinstance(value, bool)
+    if not ok:
+        raise ValueError(f"{name} must be {annotation}, not {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver settings.
+    """Solver settings, each checked against its annotated type.
 
     ``node_queries`` caps the optimizer queries of each branched node; a
     node stops earlier once 2(2p+1) consecutive queries have found no
     expectation below its best (``vqa.optimize_angles``' ``patience``).
+    ``gap`` is the relative gap target: the search stops once
+    (best feasible - global lower bound) / max(1, |best feasible|) is at
+    most it.
     """
 
     p: int = 3
@@ -52,17 +73,19 @@ class SolverConfig:
     node_queries: int = 50
     node_limit: int | None = None
     time_limit: float | None = None
-    gap_target: float | None = None
+    gap: float | None = None
     seed: int = 0
     prune: bool = True
     wall_clock: bool = False
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            check_setting(f.name, getattr(self, f.name), f.type)
         if self.p < 1 or self.shots < 1 or self.node_queries < 1:
             raise ValueError("p, shots and node_queries must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        for limit in (self.node_limit, self.time_limit, self.gap_target):
+        for limit in (self.node_limit, self.time_limit, self.gap):
             if limit is not None and not limit > 0:  # NaN is not a limit
                 raise ValueError("limits must be positive when set")
 
@@ -79,14 +102,6 @@ class Node:
     @property
     def depth(self) -> int:
         return len(self.fixings)
-
-
-@dataclass(frozen=True)
-class ConflictData:
-    """Sample-derived violation structure of a node's reduced constraints."""
-
-    nu: np.ndarray  # violation score per constraint, in [0, 1]
-    gamma: np.ndarray  # conflict value per variable
 
 
 @dataclass
@@ -172,8 +187,8 @@ class SolveResult:
     elapsed_s: float
 
 
-def conflict_values(A: np.ndarray, b: np.ndarray, samples: SampleSet) -> ConflictData:
-    """Violation scores per constraint and conflict values per variable.
+def conflict_values(A: np.ndarray, b: np.ndarray, samples: SampleSet) -> np.ndarray:
+    """Conflict value gamma of each variable.
 
     A sample violates constraint j when its residual is nonzero; nu_j is the
     shot-weighted fraction of violating samples, and gamma = nu @ P spreads
@@ -187,8 +202,7 @@ def conflict_values(A: np.ndarray, b: np.ndarray, samples: SampleSet) -> Conflic
     residual = X @ A.T - b
     violation = (np.abs(residual) > FEASIBILITY_TOL).T.astype(np.int8)
     nu = (violation @ samples.counts) / samples.shots
-    gamma = nu @ (A != 0).astype(np.int8)
-    return ConflictData(nu=nu, gamma=gamma)
+    return nu @ (A != 0).astype(np.int8)
 
 
 def select_branching_variable(gamma: np.ndarray, fields: np.ndarray) -> int:
@@ -205,7 +219,7 @@ def select_branching_variable(gamma: np.ndarray, fields: np.ndarray) -> int:
 
 
 def propagate(
-    A: np.ndarray, b: np.ndarray, fixings: dict[int, int], tol: float = FEASIBILITY_TOL
+    A: np.ndarray, b: np.ndarray, fixings: dict[int, int]
 ) -> tuple[dict[int, int], bool]:
     """Fixpoint of activity-based propagation on the residual equalities.
 
@@ -216,6 +230,7 @@ def propagate(
     the system is still feasible.
     """
     m, n = A.shape
+    tol = FEASIBILITY_TOL
     fix = dict(fixings)
     changed = True
     while changed:
@@ -282,7 +297,7 @@ def _run_vqa(
 ) -> tuple[tuple[float, ...], SampleSet]:
     """Every query's expectation, in the master frame, and the samples of
     the best angles."""
-    diag = vqa.build_diagonal(red.model, include_constant=False)
+    diag = vqa.build_diagonal(red.model)
     table = vqa.phase_table(diag)
     rng = _node_rng(config.seed, node_id, 1)
     params, values = vqa.optimize_angles(
@@ -397,8 +412,8 @@ def evaluate_node(
     expectations, samples = _run_vqa(red, config, node.id, config.node_queries, patience)
     rows = np.vstack((samples.bitstrings, (bres.side[1:] + 1) // 2))
     candidates, best = _evaluate_candidates(master, red, rows, M)
-    conflict = conflict_values(red.A, red.b, samples)
-    k = int(red.index_map[select_branching_variable(conflict.gamma, red.model.fields)])
+    gamma = conflict_values(red.A, red.b, samples)
+    k = int(red.index_map[select_branching_variable(gamma, red.model.fields)])
     return finish(
         "branched",
         expectations=expectations,
@@ -504,10 +519,10 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
         # measured against the best feasible value and waits for one.
         ub = incumbent.best_feasible_value
         if (
-            config.gap_target is not None
+            config.gap is not None
             and ub is not None
             and np.isfinite(global_lb)
-            and (ub - global_lb) / max(1.0, abs(ub)) <= config.gap_target
+            and (ub - global_lb) / max(1.0, abs(ub)) <= config.gap
         ):
             status = "gap_reached"
             break
@@ -557,6 +572,10 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
     )
 
 
+# Query budget of ``run_plain_qaoa`` when the caller sets none.
+BASELINE_QUERIES = 500
+
+
 @dataclass(frozen=True)
 class BaselineResult:
     best_penalized_value: float
@@ -568,7 +587,7 @@ class BaselineResult:
 
 
 def run_plain_qaoa(
-    instance: BlpInstance, config: SolverConfig | None = None, queries: int = 500
+    instance: BlpInstance, config: SolverConfig | None = None, queries: int = BASELINE_QUERIES
 ) -> BaselineResult:
     """Single-node QAOA on the master problem under a flat query budget.
 
@@ -577,6 +596,7 @@ def run_plain_qaoa(
     """
     if config is None:
         config = SolverConfig()
+    check_setting("queries", queries, "int")
     if queries < 1:
         raise ValueError("queries must be positive")
     if instance.n > vqa.SIMULATOR_LIMIT:

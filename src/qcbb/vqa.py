@@ -100,19 +100,16 @@ class SampleSet:
             raise ValueError("counts must sum to the number of shots")
 
 
-def build_diagonal(
-    model: IsingModel, include_constant: bool = True, limit: int = SIMULATOR_LIMIT
-) -> np.ndarray:
-    """Energy of every basis state, indexed LSB-first by spin configuration.
+def build_diagonal(model: IsingModel) -> np.ndarray:
+    """Energy of every basis state, ``model.constant`` excluded, indexed
+    LSB-first by spin configuration.
 
     Built by spin doubling in O(2^n) work (see the module docstring).
     """
     n = model.n_spins
-    if n > limit:
-        raise ValueError(f"{n} spins exceeds the simulator limit of {limit}")
+    if n > SIMULATOR_LIMIT:
+        raise ValueError(f"{n} spins exceeds the simulator limit of {SIMULATOR_LIMIT}")
     diag = np.zeros(1)
-    if include_constant:
-        diag += model.constant
     for k in range(n):
         h = np.full(1, model.fields[k])  # spin k's local field, over spins < k
         for i in range(k):

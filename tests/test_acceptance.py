@@ -100,7 +100,7 @@ def test_criterion_1_encoding_exactness():
             inst = random_dense_instance(rng, n_max=10)
             M = float(rng.choice([1.0, 10.0, 1e3]))
         model = encode(inst, M)
-        energies = build_diagonal(model)
+        energies = build_diagonal(model) + model.constant
         X = enumerate_assignments(inst.n)
         residual = X @ inst.A.T - inst.b
         penalized = X @ inst.c + M * np.sum(residual * residual, axis=1)

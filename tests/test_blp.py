@@ -266,6 +266,19 @@ class TestInstanceIO:
         with pytest.raises(InstanceFormatError, match="field 'n'"):
             load_instance(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("c", [True, 2]), ("c", ["1", 2]), ("A", [[1, False]]), ("b", ["1"])],
+        ids=["bool_in_c", "string_in_c", "bool_in_A", "string_in_b"],
+    )
+    def test_array_entry_not_a_number(self, tmp_path, key, value):
+        # a float array would load true and "1" as 1
+        path = tmp_path / "bad.json"
+        data = {"n": 2, "m": 1, "c": [1, 2], "A": [[1, 1]], "b": [1], key: value}
+        path.write_text(json.dumps(data))
+        with pytest.raises(InstanceFormatError, match=f"field '{key}'"):
+            load_instance(path)
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

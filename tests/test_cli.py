@@ -130,7 +130,7 @@ class TestSolve:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(values))
         assert cli.main(["solve", str(fixture_instance), "--config", str(config)]) == 1
-        assert f"config key {key!r}" in capsys.readouterr().err
+        assert f"{key} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags, config",
@@ -148,14 +148,6 @@ class TestSolve:
             flags = ["--config", str(path)]
         assert cli.main(["solve", str(fixture_instance), *flags]) == 1
         assert "limits must be positive" in capsys.readouterr().err
-
-    def test_env_seed_fallback(self, fixture_instance, tmp_path, monkeypatch):
-        t1, t2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        monkeypatch.setenv("QCBB_SEED", "21")
-        cli.main(["solve", str(fixture_instance), "--trace", str(t1)])
-        monkeypatch.delenv("QCBB_SEED")
-        cli.main(["solve", str(fixture_instance), "--seed", "21", "--trace", str(t2)])
-        assert t1.read_bytes() == t2.read_bytes()
 
 
 class TestBaseline:

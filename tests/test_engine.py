@@ -37,23 +37,22 @@ class TestConflictValues:
         A = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
         b = np.array([1.0, 1.0])
         samples = sample_set([[1, 1, 0], [0, 0, 0]], [3, 1])
-        data = conflict_values(A, b, samples)
-        assert np.allclose(data.nu, [1.0, 0.25])
-        assert np.allclose(data.gamma, [1.0, 1.25, 0.25])
+        # nu = [1, 1/4] per constraint, spread onto each constraint's variables
+        assert np.allclose(conflict_values(A, b, samples), [1.0, 1.25, 0.25])
 
     def test_all_feasible(self):
         A = np.array([[1.0, 1.0]])
         b = np.array([1.0])
-        data = conflict_values(A, b, sample_set([[1, 0], [0, 1]], [2, 2]))
-        assert np.all(data.nu == 0) and np.all(data.gamma == 0)
+        gamma = conflict_values(A, b, sample_set([[1, 0], [0, 1]], [2, 2]))
+        assert np.all(gamma == 0)
 
     def test_single_fully_violating_sample(self):
         A = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
         b = np.array([1.0, 1.0])
-        data = conflict_values(A, b, sample_set([[0, 0, 0]], [4]))
-        assert np.all(data.nu == 1.0)
-        # gamma_i counts the constraints variable i appears in
-        assert np.allclose(data.gamma, [1.0, 1.0, 2.0])
+        gamma = conflict_values(A, b, sample_set([[0, 0, 0]], [4]))
+        # every constraint is violated, so gamma_i counts the constraints
+        # variable i appears in
+        assert np.allclose(gamma, [1.0, 1.0, 2.0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -247,7 +246,7 @@ class TestSolve:
 
     def test_gap_target_stops_early(self):
         inst = generate_spp(10, 4, seed=5)
-        res = solve(inst, SolverConfig(seed=0, gap_target=0.99))
+        res = solve(inst, SolverConfig(seed=0, gap=0.99))
         assert res.status in ("gap_reached", "optimal")
         if res.status == "gap_reached":
             gap = (res.best_penalized_value - res.global_lb) / max(
@@ -258,7 +257,7 @@ class TestSolve:
     def test_gap_measured_against_feasible_incumbent(self):
         # With a tiny budget the penalized incumbent can meet the gap before
         # any feasible point is known; the solver must keep searching then.
-        config = SolverConfig(gap_target=0.9, node_queries=5, shots=8)
+        config = SolverConfig(gap=0.9, node_queries=5, shots=8)
         for s in range(30):
             res = solve(generate_spp(12, 6, seed=s), config)
             if res.status == "gap_reached":
@@ -359,9 +358,15 @@ class TestSolve:
             SolverConfig(seed=-1)
         with pytest.raises(ValueError):
             SolverConfig(node_limit=0)
-        for limit in ("time_limit", "gap_target"):
+        for limit in ("time_limit", "gap"):
             with pytest.raises(ValueError):
                 SolverConfig(**{limit: float("nan")})
+        # each field has its JSON type: a bool is no integer, 1.5 is not rounded
+        bad = [("p", 1.5), ("shots", True), ("seed", 1.5), ("node_limit", 2.5)]
+        bad += [("wall_clock", "no"), ("gap", "0.1"), ("p", None)]
+        for key, value in bad:
+            with pytest.raises(ValueError, match=f"{key} must be"):
+                SolverConfig(**{key: value})
 
     def test_node_stops_two_simplex_sizes_after_last_improvement(self, monkeypatch):
         runs = record_optimizer_runs(monkeypatch)

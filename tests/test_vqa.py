@@ -37,14 +37,15 @@ def field_model(fields, constant=0.0):
 @pytest.fixture
 def pair_diag():
     inst = BlpInstance(c=[1.0, 2.0], A=[[1, 1]], b=[1])
-    return build_diagonal(encode(inst, 10.0))
+    model = encode(inst, 10.0)
+    return build_diagonal(model) + model.constant
 
 
 class TestBuildDiagonal:
     def test_single_spin_table(self):
         # energies x=0 -> 0, x=1 -> 5 require field 2.5 and constant 2.5
-        diag = build_diagonal(field_model([2.5], constant=2.5))
-        assert np.allclose(diag, [0.0, 5.0])
+        model = field_model([2.5], constant=2.5)
+        assert np.allclose(build_diagonal(model) + model.constant, [0.0, 5.0])
 
     def test_encoded_pair(self, pair_diag):
         # oracle: penalized costs of the four assignments, LSB-first
@@ -53,19 +54,16 @@ class TestBuildDiagonal:
     def test_zero_model(self):
         assert np.array_equal(build_diagonal(field_model([0.0, 0.0])), np.zeros(4))
 
-    def test_constant_flag(self):
-        diag = build_diagonal(field_model([2.5], constant=2.5), include_constant=False)
+    def test_constant_excluded(self):
+        diag = build_diagonal(field_model([2.5], constant=2.5))
         assert np.allclose(diag, [-2.5, 2.5])
 
     def test_simulator_limit(self):
         with pytest.raises(ValueError):
-            build_diagonal(field_model(np.zeros(5)), limit=4)
+            build_diagonal(field_model(np.zeros(vqa.SIMULATOR_LIMIT + 1)))
 
     def test_zero_spins(self):
-        assert np.array_equal(build_diagonal(field_model([], constant=3.5)), [3.5])
-        assert np.array_equal(
-            build_diagonal(field_model([], constant=3.5), include_constant=False), [0.0]
-        )
+        assert np.array_equal(build_diagonal(field_model([], constant=3.5)), [0.0])
 
     @pytest.mark.parametrize("shape", ["full", "no_couplings", "zero_fields", "float"])
     def test_matches_spin_product_reference(self, shape):
@@ -77,7 +75,7 @@ class TestBuildDiagonal:
             if shape == "float":
                 model = random_model(rng, n_min=n, n_max=n)
                 ours = build_diagonal(model)
-                ref = spin_product_diagonal(model)
+                ref = spin_product_diagonal(model, include_constant=False)
                 assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
                 continue
             fields = rng.integers(-40, 41, size=n) / 2.0
@@ -95,11 +93,9 @@ class TestBuildDiagonal:
                 fields=fields,
                 constant=float(rng.integers(-99, 100)) / 2.0,
             )
-            for include_constant in (True, False):
-                assert np.array_equal(
-                    build_diagonal(model, include_constant),
-                    spin_product_diagonal(model, include_constant),
-                )
+            ours = build_diagonal(model)
+            assert np.array_equal(ours, spin_product_diagonal(model, include_constant=False))
+            assert np.array_equal(ours + model.constant, spin_product_diagonal(model))
 
     def test_spp_master_equals_penalized_costs(self):
         inst = generate_spp(20, 7, seed=0)
@@ -108,7 +104,8 @@ class TestBuildDiagonal:
         residual = X @ inst.A.T - inst.b
         costs = X @ inst.c + M * np.sum(residual * residual, axis=1)
         del X, residual
-        assert np.array_equal(build_diagonal(encode(inst, M)), costs)
+        model = encode(inst, M)
+        assert np.array_equal(build_diagonal(model) + model.constant, costs)
 
 
 class TestQaoaState:
@@ -181,7 +178,7 @@ class TestMixer:
 
 def spp_diagonal(n, m, seed):
     inst = generate_spp(n, m, seed=seed)
-    return build_diagonal(encode(inst, compute_big_m(inst)), include_constant=False)
+    return build_diagonal(encode(inst, compute_big_m(inst)))
 
 
 class TestPhaseTable:
