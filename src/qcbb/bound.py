@@ -13,15 +13,12 @@ relaxation value z_sdp >= z*. Goemans-Williamson hyperplane rounding of the
 same relaxation gives a cut whose side vector is a spin configuration; it is
 returned as a primal point (a candidate solution), never as part of the bound.
 
-The relaxation max sum_(u<v) w_uv (1 - <V_u, V_v>)/2 over unit rows V_u is
-solved on a low-rank Burer-Monteiro factor V by row-wise exact coordinate
-ascent (the mixing method): each row in turn is set to the unit vector that
-maximises the objective with the other rows held, so the objective never
-decreases. Sweeps stop when one gains at most SDP_TOL * max(1, |f|), or
-after ``solve_sdp``'s ``max_iters`` sweeps. The bound does not rely on that
-stop: ``sdp_upper_bound`` turns any unit-row V into a certified
-z_sdp >= z* through an eigenvalue shift, so an unconverged ascent only
-loosens the bound.
+The relaxation max sum_(u<v) w_uv (1 - X_uv)/2 over X PSD with unit
+diagonal is solved by the primal-dual interior-point method of Helmberg,
+Rendl, Vanderbei and Wolkowicz (SIAM J. Optim. 6(2), 1996), whose dual
+vector y bounds every cut through ``sdp_upper_bound``. That bound holds for
+any y, so it does not rely on the method's stop: a solve cut short only
+loosens it. The factor V of the final X feeds hyperplane rounding alone.
 
 When every objective coefficient is an integer, every objective value lies
 on a lattice g*Z (``objective_lattice``), so a bound on the best feasible
@@ -39,8 +36,8 @@ from .ising import IsingModel
 
 # Relative slack of the bound-based prunes and of the optimality stop.
 OPTIMALITY_TOL = 1e-9
-# The SDP ascent stops once a sweep gains at most SDP_TOL * max(1, |f|).
-SDP_TOL = 1e-8
+# Relative duality gap at which solve_sdp stops, on W scaled to max|W| = 1.
+SDP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -63,64 +60,81 @@ def ising_to_maxcut(model: IsingModel) -> np.ndarray:
     return W + W.T
 
 
-def default_rank(n_vertices: int) -> int:
-    return max(2, math.ceil(math.sqrt(2 * n_vertices)))
+def _step_length(M: np.ndarray, dM: np.ndarray) -> float:
+    """Step a = 0.8^k, least k < 100, with M + a dM positive definite by
+    Cholesky; damped by 0.95 when below 1, and 0 when no k passes."""
+    alpha = 1.0
+    for _ in range(100):
+        try:
+            np.linalg.cholesky(M + alpha * dM)
+        except np.linalg.LinAlgError:
+            alpha *= 0.8
+            continue
+        return alpha if alpha == 1.0 else 0.95 * alpha
+    return 0.0
 
 
-def solve_sdp(
-    W: np.ndarray, max_iters: int = 2000, rng: np.random.Generator | None = None
-) -> tuple[np.ndarray, float]:
-    """Low-rank ascent of f(V) = sum_(u<v) W_uv (1 - <V_u, V_v>)/2 over unit rows
-    of V (``default_rank`` columns), for a symmetric weight matrix W with
-    zero diagonal.
+def solve_sdp(W: np.ndarray, max_iters: int = 100) -> tuple[np.ndarray, np.ndarray]:
+    """Primal-dual interior-point solve of the MaxCut relaxation of W
+    (symmetric, zero diagonal): max <C, X> over X PSD with diag(X) = 1,
+    C = -W/4, and its dual min sum(y) over Z = Diag(y) - C PSD.
 
-    Row-wise exact coordinate ascent (the mixing method of Wang, Chang and
-    Kolter, 2017). With the other rows held, f depends on row i only through
-    -<V_i, g>/2 with g = W[i] @ V, so V_i = -g/|g| maximises it over the
-    unit sphere; a row with g = 0 keeps its vector. Every update is therefore
-    a maximiser over its row and f never decreases. A sweep updates every row
-    in order; the ascent stops after ``max_iters`` sweeps or once a sweep
-    gains at most SDP_TOL * max(1, |f|). Returns the last factor and its f.
-    Soundness does not need the stop to be reached: ``sdp_upper_bound``
-    certifies an upper bound on the maximum cut from any unit-row factor.
+    HRVW steps on W / max|W|, so no tolerance depends on the weights' scale,
+    from X = I and a y that makes Z diagonally dominant: solve
+    (Z^-1 o X) dy = mu diag(Z^-1) - 1, set dX = mu Z^-1 - X - Z^-1 Diag(dy) X
+    (symmetrized) and move by the ``_step_length``s that keep X and Z
+    positive definite. It stops at a duality gap <X, Z> <= SDP_TOL *
+    max(1, |sum y|), at a zero step length, or after ``max_iters`` steps.
+
+    Returns (V, y): y in W's scale, which ``sdp_upper_bound`` certifies as
+    >= max cut - 1e-9 * max(1, |max cut|) whatever the stop, and the
+    unit-row factor V of the last X (eigenvalues clipped at 0), for rounding.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     n = W.shape[0]
-    V = rng.normal(size=(n, default_rank(n)))
-    V /= np.linalg.norm(V, axis=1, keepdims=True)
     if not W.any():
-        return V, 0.0
-    total = float(W.sum())  # twice the total weight: W is symmetric
-
-    def objective(V):
-        return 0.25 * (total - float(np.sum((W @ V) * V)))
-
-    f = objective(V)
-    rows = list(zip(W, V))  # v_i is a view, so each update writes V in place
+        return np.eye(n), np.zeros(n)
+    scale = float(np.abs(W).max())
+    C = (-0.25 / scale) * W
+    X = np.eye(n)
+    y = np.abs(C).sum(axis=1) + 1.0
+    Z = np.diag(y) - C
+    shrink = 1.0
     for _ in range(max_iters):
-        for w_i, v_i in rows:
-            g = np.dot(w_i, V)
-            norm = math.sqrt(np.dot(g, g))
-            if norm > 0.0:
-                np.divide(g, -norm, out=v_i)
-        f_prev, f = f, objective(V)
-        if f - f_prev <= SDP_TOL * max(1.0, abs(f)):
+        gap = float(np.vdot(X, Z))
+        if gap <= SDP_TOL * max(1.0, abs(float(y.sum()))):
             break
-    return V, f
+        mu = shrink * gap / (2 * n)
+        Zi = np.linalg.inv(Z)
+        dy = np.linalg.solve(Zi * X, mu * np.diag(Zi) - 1.0)
+        dX = mu * Zi - X - Zi @ (dy[:, None] * X)
+        dX = 0.5 * (dX + dX.T)
+        dZ = np.diag(dy)
+        alpha_p, alpha_d = _step_length(X, dX), _step_length(Z, dZ)
+        if alpha_p == 0.0 or alpha_d == 0.0:
+            break
+        X += alpha_p * dX
+        y += alpha_d * dy
+        Z += alpha_d * dZ
+        # Long steps mean the central path is easy to follow: aim lower.
+        steps = alpha_p + alpha_d
+        shrink = 0.1 if steps > 1.9 else 0.5 if steps > 1.6 else 1.0
+    lam, U = np.linalg.eigh(X)
+    V = U * np.sqrt(np.clip(lam, 0.0, None))
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    return V, scale * y
 
 
-def sdp_upper_bound(V: np.ndarray, W: np.ndarray) -> float:
-    """Certified upper bound on the maximum cut from a low-rank factor.
+def sdp_upper_bound(y: np.ndarray, W: np.ndarray) -> float:
+    """Certified upper bound on the maximum cut of W from any dual vector y.
 
-    For any y with diag(y) + W/4 PSD, every cut value is at most
-    sum(W)/4 + sum(y). The dual guess y_i = -(W V)_i . V_i / 4 is exact at a
-    stationary factor; an eigenvalue shift repairs any PSD violation, so the
-    bound holds whether or not the ascent converged.
+    A cut is a feasible X with tr(X) = n, and its value is sum(W)/4 + sum(y)
+    - <Z, X> for Z = W/4 + Diag(y), where <Z, X> >= n * min(lambda_min(Z), 0).
+    Only this eigenvalue shift carries soundness, never the solver's stop or
+    its last Z: for every y the bound is >= max cut - 1e-9 * max(1, |max cut|),
+    the slack being ``eigvalsh``'s rounding.
     """
     if not W.any():
         return 0.0
-    y = -0.25 * np.sum((W @ V) * V, axis=1)
     lam_min = float(np.linalg.eigvalsh(0.25 * W + np.diag(y))[0])
     return 0.25 * float(W.sum()) + float(y.sum()) - W.shape[0] * min(lam_min, 0.0)
 
@@ -153,16 +167,14 @@ def lower_bound(model: IsingModel, rng: np.random.Generator | None = None) -> Bo
 
     z_sdp >= z* is the certified relaxation value, so the bound holds for
     every configuration. The result also carries the best hyperplane-rounded
-    side of the same factor: ``side[1:]`` is a spin configuration of the
-    model (an all-+1 side when the model has no nonzero coefficient).
+    side of the relaxation, drawn with ``rng``: ``side[1:]`` is a spin
+    configuration of the model (all +1 when no coefficient is nonzero).
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     W = ising_to_maxcut(model)
     if not W.any():
         return BoundResult(lb_value=0.0, side=np.ones(W.shape[0], dtype=int))
-    V, _ = solve_sdp(W, rng=rng)
-    z_sdp = sdp_upper_bound(V, W)
+    V, y = solve_sdp(W)
+    z_sdp = sdp_upper_bound(y, W)
     _, side = gw_round(V, W, rng=rng)
     return BoundResult(lb_value=-2.0 * z_sdp + 0.5 * float(W.sum()), side=side)
 

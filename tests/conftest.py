@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-import math
 from functools import reduce
 
 import numpy as np
@@ -11,7 +9,7 @@ import pytest
 from scipy.linalg import expm
 
 from qcbb.blp import BlpInstance
-from qcbb.bound import default_rank, ising_to_maxcut
+from qcbb.bound import ising_to_maxcut
 from qcbb.ising import IsingModel
 from qcbb.vqa import MIXER_BLOCK, QaoaParams
 
@@ -112,13 +110,16 @@ def cut_value(W: np.ndarray, side: np.ndarray) -> float:
 
 
 def exhaustive_max_cut(W: np.ndarray) -> float:
-    """Maximum cut by enumerating bipartitions with vertex 0 pinned."""
-    best = 0.0
+    """Maximum cut by enumerating every bipartition with vertex 0 pinned to
+    +1, all at once, summed edge by edge."""
     rest = W.shape[0] - 1
-    for bits in itertools.product((1, -1), repeat=rest):
-        side = np.array((1,) + bits)
-        best = max(best, cut_value(W, side))
-    return best
+    z = np.arange(1 << rest, dtype=np.int64)
+    spins = 2.0 * ((z[:, None] >> np.arange(max(rest, 1))) & 1) - 1.0
+    cuts = np.zeros(1 << rest)
+    for u, v, w in upper_entries(W):
+        su = np.ones(1 << rest) if u == 0 else spins[:, u - 1]
+        cuts += w * (1.0 - su * spins[:, v - 1]) / 2.0
+    return float(cuts.max(initial=0.0))
 
 
 def as_vector(params: QaoaParams) -> np.ndarray:
@@ -218,41 +219,6 @@ def loop_gw_round(
     if best_side[0] < 0:
         best_side = -best_side
     return float(best_value), best_side
-
-
-def indexed_row_solve_sdp(
-    W: np.ndarray,
-    rank: int | None = None,
-    max_iters: int = 2000,
-    rng: np.random.Generator | None = None,
-    tol: float = 1e-8,
-) -> tuple[np.ndarray, float]:
-    """Bitwise reference for ``qcbb.bound.solve_sdp``: the same mixing-method
-    sweeps, each row read as ``W[i] @ V`` and written back as ``V[i] = ...``."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    n = W.shape[0]
-    k = default_rank(n) if rank is None else rank
-    V = rng.normal(size=(n, k))
-    V /= np.linalg.norm(V, axis=1, keepdims=True)
-    if not W.any():
-        return V, 0.0
-    total = float(W.sum())
-
-    def objective(V):
-        return 0.25 * (total - float(np.sum((W @ V) * V)))
-
-    f = objective(V)
-    for _ in range(max_iters):
-        for i, w_i in enumerate(W):
-            g = w_i @ V
-            norm = math.sqrt(g @ g)
-            if norm > 0.0:
-                V[i] = g / -norm
-        f_prev, f = f, objective(V)
-        if f - f_prev <= tol * max(1.0, abs(f)):
-            break
-    return V, f
 
 
 def random_dense_instance(rng: np.random.Generator, n_max: int = 8) -> BlpInstance:

@@ -13,11 +13,11 @@ from conftest import (
     bound_floor,
     dense_qaoa_expectation,
     exhaustive_energies,
+    exhaustive_max_cut,
     odd_cycle_instance,
     random_dense_instance,
     random_model,
     total_weight,
-    upper_entries,
 )
 from qcbb.blp import (
     BlpInstance,
@@ -35,20 +35,6 @@ from qcbb.vqa import QaoaParams, build_diagonal, expectation, qaoa_state
 
 def report(criterion: int, passed: bool, detail: str) -> None:
     print(f"criterion {criterion}: {'PASS' if passed else 'FAIL'} - {detail}")
-
-
-def exhaustive_max_cut_vectorized(W: np.ndarray) -> float:
-    """z* of a symmetric weight matrix by enumerating every bipartition
-    (vertex 0 pinned to +1), edge by edge."""
-    rest = W.shape[0] - 1
-    z = np.arange(1 << rest, dtype=np.int64)
-    spins = 2.0 * ((z[:, None] >> np.arange(max(rest, 1))) & 1) - 1.0
-    cuts = np.zeros(1 << rest)
-    for u, v, w in upper_entries(W):
-        su = np.ones(1 << rest) if u == 0 else spins[:, u - 1]
-        sv = spins[:, v - 1]
-        cuts += w * (1.0 - su * sv) / 2.0
-    return float(cuts.max(initial=0.0))
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +125,7 @@ def test_criterion_3_maxcut_reduction_identity():
     for _ in range(100):
         model = random_model(rng, n_max=10)
         W = ising_to_maxcut(model)
-        z_star = exhaustive_max_cut_vectorized(W)
+        z_star = exhaustive_max_cut(W)
         min_h = float(exhaustive_energies(model).min()) - model.constant
         err = abs(min_h - (-2.0 * z_star + total_weight(W))) / max(1.0, abs(min_h))
         worst = max(worst, err)

@@ -547,6 +547,21 @@ class TestOracle:
             res = solve(inst, SolverConfig(seed=k, **ORACLE_CONFIG))
             assert_matches_oracle(inst, res)
 
+    def test_subset_sum_trees_match_brute_force(self):
+        # one equality row with general integer coefficients builds trees of
+        # many nodes, where the SPP shapes mostly close at the root
+        nodes = []
+        for n in (8, 9, 10):
+            for seed in range(4):
+                rng = np.random.default_rng(seed)
+                a = rng.integers(1, 30, n)
+                c = rng.integers(-20, 21, n)
+                inst = BlpInstance(c=c, A=[a], b=[a.sum() // 2])
+                res = solve(inst, SolverConfig(p=1, node_queries=4, shots=64))
+                assert_matches_oracle(inst, res)
+                nodes.append(res.nodes_evaluated)
+        assert max(nodes) >= 10
+
     def test_node_bounds_never_pass_the_best_feasible_completion(self):
         # every recorded node bound is at most the best feasible objective
         # among the completions of that node's fixings
