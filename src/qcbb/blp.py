@@ -214,10 +214,10 @@ def _is_json_number(value, kind: type) -> bool:
 
 
 def _scalar_field(data: dict, key: str, kind: type):
-    """``data[key]`` as ``kind`` (see ``_is_json_number``)."""
+    """``data[key]`` as ``kind`` (see ``_is_json_number``), finite."""
     value = data[key]
-    if not _is_json_number(value, kind):
-        what = "an integer" if kind is int else "a number"
+    if not _is_json_number(value, kind) or (kind is float and not math.isfinite(value)):
+        what = "an integer" if kind is int else "a finite number"
         raise InstanceFormatError(f"field {key!r} is not {what}: {value!r}")
     return kind(value)
 
@@ -244,12 +244,15 @@ def instance_from_dict(data: dict) -> BlpInstance:
         raise InstanceFormatError(f"A has shape {A.shape}, expected ({m}, {n})")
     if b.shape != (m,):
         raise InstanceFormatError(f"b has {b.size} entries, expected m={m}")
+    name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise InstanceFormatError(f"field 'name' is not a string: {name!r}")
     try:
         instance = BlpInstance(
             c=c,
             A=A,
             b=b,
-            name=data.get("name"),
+            name=name,
             kappa=_scalar_field(data, "kappa", float) if "kappa" in data else 1.0,
             optimum=None if data.get("optimum") is None else _scalar_field(data, "optimum", float),
         )

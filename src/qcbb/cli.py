@@ -67,14 +67,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         )
         if args.with_optimum and args.n <= BRUTE_FORCE_REPORT_MAX_N:
             result = blp.brute_force_optimum(instance)
-            instance = blp.BlpInstance(
-                c=instance.c,
-                A=instance.A,
-                b=instance.b,
-                name=instance.name,
-                kappa=instance.kappa,
-                optimum=result.value,
-            )
+            instance = dataclasses.replace(instance, optimum=result.value)
             print(f"{instance.name}: optimum {result.value:g}")
         path = out_dir / f"{instance.name}.json"
         blp.save_instance(instance, path)
@@ -217,13 +210,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gen.set_defaults(func=cmd_gen)
 
-    solve = sub.add_parser("solve", help="solve an instance to proven optimality")
-    solve.add_argument("instance", help="instance JSON file")
-    solve.add_argument("--config", default=None, help="JSON config file; flags override")
-    solve.add_argument("--p", type=int, default=None, help=f"QAOA depth (default {DEFAULTS.p})")
-    solve.add_argument(
+    common = argparse.ArgumentParser(add_help=False)  # solve's and baseline's flags
+    common.add_argument("--config", default=None, help="JSON config file; flags override")
+    common.add_argument("--p", type=int, default=None, help=f"QAOA depth (default {DEFAULTS.p})")
+    common.add_argument(
         "--shots", type=int, default=None, help=f"shots per node (default {DEFAULTS.shots})"
     )
+    common.add_argument("--seed", type=int, default=None, help=f"seed (default {DEFAULTS.seed})")
+    common.add_argument("--trace", default=None, help="write the event trace (csv or json)")
+    common.add_argument(
+        "--wall-clock",
+        dest="wall_clock",
+        action="store_const",
+        const=True,
+        default=None,
+        help="timestamp events with real elapsed seconds (breaks byte-level trace reproducibility)",
+    )
+
+    solve = sub.add_parser("solve", parents=[common], help="solve an instance to proven optimality")
+    solve.add_argument("instance", help="instance JSON file")
     solve.add_argument(
         "--node-queries",
         dest="node_queries",
@@ -237,33 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--node-limit", dest="node_limit", type=int, default=None)
     solve.add_argument("--time-limit", dest="time_limit", type=float, default=None)
     solve.add_argument("--gap", type=float, default=None, help="relative gap target")
-    solve.add_argument("--seed", type=int, default=None)
-    solve.add_argument("--trace", default=None, help="write the event trace (csv or json)")
-    solve.add_argument(
-        "--wall-clock",
-        dest="wall_clock",
-        action="store_const",
-        const=True,
-        default=None,
-        help="timestamp events with real elapsed seconds (breaks byte-level trace reproducibility)",
-    )
     solve.set_defaults(func=cmd_solve)
 
-    baseline = sub.add_parser("baseline", help="plain QAOA on the master problem")
-    baseline.add_argument("instance")
-    baseline.add_argument("--config", default=None)
-    baseline.add_argument("--p", type=int, default=None)
-    baseline.add_argument("--shots", type=int, default=None)
+    baseline = sub.add_parser("baseline", parents=[common], help="plain QAOA on the master problem")
+    baseline.add_argument("instance", help="instance JSON file")
     baseline.add_argument(
         "--queries",
         type=int,
         default=None,
         help=f"query budget (default {engine.BASELINE_QUERIES})",
-    )
-    baseline.add_argument("--seed", type=int, default=None)
-    baseline.add_argument("--trace", default=None)
-    baseline.add_argument(
-        "--wall-clock", dest="wall_clock", action="store_const", const=True, default=None
     )
     baseline.set_defaults(func=cmd_baseline)
 

@@ -1,12 +1,13 @@
 """Conflict-driven branch and bound around a variational quantum subroutine.
 
 Each node is a partial assignment of the master problem. Evaluating a node
-propagates forced fixings, reduces the problem, computes a MaxCut-based lower
-bound (plus the reduced model's constant, so bounds live in the master
-frame), and either prunes, fathoms, or runs the QAOA subroutine to sample
-candidate solutions. When every cost is an integer, the bound is rounded up
-to the lattice g*Z of objective values (g = gcd of the costs), so it bounds
-the best feasible objective of the node. Violated constraints in the samples yield
+propagates forced fixings, restricts the master's model to the free
+variables, computes a MaxCut-based lower bound (plus the restricted model's
+constant, so bounds live in the master frame), and either prunes, fathoms,
+or runs the QAOA subroutine to sample candidate solutions. When every cost
+is an integer, the bound is rounded up to the lattice g*Z of objective
+values (g = gcd of the costs), so it bounds the best feasible objective of
+the node. Violated constraints in the samples yield
 per-variable conflict values; the most conflicting variable is branched on.
 Candidates come from the samples and from the Goemans-Williamson rounded cut
 of the bound's relaxation; each incumbent update records which one (or a
@@ -35,7 +36,7 @@ from . import bound as bound_mod
 from . import vqa
 from .blp import FEASIBILITY_TOL, BlpInstance, compute_big_m
 from .bound import OPTIMALITY_TOL
-from .ising import ReducedProblem, encode, many_body_count, reduce
+from .ising import IsingModel, encode, many_body_count, reduce
 from .metrics import TraceEvent, TraceRecorder, many_body_fraction
 from .vqa import SampleSet
 
@@ -187,21 +188,23 @@ class SolveResult:
     elapsed_s: float
 
 
-def conflict_values(A: np.ndarray, b: np.ndarray, samples: SampleSet) -> np.ndarray:
+def conflict_values(
+    A: np.ndarray, b: np.ndarray, X: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
     """Conflict value gamma of each variable.
 
-    A sample violates constraint j when its residual is nonzero; nu_j is the
-    shot-weighted fraction of violating samples, and gamma = nu @ P spreads
-    the scores onto the variables appearing in each constraint.
+    Sample row k of ``X``, seen ``counts[k]`` times, violates constraint j
+    when its residual is nonzero; nu_j is the count-weighted fraction of
+    violating samples, and gamma = nu @ P spreads the scores onto the
+    variables appearing in each constraint.
     """
-    X = samples.bitstrings.astype(float)
     if X.shape[1] != A.shape[1]:
         raise ValueError(
             f"samples have {X.shape[1]} variables, constraints have {A.shape[1]}"
         )
     residual = X @ A.T - b
     violation = (np.abs(residual) > FEASIBILITY_TOL).T.astype(np.int8)
-    nu = (violation @ samples.counts) / samples.shots
+    nu = (violation @ counts) / counts.sum()
     return nu @ (A != 0).astype(np.int8)
 
 
@@ -269,13 +272,12 @@ def _node_rng(seed: int, node_id: int, stream: int) -> np.random.Generator:
 
 
 def _evaluate_candidates(
-    master: BlpInstance, red: ReducedProblem, bitstrings: np.ndarray, M: float
+    master: BlpInstance, full: np.ndarray, M: float
 ) -> tuple[tuple[tuple[float, np.ndarray, bool], ...], int]:
-    """Candidates among the rows of ``bitstrings``, each a 0/1 assignment of
-    the free variables: the best penalized completion as (value, x,
-    feasible), then the best feasible one if any; and the row of the best
-    penalized one (the first on ties)."""
-    full = red.merge(bitstrings)
+    """Candidates among the rows of ``full``, each a 0/1 assignment of the
+    master variables: the best penalized one as (value, x, feasible), with
+    value c.x + M ||Ax - b||^2, then the best feasible one if any; and the
+    row of the best penalized one (the first on ties)."""
     residual = full @ master.A.T - master.b
     penalized = full @ master.c + M * np.sum(residual * residual, axis=1)
     feasible = np.all(np.abs(residual) <= FEASIBILITY_TOL, axis=1)
@@ -289,7 +291,7 @@ def _evaluate_candidates(
 
 
 def _run_vqa(
-    red: ReducedProblem,
+    model: IsingModel,
     config: SolverConfig,
     node_id: int,
     queries: int,
@@ -297,7 +299,7 @@ def _run_vqa(
 ) -> tuple[tuple[float, ...], SampleSet]:
     """Every query's expectation, in the master frame, and the samples of
     the best angles."""
-    diag = vqa.build_diagonal(red.model)
+    diag = vqa.build_diagonal(model)
     table = vqa.phase_table(diag)
     rng = _node_rng(config.seed, node_id, 1)
     params, values = vqa.optimize_angles(
@@ -305,7 +307,7 @@ def _run_vqa(
     )
     state = vqa.qaoa_state(diag, params, table)
     samples = vqa.sample(state, config.shots, _node_rng(config.seed, node_id, 2))
-    return tuple(v + red.model.constant for v in values), samples
+    return tuple(v + model.constant for v in values), samples
 
 
 def _prune(
@@ -328,6 +330,7 @@ def _prune(
 
 def evaluate_node(
     master: BlpInstance,
+    model: IsingModel,
     M: float,
     node: Node,
     config: SolverConfig,
@@ -336,19 +339,19 @@ def evaluate_node(
 ) -> NodeEvaluation:
     """Full lifecycle of one node; pure given the node's seed streams.
 
-    Ordering: propagation; the prune rule on the inherited bound; reduction
-    and bounding; the prune rule on the node bound; leaf fathoming; the
-    variational subroutine; then branching on the most conflicting variable
-    with both children re-propagated. Both prune checks measure the bound
-    against the node's feasible ceiling T, computed once after propagation,
-    and against ``cutoff`` (``Incumbent.cutoff``; None prunes nothing).
+    Ordering: propagation; the prune rule on the inherited bound; restricting
+    ``model`` (``encode(master, M)``) to the free variables and bounding; the
+    prune rule on the node bound; leaf fathoming; the variational subroutine;
+    then branching on the most conflicting variable with both children
+    re-propagated. Both prune checks measure the bound against the node's
+    feasible ceiling T, computed once after propagation, and against
+    ``cutoff`` (``Incumbent.cutoff``; None prunes nothing).
 
     Every exit builds the node's ``NodeRecord`` once, through ``finish``,
     with the bound and many-body count reached by then. A branched node's
     evaluation also holds every query's expectation in the master frame,
     the best penalized candidate then the best feasible one (if any), and
-    the children as (fixings, feasible) pairs on ``branch_var``; a fathomed
-    leaf holds its one completed point.
+    the children as (fixings, feasible) pairs on ``branch_var``.
 
     The node bound is the SDP bound on the penalized cost, which is also a
     bound on the best feasible objective f* of the node (a feasible point
@@ -368,10 +371,12 @@ def evaluate_node(
       ``global_lb`` still bounds the optimum and ``optimal`` is a proof.
 
     At a branched node the best hyperplane-rounded cut of the bound's
-    relaxation, completed with the fixings, is scored in one call with the
-    QAOA samples, as the last row, and the cheapest row is offered
-    (``candidate_source``; a tie keeps the sample). It never enters the
-    conflict values, so branching reads the samples alone.
+    relaxation follows the QAOA samples as the last row. The rows, or a
+    fathomed leaf's one point, are merged with the fixings into master
+    assignments once and scored by ``_evaluate_candidates`` as
+    c.x + M ||Ax - b||^2, feasibility checked, and the cheapest row is
+    offered (``candidate_source``; a tie keeps the sample). The conflict
+    values read the merged sample rows alone, so branching ignores the cut.
     """
     fixings, feasible = propagate(master.A, master.b, node.fixings)
     node_lb, many_body = node.local_lb, None
@@ -391,7 +396,7 @@ def evaluate_node(
     if pruned is not None:
         return finish(*pruned)
 
-    red = reduce(master, M, fixings)
+    red = reduce(model, fixings)
     bres = bound_mod.lower_bound(red.model, _node_rng(config.seed, node.id, 0))
     node_lb = bound_mod.round_up_to_lattice(
         max(node_lb, bres.lb_value + red.model.constant), lattice
@@ -402,23 +407,22 @@ def evaluate_node(
         return finish(*pruned)
 
     if red.n_free == 0:
-        # The penalized cost of the completed assignment is the constant.
-        leaf = (red.model.constant, red.merge(np.zeros(0)), True)
-        return finish("fathomed_leaf", candidates=(leaf,), candidate_source="leaf")
+        leaf, _ = _evaluate_candidates(master, red.merge(np.zeros((1, 0))), M)
+        return finish("fathomed_leaf", candidates=leaf, candidate_source="leaf")
 
     # Stop after two Nelder-Mead simplex sizes (2p+1 points over 2p angles)
     # of queries without a new best.
     patience = 2 * (2 * config.p + 1)
-    expectations, samples = _run_vqa(red, config, node.id, config.node_queries, patience)
-    rows = np.vstack((samples.bitstrings, (bres.side[1:] + 1) // 2))
-    candidates, best = _evaluate_candidates(master, red, rows, M)
-    gamma = conflict_values(red.A, red.b, samples)
-    k = int(red.index_map[select_branching_variable(gamma, red.model.fields)])
+    expectations, samples = _run_vqa(red.model, config, node.id, config.node_queries, patience)
+    full = red.merge(np.vstack((samples.bitstrings, (bres.side[1:] + 1) // 2)))
+    candidates, best = _evaluate_candidates(master, full, M)
+    gamma = conflict_values(master.A, master.b, full[:-1], samples.counts)
+    k = int(red.index_map[select_branching_variable(gamma[red.index_map], red.model.fields)])
     return finish(
         "branched",
         expectations=expectations,
         candidates=candidates,
-        candidate_source="gw" if best == len(rows) - 1 else "qaoa",
+        candidate_source="gw" if best == len(full) - 1 else "qaoa",
         branch_var=k,
         children=tuple(propagate(master.A, master.b, {**fixings, k: v}) for v in (0, 1)),
     )
@@ -449,7 +453,8 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
         )
     M = compute_big_m(instance)
     lattice = bound_mod.objective_lattice(instance.c)
-    master_mb = many_body_count(encode(instance, M))
+    model = encode(instance, M)
+    master_mb = many_body_count(model)
     t0 = time.perf_counter()
     rec = TraceRecorder(wall_clock=config.wall_clock)
     incumbent = Incumbent()
@@ -534,7 +539,7 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
             break
 
         node = heapq.heappop(heap)[3]
-        ev = evaluate_node(instance, M, node, config, incumbent.cutoff(), lattice)
+        ev = evaluate_node(instance, model, M, node, config, incumbent.cutoff(), lattice)
         node_index += 1
         rec.record("node_start", node_index)
         apply_evaluation(ev)
@@ -602,13 +607,12 @@ def run_plain_qaoa(
     if instance.n > vqa.SIMULATOR_LIMIT:
         raise ValueError("instance exceeds the simulator limit")
     M = compute_big_m(instance)
-    red = reduce(instance, M, {})
     rec = TraceRecorder(wall_clock=config.wall_clock)
-    expectations, samples = _run_vqa(red, config, 0, queries, None)
+    expectations, samples = _run_vqa(encode(instance, M), config, 0, queries, None)
     for q, value in enumerate(expectations, start=1):
         rec.record("optimizer_query", 0, query_index=q, expectation=value)
     best = Incumbent()
-    for candidate in _evaluate_candidates(instance, red, samples.bitstrings, M)[0]:
+    for candidate in _evaluate_candidates(instance, samples.bitstrings.astype(float), M)[0]:
         best.offer(*candidate)
     rec.record("incumbent_update", 0, ub=best.best_penalized_value)
     rec.record("done", 0, ub=best.best_penalized_value, status="completed")

@@ -10,9 +10,9 @@ matrix, f = (c - 2M A^T b + M (A^T A) 1) / 2, and the diagonal quadratic
 contribution (M/4) * trace(A^T A) folded into the constant C together with
 the transformation constant. The encoding is exact: the energy of every spin
 image equals the penalized cost of the corresponding binary assignment,
-which the tests enforce bit-for-bit. A reduced subproblem's constant also
-holds the objective of its fixed variables, so its energies stay in the
-master problem's frame.
+which the tests enforce bit-for-bit. A node's model restricts the master
+model to the free spins (``reduce``), so its energies stay in the master
+frame.
 """
 
 from __future__ import annotations
@@ -72,14 +72,15 @@ def many_body_count(model: IsingModel) -> int:
     return int(np.count_nonzero(model.couplings))
 
 
-def _encode_arrays(
-    A: np.ndarray, b: np.ndarray, c: np.ndarray, M: float, objective: float
-) -> IsingModel:
-    n = A.shape[1]
+def encode(instance: BlpInstance, M: float) -> IsingModel:
+    """Encode the penalized instance; energies match penalized costs exactly."""
+    if not M > 0:
+        raise ValueError("penalty M must be positive")
+    A, b, c = instance.A, instance.b, instance.c
     G = A.T @ A
     g = A.T @ b
-    h = c - 2.0 * M * g + M * (G @ np.ones(n))
-    transform = (
+    h = c - 2.0 * M * g + M * (G @ np.ones(instance.n))
+    constant = (
         0.25 * M * float(G.sum())
         + 0.5 * float(c.sum())
         - M * float(g.sum())
@@ -88,35 +89,23 @@ def _encode_arrays(
     )
     couplings = np.triu(0.5 * M * G, 1)
     couplings[np.abs(couplings) <= COUPLING_DROP_TOL * M] = 0.0
-    return IsingModel(couplings=couplings, fields=0.5 * h, constant=transform + objective)
-
-
-def encode(instance: BlpInstance, M: float) -> IsingModel:
-    """Encode the penalized instance; energies match penalized costs exactly."""
-    if not M > 0:
-        raise ValueError("penalty M must be positive")
-    return _encode_arrays(instance.A, instance.b, instance.c, M, objective=0.0)
+    return IsingModel(couplings=couplings, fields=0.5 * h, constant=constant)
 
 
 @dataclass(frozen=True)
 class ReducedProblem:
-    """Subproblem after removing fixed columns.
+    """A node's model: the master model restricted to the free variables.
 
-    ``index_map[i]`` is the original variable index of reduced variable i.
-    The model energy of any completion of the free variables equals the
-    penalized master cost of the merged full assignment.
+    ``index_map[i]`` is the master index of free variable i, increasing.
     """
 
-    A: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
     model: IsingModel
     index_map: np.ndarray
     fixings: dict[int, int]
 
     @property
     def n_free(self) -> int:
-        return self.A.shape[1]
+        return self.index_map.size
 
     def merge(self, x_free: np.ndarray) -> np.ndarray:
         """Full assignments from fixed values plus free-variable completions.
@@ -130,16 +119,18 @@ class ReducedProblem:
         return full
 
 
-def reduce(instance: BlpInstance, M: float, fixings: dict[int, int]) -> ReducedProblem:
-    """Remove fixed columns, fold their contribution into b and the constant.
+def reduce(master: IsingModel, fixings: dict[int, int]) -> ReducedProblem:
+    """Restrict the master model to the variables ``fixings`` leaves free.
 
-    b_new = b - sum_k A[:, k] x_k over fixed k; A and c lose the fixed
-    columns; the fixed objective sum_k c_k x_k is added to the constant, so
-    energies stay in the master problem's frame.
+    With F the free and X the fixed spins, s = 2x - 1 the fixed values and
+    J the couplings, the model keeps J[F, F], takes the fields
+    f[F] + (J + J^T)[F, X] @ s and the constant C + f[X] @ s + s J[X, X] s.
+    Each completion's energy is the master energy of the merged assignment,
+    fixed objective included. On integer data every sum is exact, so this
+    equals a fresh encoding of the reduced program to the bit; on fractional
+    data the two agree to rounding (1e-9 relative in the tests).
     """
-    if not M > 0:
-        raise ValueError("penalty M must be positive")
-    n = instance.n
+    n = master.n_spins
     fixed = {}
     for idx, val in fixings.items():
         if not 0 <= idx < n:
@@ -149,13 +140,11 @@ def reduce(instance: BlpInstance, M: float, fixings: dict[int, int]) -> ReducedP
         fixed[idx] = int(val)
 
     free = np.array([i for i in range(n) if i not in fixed], dtype=int)
-    x_fixed = np.zeros(n)
-    for idx, val in fixed.items():
-        x_fixed[idx] = val
-    b_new = instance.b - instance.A @ x_fixed
-    A_new = instance.A[:, free]
-    c_new = instance.c[free]
-    model = _encode_arrays(A_new, b_new, c_new, M, float(instance.c @ x_fixed))
-    return ReducedProblem(
-        A=A_new, b=b_new, c=c_new, model=model, index_map=free, fixings=fixed
+    held = np.array(list(fixed), dtype=int)
+    s = 2.0 * np.array(list(fixed.values()), dtype=float) - 1.0
+    J = master.couplings
+    fields = master.fields[free] + (J[np.ix_(free, held)] + J[np.ix_(held, free)].T) @ s
+    constant = (
+        master.constant + float(master.fields[held] @ s) + float(s @ J[np.ix_(held, held)] @ s)
     )
+    return ReducedProblem(IsingModel(J[np.ix_(free, free)], fields, constant), free, fixed)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass, fields as dataclass_fields
 
@@ -227,10 +228,22 @@ def _json_row(row) -> dict:
     return row
 
 
+def _check_range(row: dict) -> dict:
+    """``row`` once its numbers are finite and its indices non-negative."""
+    for column in CSV_COLUMNS:
+        value, kind = row.get(column), _column_type(column)
+        if value is None or kind is str:
+            continue
+        if not math.isfinite(value) or (kind is int and value < 0):
+            raise ValueError(f"{column} cannot be {value!r}")
+    return row
+
+
 def load_trace(path) -> list[TraceEvent]:
     """Read a trace written by ``export_trace`` (JSON when ``path`` ends in
-    .json, else CSV). A malformed event raises ValueError naming its row,
-    counted from 1 after the CSV header."""
+    .json, else CSV). A malformed event, a non-finite number or a negative
+    index raises ValueError naming its row, counted from 1 after the CSV
+    header."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         if _is_json(path):
             rows = json.load(fh)
@@ -247,7 +260,7 @@ def load_trace(path) -> list[TraceEvent]:
     events: list[TraceEvent] = []
     for i, row in enumerate(rows, start=1):
         try:
-            events.append(TraceEvent(**parse(row)))
+            events.append(TraceEvent(**_check_range(parse(row))))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"trace {path} row {i}: {exc}") from exc
     return events

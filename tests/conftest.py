@@ -221,6 +221,37 @@ def loop_gw_round(
     return float(best_value), best_side
 
 
+def reencoded_model(instance: BlpInstance, M: float, fixings: dict[int, int]) -> IsingModel:
+    """Reference for ``ising.reduce``: the reduced program encoded afresh.
+
+    Drops the fixed columns, moves their activity into b and their
+    objective into the constant, and applies the formula of
+    ``ising.encode``, in its order of operations, to the reduced data. It
+    skips the float-noise drop of tiny couplings, which integer data never
+    triggers.
+    """
+    free = [i for i in range(instance.n) if i not in fixings]
+    x_fixed = np.zeros(instance.n)
+    x_fixed[list(fixings)] = list(fixings.values())
+    A = instance.A[:, free]
+    b = instance.b - instance.A @ x_fixed
+    c = instance.c[free]
+    G = A.T @ A
+    g = A.T @ b
+    h = c - 2.0 * M * g + M * (G @ np.ones(len(free)))
+    constant = (
+        0.25 * M * float(G.sum())
+        + 0.5 * float(c.sum())
+        - M * float(g.sum())
+        + M * float(b @ b)
+        + 0.25 * M * float(np.trace(G))
+    )
+    couplings = np.triu(0.5 * M * G, 1)
+    return IsingModel(
+        couplings=couplings, fields=0.5 * h, constant=constant + float(instance.c @ x_fixed)
+    )
+
+
 def random_dense_instance(rng: np.random.Generator, n_max: int = 8) -> BlpInstance:
     """Mixed-sign dense instance (not set-partitioning shaped)."""
     n = int(rng.integers(2, n_max + 1))

@@ -256,6 +256,8 @@ class TestInstanceIO:
         # null, a bool or a string is no number, and n and m are JSON integers
         bad = [("n", None), ("kappa", None), ("n", True), ("m", True), ("n", 2.7), ("m", 1.0)]
         bad += [("kappa", True), ("optimum", True), ("kappa", "0.5")]
+        # a name is a string, and an optimum a finite number
+        bad += [("name", ["x"]), ("name", 3), ("optimum", float("nan")), ("optimum", float("inf"))]
         for key, value in bad:
             data = {"n": 2, "m": 1, "c": [1, 2], "A": [[1, 1]], "b": [1], key: value}
             path.write_text(json.dumps(data))

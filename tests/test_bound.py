@@ -265,7 +265,7 @@ class TestGwRound:
             if kind == "spp":
                 inst = generate_spp(14, 3 + trial % 4, seed=trial)
                 fixings = {trial % 14: trial % 2, (trial + 5) % 14: 0}
-                W = ising_to_maxcut(reduce(inst, compute_big_m(inst), fixings).model)
+                W = ising_to_maxcut(reduce(encode(inst, compute_big_m(inst)), fixings).model)
             elif kind == "float":
                 W = ising_to_maxcut(random_model(rng, n_max=12))
             else:
@@ -328,7 +328,7 @@ class TestLowerBound:
             inst = generate_spp(10, 3 + trial % 3, seed=trial)
             M = compute_big_m(inst)
             fixings = {trial % 10: trial % 2} if trial % 2 else {}
-            red = reduce(inst, M, fixings)
+            red = reduce(encode(inst, M), fixings)
             res = lower_bound(red.model, rng=np.random.default_rng(trial))
             x = red.merge((res.side[1:] + 1) // 2)
             r = inst.A @ x - inst.b
@@ -437,7 +437,7 @@ class TestInfeasibleByBound:
             k = int(rng.integers(1, inst.n - 1))
             idx = rng.choice(inst.n, size=k, replace=False)
             fixings = {int(i): int(rng.integers(0, 2)) for i in idx}
-            red = reduce(inst, M, fixings)
+            red = reduce(encode(inst, M), fixings)
             res = lower_bound(red.model, rng=np.random.default_rng(trial))
             lb = res.lb_value + red.model.constant
             if infeasible_by_bound(lb, feasible_ceiling(inst.c, fixings)):

@@ -174,6 +174,15 @@ class TestBaseline:
         cli.main(["baseline", str(fixture_instance), "--seed", "4", "--queries", "30"])
         assert capsys.readouterr().out == first
 
+    def test_help_shows_the_shared_defaults(self, capsys):
+        # baseline takes solve's definitions of the flags they share
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["baseline", "--help"])
+        assert exit_info.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert f"--p P QAOA depth (default {cli.DEFAULTS.p})" in out
+        assert f"(default {cli.DEFAULTS.shots})" in out
+
     def test_cost_floored_by_optimum(self, fixture_instance, capsys):
         cli.main(["baseline", str(fixture_instance), "--seed", "1", "--queries", "60"])
         out = capsys.readouterr().out

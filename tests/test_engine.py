@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import odd_cycle_instance
-from qcbb import vqa
+from qcbb import engine, ising, vqa
 from qcbb.blp import (
     BlpInstance,
     brute_force_optimum,
@@ -23,40 +23,34 @@ from qcbb.engine import (
     solve,
 )
 from qcbb.ising import encode, many_body_count
-from qcbb.vqa import SIMULATOR_LIMIT, SampleSet
-
-
-def sample_set(rows, counts):
-    rows = np.asarray(rows, dtype=np.int8)
-    counts = np.asarray(counts)
-    return SampleSet(bitstrings=rows, counts=counts, shots=int(counts.sum()))
+from qcbb.vqa import SIMULATOR_LIMIT
 
 
 class TestConflictValues:
     def test_hand_worked_example(self):
         A = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
         b = np.array([1.0, 1.0])
-        samples = sample_set([[1, 1, 0], [0, 0, 0]], [3, 1])
+        X = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
         # nu = [1, 1/4] per constraint, spread onto each constraint's variables
-        assert np.allclose(conflict_values(A, b, samples), [1.0, 1.25, 0.25])
+        assert np.allclose(conflict_values(A, b, X, np.array([3, 1])), [1.0, 1.25, 0.25])
 
     def test_all_feasible(self):
         A = np.array([[1.0, 1.0]])
         b = np.array([1.0])
-        gamma = conflict_values(A, b, sample_set([[1, 0], [0, 1]], [2, 2]))
+        gamma = conflict_values(A, b, np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([2, 2]))
         assert np.all(gamma == 0)
 
     def test_single_fully_violating_sample(self):
         A = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
         b = np.array([1.0, 1.0])
-        gamma = conflict_values(A, b, sample_set([[0, 0, 0]], [4]))
+        gamma = conflict_values(A, b, np.zeros((1, 3)), np.array([4]))
         # every constraint is violated, so gamma_i counts the constraints
         # variable i appears in
         assert np.allclose(gamma, [1.0, 1.0, 2.0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            conflict_values(np.ones((1, 3)), np.ones(1), sample_set([[1, 0]], [1]))
+            conflict_values(np.ones((1, 3)), np.ones(1), np.array([[1.0, 0.0]]), np.array([1]))
 
 
 class TestSelectBranchingVariable:
@@ -133,34 +127,36 @@ class TestPropagate:
             assert before == after
 
 
+def evaluate(inst, node, config, cutoff, lattice):
+    """``evaluate_node`` on the encoded master of ``inst`` with its big M."""
+    M = compute_big_m(inst)
+    return evaluate_node(inst, encode(inst, M), M, node, config, cutoff, lattice)
+
+
 class TestEvaluateNode:
     def test_propagation_leaf_is_fathomed(self):
         inst = BlpInstance(c=[2.0, 3.0], A=[[1.0, 0.0], [0.0, 1.0]], b=[1.0, 0.0])
         node = Node(id=0, parent=None, fixings={}, local_lb=-np.inf)
-        ev = evaluate_node(
-            inst, compute_big_m(inst), node, SolverConfig(seed=0), None, objective_lattice(inst.c)
-        )
+        ev = evaluate(inst, node, SolverConfig(seed=0), None, objective_lattice(inst.c))
         assert ev.record.outcome == "fathomed_leaf"
-        ((value, x, feasible),) = ev.candidates
+        value, x, feasible = ev.candidates[0]
         assert feasible and value == 2.0
         assert np.array_equal(x, [1, 0])
 
     def test_inherited_bound_at_penalty_prunes_infeasible(self, three_var_instance):
         M = compute_big_m(three_var_instance)
         node = Node(id=0, parent=None, fixings={}, local_lb=M + 5.0)
-        ev = evaluate_node(three_var_instance, M, node, SolverConfig(seed=0), None, 1.0)
+        ev = evaluate(three_var_instance, node, SolverConfig(seed=0), None, 1.0)
         assert ev.record.outcome == "pruned_infeasible" and ev.record.reason == "bound"
 
     def test_incumbent_prunes(self, three_var_instance):
-        M = compute_big_m(three_var_instance)
         node = Node(id=0, parent=None, fixings={}, local_lb=0.9)
-        ev = evaluate_node(three_var_instance, M, node, SolverConfig(seed=0), 0.5, 1.0)
+        ev = evaluate(three_var_instance, node, SolverConfig(seed=0), 0.5, 1.0)
         assert ev.record.outcome == "pruned_bound"
 
     def test_root_branches_on_one_variable(self, three_var_instance):
-        M = compute_big_m(three_var_instance)
         node = Node(id=0, parent=None, fixings={}, local_lb=-np.inf)
-        ev = evaluate_node(three_var_instance, M, node, SolverConfig(seed=1), None, 1.0)
+        ev = evaluate(three_var_instance, node, SolverConfig(seed=1), None, 1.0)
         assert ev.record.outcome == "branched"
         (zero, _), (one, _) = ev.children
         assert ev.branch_var not in ev.record.fixings
@@ -171,9 +167,8 @@ class TestEvaluateNode:
         # 3-cycle of equality pairs has no binary solution, yet every row
         # passes activity propagation; only the penalty bound can refute it
         inst = odd_cycle_instance()
-        M = compute_big_m(inst)
         node = Node(id=0, parent=None, fixings={}, local_lb=-np.inf)
-        ev = evaluate_node(inst, M, node, SolverConfig(seed=0), None, objective_lattice(inst.c))
+        ev = evaluate(inst, node, SolverConfig(seed=0), None, objective_lattice(inst.c))
         assert ev.record.outcome == "pruned_infeasible" and ev.record.reason == "bound"
         for x in enumerate_assignments(inst.n):
             assert not inst.is_feasible(x)
@@ -343,6 +338,36 @@ class TestSolve:
         branched = sum(r.outcome == "branched" for r in res.node_records.values())
         assert branched > 1
         assert calls == [branched]
+
+    def test_one_encode_per_run(self, monkeypatch):
+        # nodes restrict the master model; nothing encodes it again
+        calls = [0]
+        original = ising.encode
+
+        def counted(instance, M):
+            calls[0] += 1
+            return original(instance, M)
+
+        monkeypatch.setattr(ising, "encode", counted)
+        monkeypatch.setattr(engine, "encode", counted)
+        config = SolverConfig(p=1, node_queries=4, shots=16, seed=0)
+        res = solve(generate_spp(10, 3, seed=21), config)
+        assert res.nodes_evaluated > 1
+        assert calls == [1]
+        run_plain_qaoa(generate_spp(8, 3, seed=0), config, queries=4)
+        assert calls == [2]
+
+    def test_fathomed_leaf_answer_is_its_exact_cost(self):
+        # propagation fixes x = (1, 1) at the root; restricting the master
+        # model to no free variable gives the constant 4.900000000000002,
+        # while the leaf is scored on the master data as c.x
+        inst = BlpInstance(
+            c=[2.95, 1.95], A=[[0.5, -0.5], [-0.5, 0.5], [1.0, 0.0]], b=[0, 0, 1], kappa=0.5
+        )
+        res = solve(inst, SolverConfig(seed=0))
+        assert res.node_records[0].outcome == "fathomed_leaf"
+        assert res.status == "optimal"
+        assert res.best_value == inst.c @ res.best_assignment == 4.9
 
     def test_rejects_oversized_instance(self):
         inst = generate_spp(SIMULATOR_LIMIT + 1, 7, seed=0)

@@ -133,6 +133,19 @@ class TestExportImport:
             ("bad.json", '[{"wall_time_s": 1e-06, "node_index": true, "kind": "done"}]'),
             ("bad.json", '[{"wall_time_s": 1e-06, "node_index": 0, "kind": "done", "status": 1}]'),
             ("bad.json", '[{"wall_time_s": null, "node_index": 0, "kind": "done"}]'),
+            ("bad.csv", ",".join(CSV_COLUMNS) + "\n1e-06,0,node_start,,,,,,\n2e-06,0,done,nan,,,,,\n"),
+            (
+                "bad.csv",
+                ",".join(CSV_COLUMNS) + "\n1e-06,0,node_start,,,,,,\n2e-06,0,optimizer_query,,,inf,1,,\n",
+            ),
+            ("bad.csv", ",".join(CSV_COLUMNS) + "\n1e-06,0,node_start,,,,,,\n2e-06,-1,node_start,,,,,,\n"),
+            ("bad.json", '[{"wall_time_s": 1e-06, "node_index": 0, "kind": "done", "ub": NaN}]'),
+            ("bad.json", '[{"wall_time_s": -Infinity, "node_index": 0, "kind": "done"}]'),
+            (
+                "bad.json",
+                '[{"wall_time_s": 1e-06, "node_index": 0, "kind": "optimizer_query",'
+                ' "query_index": -3, "expectation": 1.0}]',
+            ),
         ],
         ids=[
             "json_unknown_key",
@@ -141,6 +154,12 @@ class TestExportImport:
             "json_bool_index",
             "json_int_status",
             "json_null_time",
+            "csv_nan_lb",
+            "csv_inf_expectation",
+            "csv_negative_node_index",
+            "json_nan_ub",
+            "json_minus_infinity_time",
+            "json_negative_query_index",
         ],
     )
     def test_malformed_row_rejected(self, tmp_path, name, text):
