@@ -175,9 +175,8 @@ def brute_force_optimum(instance: BlpInstance) -> BruteForceResult:
     feas = np.all(np.abs(res) <= FEASIBILITY_TOL, axis=1)
     if not feas.any():
         return BruteForceResult(feasible=False, value=None)
-    costs = X[feas] @ instance.c
-    best = int(np.argmin(costs))
-    return BruteForceResult(feasible=True, value=float(costs[best]), assignment=X[feas][best].copy())
+    best = X[feas][int(np.argmin(X[feas] @ instance.c))]
+    return BruteForceResult(feasible=True, value=float(instance.c @ best), assignment=best.copy())
 
 
 def worst_feasible_cost(instance: BlpInstance) -> float | None:
@@ -208,27 +207,36 @@ def instance_to_dict(instance: BlpInstance) -> dict:
 
 
 def _is_json_number(value, kind: type) -> bool:
-    """A JSON integer for int, any JSON number for float. A bool is neither,
-    and 2.7 is not rounded to an int."""
-    return not isinstance(value, bool) and isinstance(value, int if kind is int else (int, float))
+    """A JSON integer for int; for float, a JSON number that is a finite
+    float, which an integer too large for a float is not. A bool is
+    neither, and 2.7 is not rounded to an int."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        return False
+    try:
+        return kind is int or math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _scalar_field(data: dict, key: str, kind: type):
-    """``data[key]`` as ``kind`` (see ``_is_json_number``), finite."""
+    """``data[key]`` as ``kind`` (see ``_is_json_number``)."""
     value = data[key]
-    if not _is_json_number(value, kind) or (kind is float and not math.isfinite(value)):
+    if not _is_json_number(value, kind):
         what = "an integer" if kind is int else "a finite number"
         raise InstanceFormatError(f"field {key!r} is not {what}: {value!r}")
     return kind(value)
 
 
 def _array_field(data: dict, key: str) -> np.ndarray:
-    """``data[key]`` as a float array whose every entry is a JSON number:
-    ``np.asarray(..., dtype=float)`` alone would load true as 1 and "1" as 1."""
+    """``data[key]`` as a float array whose every entry is a finite JSON
+    number: ``np.asarray(..., dtype=float)`` alone would load true as 1 and
+    "1" as 1, and raise OverflowError on an integer too large for a float."""
     arr = np.asarray(data[key], dtype=object)
     for value in arr.flat:
         if not _is_json_number(value, float):
-            raise InstanceFormatError(f"field {key!r} has an entry that is not a number: {value!r}")
+            raise InstanceFormatError(
+                f"field {key!r} has an entry that is not a finite number: {value!r}"
+            )
     return arr.astype(float)
 
 

@@ -1,14 +1,16 @@
 """Conflict-driven branch and bound around a variational quantum subroutine.
 
-Each node is a partial assignment of the master problem. Evaluating a node
-propagates forced fixings, restricts the master's model to the free
+Each node is a partial assignment of the master problem. Opening a node
+propagates its forced fixings; a node that propagation refutes is never
+evaluated. Evaluating an open node restricts the master's model to the free
 variables, computes a MaxCut-based lower bound (plus the restricted model's
-constant, so bounds live in the master frame), and either prunes, fathoms,
-or runs the QAOA subroutine to sample candidate solutions. When every cost
-is an integer, the bound is rounded up to the lattice g*Z of objective
-values (g = gcd of the costs), so it bounds the best feasible objective of
-the node. Violated constraints in the samples yield
-per-variable conflict values; the most conflicting variable is branched on.
+constant, so bounds live in the master frame), applies the prune rule once
+to that bound, and then fathoms a leaf or runs the QAOA subroutine to
+sample candidate solutions. When every cost is an integer, the bound is
+rounded up to the lattice g*Z of objective values (g = gcd of the costs),
+so it bounds the best feasible objective of the node. Violated constraints
+in the samples yield per-variable conflict values; the most conflicting
+variable is branched on.
 Candidates come from the samples and from the Goemans-Williamson rounded cut
 of the bound's relaxation; each incumbent update records which one (or a
 fathomed leaf) supplied it. Best-first selection by lowest lower bound;
@@ -18,7 +20,8 @@ feasible solution. Nodes are evaluated one at a time, so a run is
 deterministic for a fixed seed.
 
 ``evaluate_node`` returns the node's ``NodeRecord``, which ``solve`` keeps,
-with what ``solve`` applies: query expectations, candidates and children.
+with what ``solve`` applies: query expectations, candidates and the
+branching variable, whose two children ``solve`` opens.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 
 from . import bound as bound_mod
 from . import vqa
-from .blp import FEASIBILITY_TOL, BlpInstance, compute_big_m
+from .blp import FEASIBILITY_TOL, BlpInstance, compute_big_m, penalized_cost
 from .bound import OPTIMALITY_TOL
 from .ising import IsingModel, encode, many_body_count, reduce
 from .metrics import TraceEvent, TraceRecorder, many_body_fraction
@@ -93,16 +96,12 @@ class SolverConfig:
 
 @dataclass
 class Node:
-    """An open subproblem: fixings over original indices plus inherited bound."""
+    """An open subproblem: propagated fixings plus inherited bound."""
 
     id: int
     parent: int | None
     fixings: dict[int, int]
     local_lb: float
-
-    @property
-    def depth(self) -> int:
-        return len(self.fixings)
 
 
 @dataclass
@@ -170,7 +169,6 @@ class NodeEvaluation:
     candidates: tuple[tuple[float, np.ndarray, bool], ...] = ()
     candidate_source: str | None = None  # qaoa | gw | leaf
     branch_var: int | None = None
-    children: tuple[tuple[dict[int, int], bool], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -277,17 +275,23 @@ def _evaluate_candidates(
     """Candidates among the rows of ``full``, each a 0/1 assignment of the
     master variables: the best penalized one as (value, x, feasible), with
     value c.x + M ||Ax - b||^2, then the best feasible one if any; and the
-    row of the best penalized one (the first on ties)."""
+    row of the best penalized one (the first on ties).
+
+    Rows are ranked on one matrix product, whose sums can differ from a dot
+    product's in the last bit on fractional costs; each chosen row's value
+    is ``penalized_cost``, so a feasible row's value is exactly c.x."""
     residual = full @ master.A.T - master.b
     penalized = full @ master.c + M * np.sum(residual * residual, axis=1)
     feasible = np.all(np.abs(residual) <= FEASIBILITY_TOL, axis=1)
     best = int(np.argmin(penalized))
-    candidates = [(float(penalized[best]), full[best].copy(), bool(feasible[best]))]
+    rows = [best]
     if feasible.any():
         order = np.where(feasible)[0]
-        j = order[int(np.argmin(penalized[order]))]
-        candidates.append((float(penalized[j]), full[j].copy(), True))
-    return tuple(candidates), best
+        rows.append(int(order[np.argmin(penalized[order])]))
+    candidates = tuple(
+        (penalized_cost(master, full[j], M), full[j].copy(), bool(feasible[j])) for j in rows
+    )
+    return candidates, best
 
 
 def _run_vqa(
@@ -337,28 +341,31 @@ def evaluate_node(
     cutoff: float | None,
     lattice: float | None,
 ) -> NodeEvaluation:
-    """Full lifecycle of one node; pure given the node's seed streams.
+    """Full lifecycle of one open node; pure given the node's seed streams.
 
-    Ordering: propagation; the prune rule on the inherited bound; restricting
-    ``model`` (``encode(master, M)``) to the free variables and bounding; the
-    prune rule on the node bound; leaf fathoming; the variational subroutine;
-    then branching on the most conflicting variable with both children
-    re-propagated. Both prune checks measure the bound against the node's
-    feasible ceiling T, computed once after propagation, and against
-    ``cutoff`` (``Incumbent.cutoff``; None prunes nothing).
+    ``node.fixings`` are already propagated (``solve`` opens every node
+    through ``propagate``). Ordering: restricting ``model``
+    (``encode(master, M)``) to the free variables and bounding; the prune
+    rule, once, on the node bound; leaf fathoming; the variational
+    subroutine; then choosing the most conflicting variable to branch on.
+    The prune rule measures the bound against the node's feasible ceiling T
+    and against ``cutoff`` (``Incumbent.cutoff``; None prunes nothing).
 
     Every exit builds the node's ``NodeRecord`` once, through ``finish``,
-    with the bound and many-body count reached by then. A branched node's
-    evaluation also holds every query's expectation in the master frame,
-    the best penalized candidate then the best feasible one (if any), and
-    the children as (fixings, feasible) pairs on ``branch_var``.
+    with the node bound and many-body count. A branched node's evaluation
+    also holds every query's expectation in the master frame, the best
+    penalized candidate then the best feasible one (if any), and
+    ``branch_var``, on which ``solve`` opens the children.
 
-    The node bound is the SDP bound on the penalized cost, which is also a
-    bound on the best feasible objective f* of the node (a feasible point
-    pays no penalty). With ``lattice`` g (``bound.objective_lattice``; None
-    for fractional costs) f* lies on g*Z, so the bound is rounded up to
-    g * ceil((lb - tol) / g) (``bound.round_up_to_lattice``). The rounded
-    bound bounds f*, not the penalized minimum, and each use stays sound:
+    The node bound is the larger of the inherited bound and the SDP bound on
+    the penalized cost, which is also a bound on the best feasible objective
+    f* of the node (a feasible point pays no penalty). Both prune
+    inequalities are monotone in the bound, so the one check after bounding
+    prunes every node the inherited bound alone would. With ``lattice`` g
+    (``bound.objective_lattice``; None for fractional costs) f* lies on g*Z,
+    so the bound is rounded up to g * ceil((lb - tol) / g)
+    (``bound.round_up_to_lattice``). The rounded bound bounds f*, not the
+    penalized minimum, and each use stays sound:
 
     - infeasibility prune: feasible objectives lie in [ceil(lb - tol), T],
       and T is itself on the lattice, so rounding proves no node empty that
@@ -373,35 +380,25 @@ def evaluate_node(
     At a branched node the best hyperplane-rounded cut of the bound's
     relaxation follows the QAOA samples as the last row. The rows, or a
     fathomed leaf's one point, are merged with the fixings into master
-    assignments once and scored by ``_evaluate_candidates`` as
+    assignments once and ranked by ``_evaluate_candidates`` on
     c.x + M ||Ax - b||^2, feasibility checked, and the cheapest row is
     offered (``candidate_source``; a tie keeps the sample). The conflict
     values read the merged sample rows alone, so branching ignores the cut.
     """
-    fixings, feasible = propagate(master.A, master.b, node.fixings)
-    node_lb, many_body = node.local_lb, None
+    red = reduce(model, node.fixings)
+    bres = bound_mod.lower_bound(red.model, _node_rng(config.seed, node.id, 0))
+    node_lb = bound_mod.round_up_to_lattice(
+        max(node.local_lb, bres.lb_value + red.model.constant), lattice
+    )
+    many_body = many_body_count(red.model)
 
     def finish(outcome: str, reason: str | None = None, **rest) -> NodeEvaluation:
-        # The record takes the bound and many-body count reached so far.
-        n_free = master.n - len(fixings)
         record = NodeRecord(
-            node.id, node.parent, outcome, reason, node_lb, fixings, n_free, many_body
+            node.id, node.parent, outcome, reason, node_lb, node.fixings, red.n_free, many_body
         )
         return NodeEvaluation(record, **rest)
 
-    if not feasible:
-        return finish("pruned_infeasible", "propagation")
-    ceiling = bound_mod.feasible_ceiling(master.c, fixings)
-    pruned = _prune(node_lb, ceiling, cutoff, config)
-    if pruned is not None:
-        return finish(*pruned)
-
-    red = reduce(model, fixings)
-    bres = bound_mod.lower_bound(red.model, _node_rng(config.seed, node.id, 0))
-    node_lb = bound_mod.round_up_to_lattice(
-        max(node_lb, bres.lb_value + red.model.constant), lattice
-    )
-    many_body = many_body_count(red.model)
+    ceiling = bound_mod.feasible_ceiling(master.c, node.fixings)
     pruned = _prune(node_lb, ceiling, cutoff, config)
     if pruned is not None:
         return finish(*pruned)
@@ -424,7 +421,6 @@ def evaluate_node(
         candidates=candidates,
         candidate_source="gw" if best == len(full) - 1 else "qaoa",
         branch_var=k,
-        children=tuple(propagate(master.A, master.b, {**fixings, k: v}) for v in (0, 1)),
     )
 
 
@@ -440,9 +436,10 @@ _OUTCOME_EVENTS = {
 def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveResult:
     """Best-first branch and bound to proven optimality or a configured stop.
 
-    Pops one node at a time, evaluates it against the current incumbent
-    cutoff and applies the result, so the trace is deterministic for a
-    fixed seed.
+    Every node, the root included, is opened once by ``open_node``, which
+    propagates its fixings and queues it or records it refuted. Pops one
+    node at a time, evaluates it against the current incumbent cutoff and
+    applies the result, so the trace is deterministic for a fixed seed.
     """
     if config is None:
         config = SolverConfig()
@@ -461,14 +458,24 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
     records: dict[int, NodeRecord] = {}
 
     ids = itertools.count()
-    root = Node(id=next(ids), parent=None, fixings={}, local_lb=-np.inf)
     heap: list[tuple[float, int, int, Node]] = []
-    heapq.heappush(heap, (root.local_lb, -root.depth, root.id, root))
-
     global_lb = -np.inf
     node_index = -1
     query_count = 0
     status: str | None = None
+
+    def open_node(parent: int | None, lb: float, fixings: dict[int, int]) -> None:
+        node_id = next(ids)
+        fixings, feasible = propagate(instance.A, instance.b, fixings)
+        if feasible:
+            node = Node(node_id, parent, fixings, lb)
+            heapq.heappush(heap, (lb, -len(fixings), node_id, node))
+            return
+        rec.record("prune", max(node_index, 0), status="infeasible")
+        records[node_id] = NodeRecord(
+            node_id, parent, "pruned_infeasible", "propagation", lb, fixings,
+            instance.n - len(fixings),
+        )
 
     def apply_evaluation(ev: NodeEvaluation) -> None:
         nonlocal query_count
@@ -487,17 +494,9 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
         fraction = None if mb is None else many_body_fraction(mb, master_mb)
         rec.record(kind, node_index, status=event_status, many_body_fraction=fraction)
         records[done.node_id] = done
-        for fixings, feasible in ev.children:
-            cid = next(ids)
-            if feasible:
-                child = Node(id=cid, parent=done.node_id, fixings=fixings, local_lb=done.local_lb)
-                heapq.heappush(heap, (child.local_lb, -child.depth, child.id, child))
-                continue
-            rec.record("prune", node_index, status="infeasible")
-            records[cid] = NodeRecord(
-                cid, done.node_id, "pruned_infeasible", "propagation", done.local_lb, fixings,
-                instance.n - len(fixings),
-            )
+        if ev.branch_var is not None:
+            for value in (0, 1):
+                open_node(done.node_id, done.local_lb, {**done.fixings, ev.branch_var: value})
 
     def refresh_global_lb() -> None:
         nonlocal global_lb
@@ -513,6 +512,7 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
             global_lb = candidate
             rec.record("bound_update", max(node_index, 0), lb=global_lb)
 
+    open_node(None, -np.inf, {})
     while heap:
         if (
             incumbent.best_feasible_value is not None
@@ -546,15 +546,9 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
         refresh_global_lb()
 
     if status is None:
-        if incumbent.best_feasible_value is not None:
-            # Exhausted tree proves optimality; bounds meet at the incumbent.
-            status = "optimal"
-            global_lb = max(
-                global_lb,
-                min(incumbent.best_feasible_value, incumbent.best_penalized_value),
-            )
-        else:
-            status = "infeasible"
+        # An exhausted tree proves optimality. The last refresh_global_lb ran
+        # on an empty heap and raised global_lb to the best penalized value.
+        status = "infeasible" if incumbent.best_feasible_value is None else "optimal"
     rec.record(
         "done",
         max(node_index, 0),

@@ -28,10 +28,8 @@ product's output.
 A phase layer multiplies by exp(-i*gamma*E_z). Cost diagonals repeat few
 energies, so ``phase_table`` lists the distinct energies once with each
 entry's index among them, and a layer evaluates its factors only on those.
-``phase_factors`` writes cos and sin of the real angle -gamma*E into one
-complex array, the value exp(-i*gamma*E) takes, without the complex exp;
-the two agree within one ulp per part. Every entry meets the same
-elementwise functions of the same float as it would on the full diagonal.
+Every entry meets the same elementwise function of the same float as it
+would on the full diagonal.
 
 Angle optimization is derivative-free under a query cap: Nelder-Mead runs
 with random restarts, every expectation evaluation is recorded, and the best
@@ -142,15 +140,6 @@ def phase_table(diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(diag, return_inverse=True)
 
 
-def phase_factors(levels: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(-i*gamma*levels), written as cos + i*sin of the real angle."""
-    theta = -gamma * levels
-    factors = np.empty(theta.shape, dtype=complex)
-    np.cos(theta, out=factors.real)
-    np.sin(theta, out=factors.imag)
-    return factors
-
-
 def qaoa_state(
     diag: np.ndarray,
     params: QaoaParams,
@@ -167,7 +156,7 @@ def qaoa_state(
     levels, index = phase_table(diag) if table is None else table
     state = np.full(size, 1.0 / np.sqrt(size), dtype=complex)
     for gamma, beta in zip(params.gammas, params.betas):
-        state *= phase_factors(levels, gamma)[index]
+        state *= np.exp(-1j * gamma * levels)[index]
         if n_spins:
             state = _apply_mixer(state, beta, n_spins)
     return state

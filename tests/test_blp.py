@@ -258,6 +258,8 @@ class TestInstanceIO:
         bad += [("kappa", True), ("optimum", True), ("kappa", "0.5")]
         # a name is a string, and an optimum a finite number
         bad += [("name", ["x"]), ("name", 3), ("optimum", float("nan")), ("optimum", float("inf"))]
+        # an integer too large for a float would raise OverflowError
+        bad += [("optimum", 10**400), ("kappa", -(10**400))]
         for key, value in bad:
             data = {"n": 2, "m": 1, "c": [1, 2], "A": [[1, 1]], "b": [1], key: value}
             path.write_text(json.dumps(data))
@@ -270,8 +272,14 @@ class TestInstanceIO:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("c", [True, 2]), ("c", ["1", 2]), ("A", [[1, False]]), ("b", ["1"])],
-        ids=["bool_in_c", "string_in_c", "bool_in_A", "string_in_b"],
+        [
+            ("c", [True, 2]),
+            ("c", ["1", 2]),
+            ("A", [[1, False]]),
+            ("b", ["1"]),
+            ("c", [10**400, 2]),
+        ],
+        ids=["bool_in_c", "string_in_c", "bool_in_A", "string_in_b", "huge_int_in_c"],
     )
     def test_array_entry_not_a_number(self, tmp_path, key, value):
         # a float array would load true and "1" as 1

@@ -61,8 +61,9 @@ class TestSolve:
         events = load_trace(trace)
         assert events[-1].kind == "done" and events[-1].status == "optimal"
 
-    def test_infeasible_exit_code(self, infeasible_instance):
+    def test_infeasible_exit_code(self, infeasible_instance, capsys):
         assert cli.main(["solve", str(infeasible_instance), "--seed", "0"]) == 2
+        assert "nodes 0" in capsys.readouterr().out.splitlines()
 
     def test_node_limit_exit_code(self, tmp_path, capsys):
         from qcbb.blp import generate_spp
@@ -80,6 +81,14 @@ class TestSolve:
         path.write_text(json.dumps({"n": 2, "m": 1, "c": [1, 2], "A": [[1, 0.5]], "b": [1]}))
         assert cli.main(["solve", str(path)]) == 1
         assert "kappa" in capsys.readouterr().err
+
+    def test_integer_too_large_for_a_float_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        for key, value in (("optimum", 10**400), ("c", [10**400, 2])):
+            data = {"n": 2, "m": 1, "c": [1, 2], "A": [[1, 1]], "b": [1], key: value}
+            path.write_text(json.dumps(data))
+            assert cli.main(["solve", str(path)]) == 1
+            assert f"field '{key}'" in capsys.readouterr().err
 
     def test_reproducible_trace_bytes(self, fixture_instance, tmp_path):
         t1, t2 = tmp_path / "a.csv", tmp_path / "b.csv"
