@@ -82,9 +82,6 @@ class BlpInstance:
             raise ValueError(f"assignment has shape {x.shape}, expected ({self.n},)")
         return self.A @ x - self.b
 
-    def is_feasible(self, x: np.ndarray, tol: float = FEASIBILITY_TOL) -> bool:
-        return bool(np.max(np.abs(self.residual(x)), initial=0.0) <= tol)
-
 
 def compute_big_m(instance: BlpInstance) -> float:
     """Penalty constant ``M = sum_i |c_i| / min(kappa, kappa^2)``.
@@ -96,10 +93,26 @@ def compute_big_m(instance: BlpInstance) -> float:
     ``kappa^2`` term matters only for ``kappa < 1``; with ``kappa >= 1``
     this is ``sum|c| / kappa``. A zero objective would give M = 0 and a
     vanishing penalty, so ``sum|c|`` is floored at 1.
+
+    Raises ValueError unless ``kappa^2 > 0`` and the largest penalty any
+    point can pay is below 2^53:
+
+        M * sum_j (sum_i |A_ji| + |b_j|)^2 < 2^53,
+
+    the range in which a float holds every integer. A larger M swamps the
+    costs in the rounding of the energies and of the bound, and the search
+    can prune the optimum; a tiny ``kappa`` is the usual cause.
     """
     total = float(np.sum(np.abs(instance.c))) or 1.0
     kappa = instance.kappa
-    return total / min(kappa, kappa * kappa)
+    M = total / min(kappa, kappa * kappa) if kappa * kappa > 0.0 else math.inf
+    worst = float(np.sum((np.abs(instance.A).sum(axis=1) + np.abs(instance.b)) ** 2))
+    if not M * worst < 2.0**53:
+        raise ValueError(
+            f"the penalty M * ||Ax - b||^2 can reach 2^53 (M = {M:g} at kappa = {kappa:g}), "
+            "beyond a float's exact integers"
+        )
+    return M
 
 
 def penalized_cost(instance: BlpInstance, x: np.ndarray, M: float) -> float:
@@ -264,6 +277,7 @@ def instance_from_dict(data: dict) -> BlpInstance:
             kappa=_scalar_field(data, "kappa", float) if "kappa" in data else 1.0,
             optimum=None if data.get("optimum") is None else _scalar_field(data, "optimum", float),
         )
+        compute_big_m(instance)
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from exc
     # compute_big_m assumes a violated row misses b by at least kappa, which

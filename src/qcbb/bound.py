@@ -38,6 +38,8 @@ from .ising import IsingModel
 OPTIMALITY_TOL = 1e-9
 # Relative duality gap at which solve_sdp stops, on W scaled to max|W| = 1.
 SDP_TOL = 1e-9
+# Random hyperplanes per gw_round call.
+GW_ROUNDS = 64
 
 
 @dataclass(frozen=True)
@@ -139,22 +141,14 @@ def sdp_upper_bound(y: np.ndarray, W: np.ndarray) -> float:
     return 0.25 * float(W.sum()) + float(y.sum()) - W.shape[0] * min(lam_min, 0.0)
 
 
-def gw_round(
-    V: np.ndarray,
-    W: np.ndarray,
-    rounds: int = 64,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, np.ndarray]:
-    """Best cut over random hyperplanes, all rounds at once (the first best
-    round wins ties); the returned side vector has vertex 0 on the + side.
+def gw_round(V: np.ndarray, W: np.ndarray, rng: np.random.Generator) -> tuple[float, np.ndarray]:
+    """Best cut over GW_ROUNDS random hyperplanes drawn with ``rng``, all at
+    once (the first best round wins ties); the returned side vector has
+    vertex 0 on the + side.
 
     A side vector s cuts sum_(u<v) W_uv (1 - s_u s_v)/2 = (sum(W) - s^T W s)/4.
     """
-    if rounds < 1:
-        raise ValueError("need at least one rounding round")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    H = rng.normal(size=(rounds, V.shape[1]))
+    H = rng.normal(size=(GW_ROUNDS, V.shape[1]))
     sides = np.where(H @ V.T >= 0.0, 1, -1)
     values = 0.25 * (float(W.sum()) - np.sum((sides @ W) * sides, axis=1))
     best = int(np.argmax(values))
@@ -162,7 +156,7 @@ def gw_round(
     return float(values[best]), best_side
 
 
-def lower_bound(model: IsingModel, rng: np.random.Generator | None = None) -> BoundResult:
+def lower_bound(model: IsingModel, rng: np.random.Generator) -> BoundResult:
     """Lower bound -2 z_sdp + W on the constant-free ground-state energy.
 
     z_sdp >= z* is the certified relaxation value, so the bound holds for
@@ -175,7 +169,7 @@ def lower_bound(model: IsingModel, rng: np.random.Generator | None = None) -> Bo
         return BoundResult(lb_value=0.0, side=np.ones(W.shape[0], dtype=int))
     V, y = solve_sdp(W)
     z_sdp = sdp_upper_bound(y, W)
-    _, side = gw_round(V, W, rng=rng)
+    _, side = gw_round(V, W, rng)
     return BoundResult(lb_value=-2.0 * z_sdp + 0.5 * float(W.sum()), side=side)
 
 

@@ -3,10 +3,9 @@
 Exit codes for ``solve``: 0 when optimal or the gap target was reached, 2 on
 a proven infeasible instance, 3 when a node or time limit stopped the run,
 1 on usage, configuration or I/O errors. A JSON config file may set any
-``engine.SolverConfig`` field but the library-only ``prune``, and the
-baseline's ``queries``, under the flag's name; explicit flags override the
-file. ``SolverConfig`` owns each setting's default and rejects a value of
-another JSON type or out of range.
+``engine.SolverConfig`` field, and the baseline's ``queries``, under the
+flag's name; explicit flags override the file. ``SolverConfig`` owns each
+setting's default and rejects a value of another JSON type or out of range.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ EXIT_LIMIT = 3
 BRUTE_FORCE_REPORT_MAX_N = 16
 
 DEFAULTS = engine.SolverConfig()
-CONFIG_KEYS = {f.name for f in dataclasses.fields(engine.SolverConfig)} - {"prune"} | {"queries"}
+CONFIG_KEYS = {f.name for f in dataclasses.fields(engine.SolverConfig)} | {"queries"}
 
 
 def _settings(args: argparse.Namespace) -> tuple[engine.SolverConfig, int]:

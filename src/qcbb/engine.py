@@ -79,7 +79,6 @@ class SolverConfig:
     time_limit: float | None = None
     gap: float | None = None
     seed: int = 0
-    prune: bool = True
     wall_clock: bool = False
 
     def __post_init__(self):
@@ -154,10 +153,6 @@ class NodeRecord:
     fixings: dict[int, int]
     n_free: int
     many_body_count: int | None = None
-
-    @property
-    def depth(self) -> int:
-        return len(self.fixings)
 
 
 @dataclass(frozen=True)
@@ -314,17 +309,13 @@ def _run_vqa(
     return tuple(v + model.constant for v in values), samples
 
 
-def _prune(
-    lb: float, ceiling: float, cutoff: float | None, config: SolverConfig
-) -> tuple[str, str | None] | None:
+def _prune(lb: float, ceiling: float, cutoff: float | None) -> tuple[str, str | None] | None:
     """The prune rule, as (outcome, reason), or None when the node survives.
 
     Infeasible when ``bound.infeasible_by_bound(lb, ceiling)``, i.e.
     lb > T + tol; otherwise dominated when lb >= the incumbent cutoff
     (``Incumbent.cutoff``).
     """
-    if not config.prune:
-        return None
     if bound_mod.infeasible_by_bound(lb, ceiling):
         return "pruned_infeasible", "bound"
     if cutoff is not None and lb >= cutoff:
@@ -399,7 +390,7 @@ def evaluate_node(
         return NodeEvaluation(record, **rest)
 
     ceiling = bound_mod.feasible_ceiling(master.c, node.fixings)
-    pruned = _prune(node_lb, ceiling, cutoff, config)
+    pruned = _prune(node_lb, ceiling, cutoff)
     if pruned is not None:
         return finish(*pruned)
 
@@ -539,9 +530,9 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
             break
 
         node = heapq.heappop(heap)[3]
-        ev = evaluate_node(instance, model, M, node, config, incumbent.cutoff(), lattice)
         node_index += 1
         rec.record("node_start", node_index)
+        ev = evaluate_node(instance, model, M, node, config, incumbent.cutoff(), lattice)
         apply_evaluation(ev)
         refresh_global_lb()
 

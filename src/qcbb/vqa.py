@@ -81,11 +81,10 @@ class QaoaParams:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Distinct measured bitstrings (rows) with counts summing to the shots."""
+    """Distinct measured bitstrings (rows) with their positive counts."""
 
     bitstrings: np.ndarray
     counts: np.ndarray
-    shots: int
 
     def __post_init__(self):
         if self.bitstrings.ndim != 2:
@@ -94,8 +93,6 @@ class SampleSet:
             raise ValueError("one count per bitstring required")
         if np.any(self.counts <= 0):
             raise ValueError("counts must be positive")
-        if int(self.counts.sum()) != self.shots:
-            raise ValueError("counts must sum to the number of shots")
 
 
 def build_diagonal(model: IsingModel) -> np.ndarray:
@@ -179,7 +176,7 @@ def sample(state: np.ndarray, q: int, rng: np.random.Generator) -> SampleSet:
     draws = rng.choice(state.size, size=q, p=probs)
     values, counts = np.unique(draws, return_counts=True)
     bitstrings = ((values[:, None] >> np.arange(max(n_spins, 1))) & 1)[:, :n_spins]
-    return SampleSet(bitstrings=bitstrings.astype(np.int8), counts=counts, shots=q)
+    return SampleSet(bitstrings=bitstrings.astype(np.int8), counts=counts)
 
 
 class _StopQueries(Exception):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qcbb.blp import BlpInstance
+from qcbb.blp import FEASIBILITY_TOL, BlpInstance
 from qcbb.bound import ising_to_maxcut
 from qcbb.ising import IsingModel
 from qcbb.vqa import MIXER_BLOCK, QaoaParams
@@ -21,6 +21,11 @@ ALPHA = 0.87856
 def three_var_instance() -> BlpInstance:
     # optimum 1 at x = (0, 1, 0)
     return BlpInstance(c=[1.0, 1.0, 1.0], A=[[1, 1, 0], [0, 1, 1]], b=[1, 1])
+
+
+def is_feasible(instance: BlpInstance, x: np.ndarray) -> bool:
+    """Whether the binary assignment x satisfies Ax = b within FEASIBILITY_TOL."""
+    return bool(np.max(np.abs(instance.residual(x)), initial=0.0) <= FEASIBILITY_TOL)
 
 
 def sigma_of_x(x: np.ndarray) -> np.ndarray:
@@ -261,6 +266,17 @@ def random_dense_instance(rng: np.random.Generator, n_max: int = 8) -> BlpInstan
     b = np.round(rng.normal(size=m) * 2.0, 1)
     c = np.round(rng.normal(size=n) * 5.0, 1)
     return BlpInstance(c=c, A=A, b=b)
+
+
+def subset_sum_instance(n: int, seed: int, costs: tuple[int, int] = (-20, 20)) -> BlpInstance:
+    """One row a @ x = floor(sum(a) / 2), a drawn from 1..29 and c from
+    ``costs`` (both ends included) with ``default_rng(seed)``. Its general
+    integer coefficients build trees of many nodes, where set-partitioning
+    draws mostly close at the root."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(1, 30, n)
+    c = rng.integers(costs[0], costs[1] + 1, n)
+    return BlpInstance(c=c, A=[a], b=[a.sum() // 2])
 
 
 def odd_cycle_instance(

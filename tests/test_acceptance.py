@@ -17,6 +17,7 @@ from conftest import (
     odd_cycle_instance,
     random_dense_instance,
     random_model,
+    subset_sum_instance,
     total_weight,
 )
 from qcbb.blp import (
@@ -213,19 +214,27 @@ def test_criterion_6_infeasibility_prune_safety(spp_runs, crafted_runs):
 
 
 def test_criterion_7_pruning_neutrality():
+    # The 20 set-partitioning draws close at the root, so no prune decides
+    # anything there. The 20 subset-sum trees do prune, and their costs of
+    # 1 to 3 leave many incumbents one above a better point: a prune rule
+    # that drops a node whose bound is one below the cutoff fails 4 of them.
     rng = np.random.default_rng(7)
-    agree = 0
+    runs = []
     for trial in range(20):
         inst = generate_spp(int(rng.integers(8, 11)), int(rng.integers(3, 5)), seed=4000 + trial)
-        pruned = solve(inst, SolverConfig(seed=trial))
-        unpruned = solve(inst, SolverConfig(seed=trial, prune=False))
-        if (
-            pruned.status == unpruned.status == "optimal"
-            and pruned.best_value == unpruned.best_value
-        ):
-            agree += 1
-    ok = agree == 20
-    report(7, ok, f"{agree}/20 instances keep the same optimum with pruning disabled")
+        runs.append((inst, SolverConfig(seed=trial)))
+    for seed in range(20):
+        config = SolverConfig(seed=seed, p=1, node_queries=4, shots=16)
+        runs.append((subset_sum_instance(10, seed, costs=(1, 3)), config))
+    agree = prunes = 0
+    for inst, config in runs:
+        result = solve(inst, config)
+        bf = brute_force_optimum(inst)
+        expected = ("optimal", bf.value) if bf.feasible else ("infeasible", None)
+        agree += (result.status, result.best_value) == expected
+        prunes += sum(r.outcome == "pruned_bound" for r in result.node_records.values())
+    ok = agree == len(runs) and prunes > 0
+    report(7, ok, f"{agree}/{len(runs)} pruned solves match brute force, {prunes} bound prunes")
     assert ok
 
 

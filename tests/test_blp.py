@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import is_feasible
 from qcbb import blp
 from qcbb.blp import (
     BlpInstance,
@@ -121,7 +122,7 @@ class TestPenalizedCost:
                 p = penalized_cost(inst, x, 5.0)
                 cost = float(inst.c @ x)
                 assert p >= cost - 1e-12
-                assert (abs(p - cost) < 1e-12) == inst.is_feasible(x)
+                assert (abs(p - cost) < 1e-12) == is_feasible(inst, x)
 
 
 class TestGenerateSpp:

@@ -7,6 +7,7 @@ from conftest import (
     cut_value,
     exhaustive_max_cut,
     exhaustive_min_energy,
+    is_feasible,
     loop_gw_round,
     random_model,
     total_weight,
@@ -223,13 +224,13 @@ class TestGwRound:
     def test_single_edge_cut_every_round(self):
         W = weights(2, {(0, 1): 2.0})
         V = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        z, side = gw_round(V, W, rounds=8, rng=np.random.default_rng(0))
+        z, side = gw_round(V, W, np.random.default_rng(0))
         assert z == 2.0
         assert side[0] == 1 and side[1] == -1
 
     def test_empty_graph(self):
         W = np.zeros((3, 3))
-        z, side = gw_round(np.ones((3, 2)), W, rounds=4, rng=np.random.default_rng(0))
+        z, side = gw_round(np.ones((3, 2)), W, np.random.default_rng(0))
         assert z == 0.0
         assert side[0] == 1
 
@@ -238,7 +239,7 @@ class TestGwRound:
         z_star = exhaustive_max_cut(W)
         assert z_star == 2.0
         V, _ = solve_sdp(W)
-        z, _ = gw_round(V, W, rounds=64, rng=np.random.default_rng(4))
+        z, _ = gw_round(V, W, np.random.default_rng(4))
         assert z <= z_star + 1e-12
         assert z == pytest.approx(2.0)
 
@@ -250,11 +251,11 @@ class TestGwRound:
             if not W.any():
                 continue
             V, _ = solve_sdp(W)
-            z, _ = gw_round(V, W, rounds=16, rng=rng)
+            z, _ = gw_round(V, W, rng)
             assert z <= exhaustive_max_cut(W) + 1e-9
 
     @pytest.mark.parametrize("kind", ["spp", "float", "ties"])
-    def test_matches_loop_reference(self, kind):
+    def test_matches_loop_reference(self, kind, monkeypatch):
         # Same cut, same side and the same rng state afterwards as one draw
         # and one cut evaluation per round. SPP and unit weights keep every
         # cut sum exact; float weights may differ in summation order. Odd
@@ -275,7 +276,8 @@ class TestGwRound:
             rounds = (1, 7, 64)[trial % 3]
             ours_rng = np.random.default_rng(100 + trial)
             ref_rng = np.random.default_rng(100 + trial)
-            z, side = gw_round(V, W, rounds=rounds, rng=ours_rng)
+            monkeypatch.setattr(bound, "GW_ROUNDS", rounds)
+            z, side = gw_round(V, W, ours_rng)
             z_ref, side_ref = loop_gw_round(V, W, rounds, ref_rng)
             if kind == "float":
                 assert z == pytest.approx(z_ref, rel=1e-12, abs=1e-12)
@@ -296,7 +298,7 @@ class TestLowerBound:
         assert res.lb_value <= exhaustive_min_energy(model) + 1e-9
 
     def test_zero_model(self):
-        res = lower_bound(model_of({}, [0.0, 0.0]))
+        res = lower_bound(model_of({}, [0.0, 0.0]), np.random.default_rng(0))
         assert res.lb_value == 0.0
         assert np.array_equal(res.side, [1, 1, 1])
 
@@ -443,5 +445,5 @@ class TestInfeasibleByBound:
             if infeasible_by_bound(lb, feasible_ceiling(inst.c, fixings)):
                 flagged += 1
                 for x_free in enumerate_assignments(red.n_free):
-                    assert not inst.is_feasible(red.merge(x_free))
+                    assert not is_feasible(inst, red.merge(x_free))
         assert flagged > 0

@@ -82,6 +82,16 @@ class TestSolve:
         assert cli.main(["solve", str(path)]) == 1
         assert "kappa" in capsys.readouterr().err
 
+    def test_kappa_too_small_for_the_penalty_is_config_error(self, tmp_path, capsys):
+        # kappa^2 underflows to 0: compute_big_m once ended in a
+        # ZeroDivisionError traceback here
+        path = tmp_path / "tiny_kappa.json"
+        data = {"n": 2, "m": 1, "c": [1, 2], "A": [[1, 1]], "b": [1], "kappa": 1e-200}
+        path.write_text(json.dumps(data))
+        assert cli.main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "kappa" in err and "Traceback" not in err
+
     def test_integer_too_large_for_a_float_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
         for key, value in (("optimum", 10**400), ("c", [10**400, 2])):
@@ -123,6 +133,10 @@ class TestSolve:
         config.write_text(json.dumps({"warm_start": True}))
         assert cli.main(["solve", str(fixture_instance), "--config", str(config)]) == 1
         assert "warm_start" in capsys.readouterr().err
+        # no setting switches the prune rule off
+        config.write_text(json.dumps({"prune": False}))
+        assert cli.main(["solve", str(fixture_instance), "--config", str(config)]) == 1
+        assert "unknown config key(s): prune" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "values, key",

@@ -1,14 +1,20 @@
+import dataclasses
+import time
+
 import numpy as np
 import pytest
 
-from conftest import odd_cycle_instance
+from conftest import is_feasible, odd_cycle_instance, subset_sum_instance
 from qcbb import engine, ising, vqa
 from qcbb.blp import (
     BlpInstance,
+    InstanceFormatError,
     brute_force_optimum,
     compute_big_m,
     enumerate_assignments,
     generate_spp,
+    load_instance,
+    save_instance,
 )
 from qcbb.bound import objective_lattice
 from qcbb.engine import (
@@ -114,7 +120,7 @@ class TestPropagate:
             before = {
                 tuple(x)
                 for x in enumerate_assignments(inst.n)
-                if inst.is_feasible(x) and all(x[i] == v for i, v in fixings.items())
+                if is_feasible(inst, x) and all(x[i] == v for i, v in fixings.items())
             }
             if not ok:
                 assert not before
@@ -122,7 +128,7 @@ class TestPropagate:
             after = {
                 tuple(x)
                 for x in enumerate_assignments(inst.n)
-                if inst.is_feasible(x) and all(x[i] == v for i, v in fix.items())
+                if is_feasible(inst, x) and all(x[i] == v for i, v in fix.items())
             }
             assert before == after
 
@@ -175,7 +181,7 @@ class TestEvaluateNode:
         ev = evaluate(inst, node, SolverConfig(seed=0), None, objective_lattice(inst.c))
         assert ev.record.outcome == "pruned_infeasible" and ev.record.reason == "bound"
         for x in enumerate_assignments(inst.n):
-            assert not inst.is_feasible(x)
+            assert not is_feasible(inst, x)
 
 
 def count_phase_tables(monkeypatch) -> list[int]:
@@ -279,7 +285,7 @@ class TestSolve:
             bf = brute_force_optimum(inst)
             assert res.status == "optimal"
             assert res.best_value == pytest.approx(bf.value)
-            assert inst.is_feasible(res.best_assignment)
+            assert is_feasible(inst, res.best_assignment)
 
     def test_deterministic_traces(self, three_var_instance):
         a = solve(three_var_instance, SolverConfig(seed=9))
@@ -317,13 +323,39 @@ class TestSolve:
         ubs = [e.ub for e in res.trace if e.kind == "incumbent_update"]
         assert ubs and all(ub >= bf.value - 1e-9 for ub in ubs)
 
+    def test_wall_clock_node_start_precedes_the_evaluation(self, monkeypatch):
+        # node_start is stamped before evaluate_node runs, so each node's
+        # outcome event comes at least the evaluation's time after it
+        pause = 0.02
+        original = engine.evaluate_node
+
+        def slow_evaluate_node(*args):
+            time.sleep(pause)
+            return original(*args)
+
+        monkeypatch.setattr(engine, "evaluate_node", slow_evaluate_node)
+        config = SolverConfig(seed=1, wall_clock=True, p=1, node_queries=4, shots=64)
+        res = solve(subset_sum_instance(10, 0), config)
+        starts = {e.node_index: e.wall_time_s for e in res.trace if e.kind == "node_start"}
+        outcomes = {}
+        for e in res.trace:
+            if e.kind in ("prune", "fathom", "branch"):
+                outcomes.setdefault(e.node_index, e.wall_time_s)
+        assert len(starts) == res.nodes_evaluated > 1
+        for node_index, start in starts.items():
+            assert outcomes[node_index] - start >= pause - 1e-6
+
     def test_pruning_neutrality(self):
+        # the SPP draws close at the root; the subset-sum trees prune, and
+        # their costs of 1 to 3 make an off-by-one prune rule lose seeds 6
+        # and 11
         rng = np.random.default_rng(8)
         for trial in range(4):
             inst = generate_spp(int(rng.integers(8, 11)), 3, seed=300 + trial)
-            with_pruning = solve(inst, SolverConfig(seed=trial))
-            without = solve(inst, SolverConfig(seed=trial, prune=False))
-            assert with_pruning.best_value == without.best_value
+            assert_matches_oracle(inst, solve(inst, SolverConfig(seed=trial)))
+        for seed in range(12):
+            inst = subset_sum_instance(9, seed, costs=(1, 3))
+            assert_matches_oracle(inst, solve(inst, SolverConfig(seed=seed, **ORACLE_CONFIG)))
 
     def test_fifteen_variable_reference_class(self):
         # reference problem size (node counts are stochastic, only the
@@ -525,7 +557,7 @@ def assert_matches_oracle(inst: BlpInstance, res) -> None:
         return
     assert res.status == "optimal"
     assert res.best_value == pytest.approx(bf.value, abs=1e-9)
-    assert inst.is_feasible(res.best_assignment)
+    assert is_feasible(inst, res.best_assignment)
     assert res.best_value == inst.c @ res.best_assignment
 
 
@@ -563,6 +595,18 @@ class TestOracle:
     def test_infeasible_incumbent_tying_the_optimum(self, inst, seed):
         assert_matches_oracle(inst, solve(inst, SolverConfig(seed=seed, **ORACLE_CONFIG)))
 
+    def test_kappa_too_small_for_exact_penalties_is_rejected(self, tmp_path):
+        # at kappa = 1e-7 the data still lie on the grid, but M = sum|c| /
+        # kappa^2 swamps the costs: this instance once solved as optimal
+        # 32.0, where brute force gives 21.0
+        inst = dataclasses.replace(generate_spp(10, 4, seed=9), kappa=1e-7)
+        with pytest.raises(ValueError, match="2\\^53"):
+            solve(inst, SolverConfig(p=1, node_queries=4, shots=32, seed=1))
+        path = tmp_path / "tiny_kappa.json"
+        save_instance(inst, path)
+        with pytest.raises(InstanceFormatError, match="kappa"):
+            load_instance(path)
+
     def test_kappa_below_one_keeps_penalty_separation(self):
         # M = sum|c| / kappa = 8 let x = (1, 0) (residual 0.5, penalized -1)
         # undercut the feasible optimum 0: seeds 0, 20, 30, 35 and 39
@@ -596,15 +640,10 @@ class TestOracle:
             assert_matches_oracle(inst, res)
 
     def test_subset_sum_trees_match_brute_force(self):
-        # one equality row with general integer coefficients builds trees of
-        # many nodes, where the SPP shapes mostly close at the root
         nodes = []
         for n in (8, 9, 10):
             for seed in range(4):
-                rng = np.random.default_rng(seed)
-                a = rng.integers(1, 30, n)
-                c = rng.integers(-20, 21, n)
-                inst = BlpInstance(c=c, A=[a], b=[a.sum() // 2])
+                inst = subset_sum_instance(n, seed)
                 res = solve(inst, SolverConfig(p=1, node_queries=4, shots=64))
                 assert_matches_oracle(inst, res)
                 nodes.append(res.nodes_evaluated)
@@ -630,7 +669,7 @@ class TestOracle:
             inst = oracle_instance(rng, "planted", kinds[k % 4])
             res = solve(inst, SolverConfig(seed=k, **ORACLE_CONFIG))
             X = enumerate_assignments(inst.n)
-            X = X[[inst.is_feasible(x) for x in X]]
+            X = X[[is_feasible(inst, x) for x in X]]
             for rec in res.node_records.values():
                 keep = np.all([X[:, i] == v for i, v in rec.fixings.items()], axis=0)
                 if not np.any(keep):
