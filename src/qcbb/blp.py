@@ -35,8 +35,10 @@ class BlpInstance:
     ``kappa`` is the numerical precision granularity of the constraint data;
     with integer A and b the default of 1 is exact. Instance files must put
     every entry of A and b on that grid (``instance_from_dict``); instances
-    built in memory are not checked. Arrays are made read-only so instances
-    can be shared without copies.
+    built in memory are not checked. Off the grid the solver's status and
+    value stay correct, but the best penalized value can fall below the
+    optimum. Arrays are made read-only so instances can be shared without
+    copies.
     """
 
     c: np.ndarray

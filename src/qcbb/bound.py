@@ -34,7 +34,8 @@ import numpy as np
 
 from .ising import IsingModel
 
-# Relative slack of the bound-based prunes and of the optimality stop.
+# Slack of the infeasibility prune and the lattice rounding (times
+# max(1, |x|)) and of the optimality stop; the dominance prune has none.
 OPTIMALITY_TOL = 1e-9
 # Relative duality gap at which solve_sdp stops, on W scaled to max|W| = 1.
 SDP_TOL = 1e-9

@@ -25,8 +25,6 @@ EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 EXIT_LIMIT = 3
 
-BRUTE_FORCE_REPORT_MAX_N = 16
-
 DEFAULTS = engine.SolverConfig()
 CONFIG_KEYS = {f.name for f in dataclasses.fields(engine.SolverConfig)} | {"queries"}
 
@@ -64,7 +62,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         instance = blp.generate_spp(
             args.n, args.m, instance_seed, cost_low=args.cost_low, cost_high=args.cost_high
         )
-        if args.with_optimum and args.n <= BRUTE_FORCE_REPORT_MAX_N:
+        if args.with_optimum:
             result = blp.brute_force_optimum(instance)
             instance = dataclasses.replace(instance, optimum=result.value)
             print(f"{instance.name}: optimum {result.value:g}")
@@ -162,13 +160,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         report["runs"].append({"label": "baseline", **_series_of(baseline_events)})
     if args.instance:
         instance = blp.load_instance(args.instance)
-        if instance.n <= BRUTE_FORCE_REPORT_MAX_N:
-            best = blp.brute_force_optimum(instance)
+        best = blp.brute_force_optimum(instance)
+        if best.feasible:
             worst = blp.worst_feasible_cost(instance)
-            if best.feasible:
-                report["optimum"] = best.value
-                report["worst_feasible"] = worst
-                report["F"] = worst - best.value
+            report["optimum"] = best.value
+            report["worst_feasible"] = worst
+            report["F"] = worst - best.value
     text = json.dumps(report, indent=1)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
@@ -205,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--with-optimum",
         dest="with_optimum",
         action="store_true",
-        help="embed the brute-force optimum (n <= 16)",
+        help=f"embed the brute-force optimum (n <= {blp.BRUTE_FORCE_MAX_N})",
     )
     gen.set_defaults(func=cmd_gen)
 
@@ -257,7 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--trace", required=True, help="solver trace file")
     report.add_argument("--baseline", default=None, help="baseline trace to merge")
     report.add_argument(
-        "--instance", default=None, help="instance file, enables the optimum/F block"
+        "--instance",
+        default=None,
+        help=f"instance file, enables the optimum/F block (n <= {blp.BRUTE_FORCE_MAX_N})",
     )
     report.add_argument("--out", default=None, help="output JSON path (default stdout)")
     report.set_defaults(func=cmd_report)

@@ -14,9 +14,8 @@ variable is branched on.
 Candidates come from the samples and from the Goemans-Williamson rounded cut
 of the bound's relaxation; each incumbent update records which one (or a
 fathomed leaf) supplied it. Best-first selection by lowest lower bound;
-pruning compares bounds with the best feasible value and the best penalized
-cost seen (``Incumbent.cutoff``), while the reported answer is the best
-feasible solution. Nodes are evaluated one at a time, so a run is
+pruning compares bounds with the best feasible value, which is also the
+reported answer. Nodes are evaluated one at a time, so a run is
 deterministic for a fixed seed.
 
 ``evaluate_node`` returns the node's ``NodeRecord``, which ``solve`` keeps,
@@ -105,7 +104,8 @@ class Node:
 
 @dataclass
 class Incumbent:
-    """Best penalized cost (pruning bound) and best feasible solution (answer)."""
+    """Best penalized cost (trace upper bound) and best feasible solution
+    (pruning bound and answer)."""
 
     best_penalized_value: float | None = None
     best_penalized_x: np.ndarray | None = None
@@ -123,22 +123,6 @@ class Incumbent:
             self.best_feasible_value = value
             self.best_feasible_x = x
         return improved
-
-    def cutoff(self) -> float | None:
-        """Node bound at or above which the node holds no better answer.
-
-        The best feasible value prunes ties. The penalized value may belong
-        to an infeasible point, whose penalized cost is at least the feasible
-        optimum and can equal it, so it only prunes bounds above it by more
-        than OPTIMALITY_TOL * max(1, |value|).
-        """
-        ub = self.best_penalized_value
-        if ub is None:
-            return None
-        cut = ub + OPTIMALITY_TOL * max(1.0, abs(ub))
-        if self.best_feasible_value is not None:
-            cut = min(cut, self.best_feasible_value)
-        return cut
 
 
 @dataclass(frozen=True)
@@ -177,8 +161,6 @@ class SolveResult:
     nodes_evaluated: int
     trace: tuple[TraceEvent, ...]
     node_records: dict[int, NodeRecord]
-    M: float
-    elapsed_s: float
 
 
 def conflict_values(
@@ -309,16 +291,19 @@ def _run_vqa(
     return tuple(v + model.constant for v in values), samples
 
 
-def _prune(lb: float, ceiling: float, cutoff: float | None) -> tuple[str, str | None] | None:
+def _prune(
+    lb: float, ceiling: float, best_feasible: float | None
+) -> tuple[str, str | None] | None:
     """The prune rule, as (outcome, reason), or None when the node survives.
 
-    Infeasible when ``bound.infeasible_by_bound(lb, ceiling)``, i.e.
-    lb > T + tol; otherwise dominated when lb >= the incumbent cutoff
-    (``Incumbent.cutoff``).
+    Infeasible when lb > T + tol, T the node's feasible ceiling and
+    tol = OPTIMALITY_TOL * max(1, |T|) (``bound.infeasible_by_bound``);
+    otherwise dominated when lb >= best_feasible, with no tolerance: the
+    node holds no feasible point cheaper than the best one found.
     """
     if bound_mod.infeasible_by_bound(lb, ceiling):
         return "pruned_infeasible", "bound"
-    if cutoff is not None and lb >= cutoff:
+    if best_feasible is not None and lb >= best_feasible:
         return "pruned_bound", None
     return None
 
@@ -329,7 +314,7 @@ def evaluate_node(
     M: float,
     node: Node,
     config: SolverConfig,
-    cutoff: float | None,
+    best_feasible: float | None,
     lattice: float | None,
 ) -> NodeEvaluation:
     """Full lifecycle of one open node; pure given the node's seed streams.
@@ -340,7 +325,8 @@ def evaluate_node(
     rule, once, on the node bound; leaf fathoming; the variational
     subroutine; then choosing the most conflicting variable to branch on.
     The prune rule measures the bound against the node's feasible ceiling T
-    and against ``cutoff`` (``Incumbent.cutoff``; None prunes nothing).
+    and against ``best_feasible``, the incumbent's best feasible value (None
+    prunes nothing).
 
     Every exit builds the node's ``NodeRecord`` once, through ``finish``,
     with the node bound and many-body count. A branched node's evaluation
@@ -362,9 +348,7 @@ def evaluate_node(
       and T is itself on the lattice, so rounding proves no node empty that
       the raw bound left open;
     - dominance prune: a bound that reaches the best feasible value leaves
-      nothing better in the node; one above a penalized incumbent by more
-      than tol is above the global feasible optimum too, because a
-      penalized value is at least that optimum (penalty separation);
+      nothing better in the node;
     - optimal stop: every open node's bound is at most its f*, so
       ``global_lb`` still bounds the optimum and ``optimal`` is a proof.
 
@@ -390,7 +374,7 @@ def evaluate_node(
         return NodeEvaluation(record, **rest)
 
     ceiling = bound_mod.feasible_ceiling(master.c, node.fixings)
-    pruned = _prune(node_lb, ceiling, cutoff)
+    pruned = _prune(node_lb, ceiling, best_feasible)
     if pruned is not None:
         return finish(*pruned)
 
@@ -429,7 +413,7 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
 
     Every node, the root included, is opened once by ``open_node``, which
     propagates its fixings and queues it or records it refuted. Pops one
-    node at a time, evaluates it against the current incumbent cutoff and
+    node at a time, evaluates it against the best feasible value so far and
     applies the result, so the trace is deterministic for a fixed seed.
     """
     if config is None:
@@ -532,7 +516,9 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
         node = heapq.heappop(heap)[3]
         node_index += 1
         rec.record("node_start", node_index)
-        ev = evaluate_node(instance, model, M, node, config, incumbent.cutoff(), lattice)
+        ev = evaluate_node(
+            instance, model, M, node, config, incumbent.best_feasible_value, lattice
+        )
         apply_evaluation(ev)
         refresh_global_lb()
 
@@ -557,8 +543,6 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
         nodes_evaluated=node_index + 1,
         trace=tuple(rec.events),
         node_records=records,
-        M=M,
-        elapsed_s=time.perf_counter() - t0,
     )
 
 

@@ -217,7 +217,8 @@ def test_criterion_7_pruning_neutrality():
     # The 20 set-partitioning draws close at the root, so no prune decides
     # anything there. The 20 subset-sum trees do prune, and their costs of
     # 1 to 3 leave many incumbents one above a better point: a prune rule
-    # that drops a node whose bound is one below the cutoff fails 4 of them.
+    # that drops a node whose bound is one below the best feasible value
+    # fails 4 of them.
     rng = np.random.default_rng(7)
     runs = []
     for trial in range(20):

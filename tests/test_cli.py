@@ -49,6 +49,20 @@ class TestGen:
             inst = load_instance(path)
             assert inst.optimum == brute_force_optimum(inst).value
 
+    def test_with_optimum_up_to_the_oracle_cap(self, tmp_path, capsys):
+        # n = 18 once wrote a file with no optimum, and exited 0
+        out = tmp_path / "d"
+        assert cli.main(["gen", "--n", "18", "--m", "6", "--out", str(out), "--with-optimum"]) == 0
+        (path,) = out.glob("*.json")
+        inst = load_instance(path)
+        assert inst.optimum is not None and inst.optimum == brute_force_optimum(inst).value
+        capsys.readouterr()
+        # above blp.BRUTE_FORCE_MAX_N = 20 the oracle refuses: exit 1, no file
+        over = tmp_path / "over"
+        assert cli.main(["gen", "--n", "21", "--m", "6", "--out", str(over), "--with-optimum"]) == 1
+        assert "error" in capsys.readouterr().err
+        assert not list(over.glob("*.json"))
+
 
 class TestSolve:
     def test_optimal_fixture(self, fixture_instance, tmp_path, capsys):
@@ -249,6 +263,14 @@ class TestReport:
         assert [r["label"] for r in report["runs"]] == ["qcbb", "baseline"]
         assert report["optimum"] == 1.0
         assert report["F"] == 1.0  # worst feasible costs 2, optimum 1
+
+    def test_instance_above_the_oracle_cap_errors(self, fixture_instance, tmp_path, capsys):
+        t, _ = self.run_solve_and_baseline(fixture_instance, tmp_path)
+        big = tmp_path / "big.json"
+        save_instance(BlpInstance(c=[1.0] * 21, A=[[1.0] * 21], b=[1.0]), big)
+        capsys.readouterr()
+        assert cli.main(["report", "--trace", str(t), "--instance", str(big)]) == 1
+        assert "error" in capsys.readouterr().err
 
     def test_empty_trace_errors(self, tmp_path):
         from qcbb.metrics import export_trace

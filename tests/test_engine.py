@@ -133,10 +133,10 @@ class TestPropagate:
             assert before == after
 
 
-def evaluate(inst, node, config, cutoff, lattice):
+def evaluate(inst, node, config, best_feasible, lattice):
     """``evaluate_node`` on the encoded master of ``inst`` with its big M."""
     M = compute_big_m(inst)
-    return evaluate_node(inst, encode(inst, M), M, node, config, cutoff, lattice)
+    return evaluate_node(inst, encode(inst, M), M, node, config, best_feasible, lattice)
 
 
 class TestEvaluateNode:
@@ -471,16 +471,6 @@ class TestIncumbent:
         assert not inc.offer(9.0, np.array([1.0]), feasible=True)
         assert inc.best_penalized_value == 7.0
 
-    def test_cutoff(self):
-        inc = Incumbent()
-        assert inc.cutoff() is None
-        # an infeasible point may tie the feasible optimum, so ties survive
-        inc.offer(1.0, np.array([1.0, 0.0]), feasible=False)
-        assert 1.0 < inc.cutoff() <= 1.0 + 1e-8
-        # a feasible value of its own prunes ties
-        inc.offer(1.0, np.array([0.0, 1.0]), feasible=True)
-        assert inc.cutoff() == 1.0
-
 
 class TestPlainQaoa:
     def test_budget_of_one(self, three_var_instance):
@@ -615,6 +605,23 @@ class TestOracle:
         for seed in range(40):
             res = solve(inst, SolverConfig(seed=seed, **ORACLE_CONFIG))
             assert (res.status, res.best_value) == ("optimal", 0.0)
+
+    def test_off_grid_instances_match_brute_force(self):
+        # half-integer A with kappa = 1: a violation can cost less than
+        # sum|c|, so a penalized value can undercut the optimum, and no
+        # prune may read one. The first instance's infeasible (1, 0) pays
+        # -3 + 0.25 M = -2 (M = 4): a prune at that value once made seed 0
+        # return infeasible, where brute force gives 0.
+        rng = np.random.default_rng(5)
+        draws = [BlpInstance(c=[-3, 1], A=[[0.5, -1]], b=[0])]
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            m = int(rng.integers(1, n + 3))
+            A = rng.integers(-4, 5, size=(m, n)) / 2
+            c = rng.integers(-5, 6, size=n)
+            draws.append(BlpInstance(c=c, A=A, b=A @ rng.integers(0, 2, size=n)))
+        for k, inst in enumerate(draws):
+            assert_matches_oracle(inst, solve(inst, SolverConfig(seed=k, **ORACLE_CONFIG)))
 
     def test_status_and_value_match_brute_force(self):
         rng = np.random.default_rng(2025)
