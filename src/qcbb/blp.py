@@ -35,10 +35,10 @@ class BlpInstance:
     ``kappa`` is the numerical precision granularity of the constraint data;
     with integer A and b the default of 1 is exact. Instance files must put
     every entry of A and b on that grid (``instance_from_dict``); instances
-    built in memory are not checked. Off the grid the solver's status and
-    value stay correct, but the best penalized value can fall below the
-    optimum. Arrays are made read-only so instances can be shared without
-    copies.
+    built in memory are not checked. Off the grid a penalized value can fall
+    below the optimum, but the tree search bounds and prunes with feasible
+    values alone, so its status, value and bounds stay correct. Arrays are
+    made read-only so instances can be shared without copies.
     """
 
     c: np.ndarray
@@ -183,25 +183,28 @@ class BruteForceResult:
     assignment: np.ndarray | None = field(default=None)
 
 
-def brute_force_optimum(instance: BlpInstance) -> BruteForceResult:
-    """Exact optimum by enumerating all 2^n assignments (n <= 20 guard)."""
+def _feasible_rows(instance: BlpInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Every feasible assignment as a row, enumerated (n <= 20 guard), and
+    the row costs."""
     X = enumerate_assignments(instance.n)
     res = X @ instance.A.T - instance.b
-    feas = np.all(np.abs(res) <= FEASIBILITY_TOL, axis=1)
-    if not feas.any():
+    X = X[np.all(np.abs(res) <= FEASIBILITY_TOL, axis=1)]
+    return X, X @ instance.c
+
+
+def brute_force_optimum(instance: BlpInstance) -> BruteForceResult:
+    """Exact optimum by enumerating all 2^n assignments (n <= 20 guard)."""
+    X, costs = _feasible_rows(instance)
+    if not len(X):
         return BruteForceResult(feasible=False, value=None)
-    best = X[feas][int(np.argmin(X[feas] @ instance.c))]
+    best = X[int(np.argmin(costs))]
     return BruteForceResult(feasible=True, value=float(instance.c @ best), assignment=best.copy())
 
 
 def worst_feasible_cost(instance: BlpInstance) -> float | None:
     """Cost of the most expensive feasible assignment, or None if infeasible."""
-    X = enumerate_assignments(instance.n)
-    res = X @ instance.A.T - instance.b
-    feas = np.all(np.abs(res) <= FEASIBILITY_TOL, axis=1)
-    if not feas.any():
-        return None
-    return float(np.max(X[feas] @ instance.c))
+    X, costs = _feasible_rows(instance)
+    return float(np.max(costs)) if len(X) else None
 
 
 def instance_to_dict(instance: BlpInstance) -> dict:

@@ -82,7 +82,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"{result.status} {_fmt(result.best_value)}")
     if result.best_assignment is not None:
         print(f"assignment {_assignment_string(result.best_assignment)}")
-    print(f"penalized_incumbent {_fmt(result.best_penalized_value)}")
     print(f"lower_bound {_fmt(result.global_lb)}")
     print(f"nodes {result.nodes_evaluated}")
     try:

@@ -13,14 +13,15 @@ in the samples yield per-variable conflict values; the most conflicting
 variable is branched on.
 Candidates come from the samples and from the Goemans-Williamson rounded cut
 of the bound's relaxation; each incumbent update records which one (or a
-fathomed leaf) supplied it. Best-first selection by lowest lower bound;
-pruning compares bounds with the best feasible value, which is also the
-reported answer. Nodes are evaluated one at a time, so a run is
-deterministic for a fixed seed.
+fathomed leaf) supplied it. Best-first selection by lowest lower bound. The
+search keeps one incumbent, the best feasible point found: it is the
+reported answer, the prune cutoff, the trace's upper bound ``ub`` and the
+incumbent term of the global lower bound. Nodes are evaluated one at a
+time, so a run is deterministic for a fixed seed.
 
 ``evaluate_node`` returns the node's ``NodeRecord``, which ``solve`` keeps,
-with what ``solve`` applies: query expectations, candidates and the
-branching variable, whose two children ``solve`` opens.
+with what ``solve`` applies: query expectations, the node's best feasible
+point and the branching variable, whose two children ``solve`` opens.
 """
 
 from __future__ import annotations
@@ -102,29 +103,6 @@ class Node:
     local_lb: float
 
 
-@dataclass
-class Incumbent:
-    """Best penalized cost (trace upper bound) and best feasible solution
-    (pruning bound and answer)."""
-
-    best_penalized_value: float | None = None
-    best_penalized_x: np.ndarray | None = None
-    best_feasible_value: float | None = None
-    best_feasible_x: np.ndarray | None = None
-
-    def offer(self, value: float, x: np.ndarray, feasible: bool) -> bool:
-        """Record a candidate; returns True when the penalized bound improved."""
-        improved = False
-        if self.best_penalized_value is None or value < self.best_penalized_value:
-            self.best_penalized_value = value
-            self.best_penalized_x = x
-            improved = True
-        if feasible and (self.best_feasible_value is None or value < self.best_feasible_value):
-            self.best_feasible_value = value
-            self.best_feasible_x = x
-        return improved
-
-
 @dataclass(frozen=True)
 class NodeRecord:
     """Per-node summary kept alongside the event trace."""
@@ -145,7 +123,7 @@ class NodeEvaluation:
 
     record: NodeRecord
     expectations: tuple[float, ...] = ()
-    candidates: tuple[tuple[float, np.ndarray, bool], ...] = ()
+    candidate: tuple[float, np.ndarray] | None = None  # best feasible (value, x)
     candidate_source: str | None = None  # qaoa | gw | leaf
     branch_var: int | None = None
 
@@ -155,8 +133,6 @@ class SolveResult:
     status: str  # optimal | gap_reached | node_limit | time_limit | infeasible
     best_value: float | None
     best_assignment: np.ndarray | None
-    best_penalized_value: float | None
-    best_penalized_assignment: np.ndarray | None
     global_lb: float
     nodes_evaluated: int
     trace: tuple[TraceEvent, ...]
@@ -246,29 +222,31 @@ def _node_rng(seed: int, node_id: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, node_id, stream])
 
 
-def _evaluate_candidates(
-    master: BlpInstance, full: np.ndarray, M: float
-) -> tuple[tuple[tuple[float, np.ndarray, bool], ...], int]:
-    """Candidates among the rows of ``full``, each a 0/1 assignment of the
-    master variables: the best penalized one as (value, x, feasible), with
-    value c.x + M ||Ax - b||^2, then the best feasible one if any; and the
-    row of the best penalized one (the first on ties).
+def _best_rows(master: BlpInstance, full: np.ndarray, M: float) -> tuple[int, int | None]:
+    """Rows of ``full``, each a 0/1 assignment of the master variables, with
+    the least penalized cost c.x + M ||Ax - b||^2 overall and among the
+    feasible rows (None when no row is feasible); the first row on ties.
 
     Rows are ranked on one matrix product, whose sums can differ from a dot
-    product's in the last bit on fractional costs; each chosen row's value
-    is ``penalized_cost``, so a feasible row's value is exactly c.x."""
+    product's in the last bit on fractional costs, so a chosen row is valued
+    with ``penalized_cost``, which is c.x on a feasible row."""
     residual = full @ master.A.T - master.b
     penalized = full @ master.c + M * np.sum(residual * residual, axis=1)
-    feasible = np.all(np.abs(residual) <= FEASIBILITY_TOL, axis=1)
-    best = int(np.argmin(penalized))
-    rows = [best]
-    if feasible.any():
-        order = np.where(feasible)[0]
-        rows.append(int(order[np.argmin(penalized[order])]))
-    candidates = tuple(
-        (penalized_cost(master, full[j], M), full[j].copy(), bool(feasible[j])) for j in rows
-    )
-    return candidates, best
+    feasible = np.flatnonzero(np.all(np.abs(residual) <= FEASIBILITY_TOL, axis=1))
+    best_feasible = int(feasible[np.argmin(penalized[feasible])]) if feasible.size else None
+    return int(np.argmin(penalized)), best_feasible
+
+
+def _candidate(master: BlpInstance, full: np.ndarray, M: float, last: str, other: str) -> dict:
+    """The ``NodeEvaluation`` fields of the best feasible row of ``full``:
+    ``candidate`` (value, x) and ``candidate_source``, ``last`` when it is
+    the last row and ``other`` otherwise; none when no row is feasible."""
+    row = _best_rows(master, full, M)[1]
+    if row is None:
+        return {}
+    x = full[row].copy()
+    source = last if row == len(full) - 1 else other
+    return {"candidate": (penalized_cost(master, x, M), x), "candidate_source": source}
 
 
 def _run_vqa(
@@ -325,13 +303,14 @@ def evaluate_node(
     rule, once, on the node bound; leaf fathoming; the variational
     subroutine; then choosing the most conflicting variable to branch on.
     The prune rule measures the bound against the node's feasible ceiling T
-    and against ``best_feasible``, the incumbent's best feasible value (None
-    prunes nothing).
+    and against ``best_feasible``, the incumbent's value (None prunes
+    nothing).
 
     Every exit builds the node's ``NodeRecord`` once, through ``finish``,
-    with the node bound and many-body count. A branched node's evaluation
-    also holds every query's expectation in the master frame, the best
-    penalized candidate then the best feasible one (if any), and
+    with the node bound and many-body count. A fathomed leaf's evaluation
+    also holds its point as the ``candidate`` when it is feasible. A
+    branched node's holds every query's expectation in the master frame,
+    the best feasible row as the ``candidate`` (if any row is feasible) and
     ``branch_var``, on which ``solve`` opens the children.
 
     The node bound is the larger of the inherited bound and the SDP bound on
@@ -355,10 +334,10 @@ def evaluate_node(
     At a branched node the best hyperplane-rounded cut of the bound's
     relaxation follows the QAOA samples as the last row. The rows, or a
     fathomed leaf's one point, are merged with the fixings into master
-    assignments once and ranked by ``_evaluate_candidates`` on
-    c.x + M ||Ax - b||^2, feasibility checked, and the cheapest row is
-    offered (``candidate_source``; a tie keeps the sample). The conflict
-    values read the merged sample rows alone, so branching ignores the cut.
+    assignments once, feasibility checked, and the cheapest feasible row is
+    offered (``_best_rows``; ``candidate_source`` names its row, and a tie
+    keeps the sample). The conflict values read the merged sample rows
+    alone, so branching ignores the cut.
     """
     red = reduce(model, node.fixings)
     bres = bound_mod.lower_bound(red.model, _node_rng(config.seed, node.id, 0))
@@ -379,23 +358,21 @@ def evaluate_node(
         return finish(*pruned)
 
     if red.n_free == 0:
-        leaf, _ = _evaluate_candidates(master, red.merge(np.zeros((1, 0))), M)
-        return finish("fathomed_leaf", candidates=leaf, candidate_source="leaf")
+        leaf = red.merge(np.zeros((1, 0)))
+        return finish("fathomed_leaf", **_candidate(master, leaf, M, "leaf", "leaf"))
 
     # Stop after two Nelder-Mead simplex sizes (2p+1 points over 2p angles)
     # of queries without a new best.
     patience = 2 * (2 * config.p + 1)
     expectations, samples = _run_vqa(red.model, config, node.id, config.node_queries, patience)
     full = red.merge(np.vstack((samples.bitstrings, (bres.side[1:] + 1) // 2)))
-    candidates, best = _evaluate_candidates(master, full, M)
     gamma = conflict_values(master.A, master.b, full[:-1], samples.counts)
     k = int(red.index_map[select_branching_variable(gamma[red.index_map], red.model.fields)])
     return finish(
         "branched",
         expectations=expectations,
-        candidates=candidates,
-        candidate_source="gw" if best == len(full) - 1 else "qaoa",
         branch_var=k,
+        **_candidate(master, full, M, "gw", "qaoa"),
     )
 
 
@@ -415,6 +392,15 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
     propagates its fixings and queues it or records it refuted. Pops one
     node at a time, evaluates it against the best feasible value so far and
     applies the result, so the trace is deterministic for a fixed seed.
+
+    The incumbent is the best feasible (value, x) offered so far; a
+    candidate replaces it only when strictly cheaper. Each replacement
+    records an ``incumbent_update`` whose ``ub`` is the new value, so the
+    ``ub`` rows never increase and never fall below the optimum. The global
+    lower bound is min(frontier, incumbent), a missing term being +inf, and
+    only rises. The search stops ``optimal`` once it reaches the incumbent
+    less ``OPTIMALITY_TOL``, and ``gap_reached`` once
+    (incumbent - global_lb) / max(1, |incumbent|) <= ``config.gap``.
     """
     if config is None:
         config = SolverConfig()
@@ -429,7 +415,8 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
     master_mb = many_body_count(model)
     t0 = time.perf_counter()
     rec = TraceRecorder(wall_clock=config.wall_clock)
-    incumbent = Incumbent()
+    best_value: float | None = None
+    best_x: np.ndarray | None = None
     records: dict[int, NodeRecord] = {}
 
     ids = itertools.count()
@@ -453,16 +440,13 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
         )
 
     def apply_evaluation(ev: NodeEvaluation) -> None:
-        nonlocal query_count
+        nonlocal query_count, best_value, best_x
         for value in ev.expectations:
             query_count += 1
             rec.record("optimizer_query", node_index, query_index=query_count, expectation=value)
-        improved = False
-        for candidate in ev.candidates:
-            improved |= incumbent.offer(*candidate)
-        if improved:
-            ub = incumbent.best_penalized_value
-            rec.record("incumbent_update", node_index, ub=ub, status=ev.candidate_source)
+        if ev.candidate is not None and (best_value is None or ev.candidate[0] < best_value):
+            best_value, best_x = ev.candidate
+            rec.record("incumbent_update", node_index, ub=best_value, status=ev.candidate_source)
         done = ev.record
         kind, event_status = _OUTCOME_EVENTS[done.outcome]
         mb = done.many_body_count
@@ -475,34 +459,22 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
 
     def refresh_global_lb() -> None:
         nonlocal global_lb
-        ub = incumbent.best_penalized_value
-        if heap:
-            frontier = heap[0][0]
-            candidate = frontier if ub is None else min(frontier, ub)
-        elif ub is not None:
-            candidate = ub
-        else:
-            return
-        if candidate > global_lb:
+        frontier = heap[0][0] if heap else np.inf
+        candidate = frontier if best_value is None else min(frontier, best_value)
+        if global_lb < candidate < np.inf:
             global_lb = candidate
             rec.record("bound_update", max(node_index, 0), lb=global_lb)
 
     open_node(None, -np.inf, {})
     while heap:
-        if (
-            incumbent.best_feasible_value is not None
-            and global_lb >= incumbent.best_feasible_value - OPTIMALITY_TOL
-        ):
+        if best_value is not None and global_lb >= best_value - OPTIMALITY_TOL:
             status = "optimal"
             break
-        # The gap is a claim about a solution we can return, so it is
-        # measured against the best feasible value and waits for one.
-        ub = incumbent.best_feasible_value
         if (
             config.gap is not None
-            and ub is not None
+            and best_value is not None
             and np.isfinite(global_lb)
-            and (ub - global_lb) / max(1.0, abs(ub)) <= config.gap
+            and (best_value - global_lb) / max(1.0, abs(best_value)) <= config.gap
         ):
             status = "gap_reached"
             break
@@ -516,29 +488,25 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
         node = heapq.heappop(heap)[3]
         node_index += 1
         rec.record("node_start", node_index)
-        ev = evaluate_node(
-            instance, model, M, node, config, incumbent.best_feasible_value, lattice
-        )
+        ev = evaluate_node(instance, model, M, node, config, best_value, lattice)
         apply_evaluation(ev)
         refresh_global_lb()
 
     if status is None:
         # An exhausted tree proves optimality. The last refresh_global_lb ran
-        # on an empty heap and raised global_lb to the best penalized value.
-        status = "infeasible" if incumbent.best_feasible_value is None else "optimal"
+        # on an empty heap and raised global_lb to the best feasible value.
+        status = "infeasible" if best_value is None else "optimal"
     rec.record(
         "done",
         max(node_index, 0),
         lb=None if not np.isfinite(global_lb) else global_lb,
-        ub=incumbent.best_penalized_value,
+        ub=best_value,
         status=status,
     )
     return SolveResult(
         status=status,
-        best_value=incumbent.best_feasible_value,
-        best_assignment=incumbent.best_feasible_x,
-        best_penalized_value=incumbent.best_penalized_value,
-        best_penalized_assignment=incumbent.best_penalized_x,
+        best_value=best_value,
+        best_assignment=best_x,
         global_lb=global_lb,
         nodes_evaluated=node_index + 1,
         trace=tuple(rec.events),
@@ -580,16 +548,18 @@ def run_plain_qaoa(
     expectations, samples = _run_vqa(encode(instance, M), config, 0, queries, None)
     for q, value in enumerate(expectations, start=1):
         rec.record("optimizer_query", 0, query_index=q, expectation=value)
-    best = Incumbent()
-    for candidate in _evaluate_candidates(instance, samples.bitstrings.astype(float), M)[0]:
-        best.offer(*candidate)
-    rec.record("incumbent_update", 0, ub=best.best_penalized_value)
-    rec.record("done", 0, ub=best.best_penalized_value, status="completed")
+    full = samples.bitstrings.astype(float)
+    best, feasible = _best_rows(instance, full, M)
+    x = full[best].copy()
+    feasible_x = None if feasible is None else full[feasible].copy()
+    value = penalized_cost(instance, x, M)
+    rec.record("incumbent_update", 0, ub=value)
+    rec.record("done", 0, ub=value, status="completed")
     return BaselineResult(
-        best_penalized_value=best.best_penalized_value,
-        best_penalized_assignment=best.best_penalized_x,
-        best_feasible_value=best.best_feasible_value,
-        best_feasible_assignment=best.best_feasible_x,
+        best_penalized_value=value,
+        best_penalized_assignment=x,
+        best_feasible_value=None if feasible_x is None else penalized_cost(instance, feasible_x, M),
+        best_feasible_assignment=feasible_x,
         queries=len(expectations),
         trace=tuple(rec.events),
     )

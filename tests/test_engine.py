@@ -16,9 +16,8 @@ from qcbb.blp import (
     load_instance,
     save_instance,
 )
-from qcbb.bound import objective_lattice
+from qcbb.bound import OPTIMALITY_TOL, objective_lattice
 from qcbb.engine import (
-    Incumbent,
     Node,
     SolverConfig,
     conflict_values,
@@ -147,9 +146,9 @@ class TestEvaluateNode:
         assert feasible and fixings == {0: 1, 1: 0}
         node = Node(id=0, parent=None, fixings=fixings, local_lb=-np.inf)
         ev = evaluate(inst, node, SolverConfig(seed=0), None, objective_lattice(inst.c))
-        assert ev.record.outcome == "fathomed_leaf"
-        value, x, feasible = ev.candidates[0]
-        assert feasible and value == 2.0
+        assert (ev.record.outcome, ev.candidate_source) == ("fathomed_leaf", "leaf")
+        value, x = ev.candidate
+        assert value == 2.0
         assert np.array_equal(x, [1, 0])
 
     def test_inherited_bound_at_penalty_prunes_infeasible(self, three_var_instance):
@@ -257,18 +256,19 @@ class TestSolve:
         assert res.nodes_evaluated == 1
 
     def test_gap_target_stops_early(self):
-        inst = generate_spp(10, 4, seed=5)
-        res = solve(inst, SolverConfig(seed=0, gap=0.99))
-        assert res.status in ("gap_reached", "optimal")
-        if res.status == "gap_reached":
-            gap = (res.best_penalized_value - res.global_lb) / max(
-                1.0, abs(res.best_penalized_value)
-            )
-            assert gap <= 0.99
+        # this tree stops after 7 nodes with best -23 over global_lb -24
+        inst = subset_sum_instance(12, 0)
+        config = SolverConfig(p=1, node_queries=4, shots=64, seed=1)
+        res = solve(inst, dataclasses.replace(config, gap=0.2))
+        assert res.status == "gap_reached"
+        assert is_feasible(inst, res.best_assignment)
+        gap = (res.best_value - res.global_lb) / max(1.0, abs(res.best_value))
+        assert 0 < gap <= 0.2
+        assert res.nodes_evaluated < solve(inst, config).nodes_evaluated
 
     def test_gap_measured_against_feasible_incumbent(self):
-        # With a tiny budget the penalized incumbent can meet the gap before
-        # any feasible point is known; the solver must keep searching then.
+        # With a tiny budget the gap can only be met once a feasible point
+        # is known; a gap_reached result always carries one and meets it.
         config = SolverConfig(gap=0.9, node_queries=5, shots=8)
         for s in range(30):
             res = solve(generate_spp(12, 6, seed=s), config)
@@ -460,18 +460,6 @@ class TestSolve:
             assert stalls(values)[-1] == max(stalls(values)) == 2 * (2 * config.p + 1)
 
 
-class TestIncumbent:
-    def test_penalized_and_feasible_tracked_separately(self):
-        inc = Incumbent()
-        assert inc.offer(10.0, np.array([1.0]), feasible=False)
-        assert inc.best_feasible_value is None
-        assert inc.offer(7.0, np.array([0.0]), feasible=True)
-        assert inc.best_feasible_value == 7.0
-        # worse candidate changes nothing
-        assert not inc.offer(9.0, np.array([1.0]), feasible=True)
-        assert inc.best_penalized_value == 7.0
-
-
 class TestPlainQaoa:
     def test_budget_of_one(self, three_var_instance):
         res = run_plain_qaoa(three_var_instance, SolverConfig(seed=0), queries=1)
@@ -541,14 +529,22 @@ ORACLE_CONFIG = dict(p=1, node_queries=4, shots=16)
 
 
 def assert_matches_oracle(inst: BlpInstance, res) -> None:
+    """Status and value agree with brute force, and the bounds keep their
+    contract: the incumbent updates' ``ub`` only falls, never below the
+    optimum, and ends at the answer, which an optimal ``global_lb`` meets."""
     bf = brute_force_optimum(inst)
+    ubs = [e.ub for e in res.trace if e.kind == "incumbent_update"]
     if not bf.feasible:
         assert res.status == "infeasible"
+        assert ubs == []
         return
     assert res.status == "optimal"
     assert res.best_value == pytest.approx(bf.value, abs=1e-9)
     assert is_feasible(inst, res.best_assignment)
     assert res.best_value == inst.c @ res.best_assignment
+    assert abs(res.global_lb - res.best_value) <= OPTIMALITY_TOL * max(1.0, abs(res.best_value))
+    assert ubs == sorted(ubs, reverse=True)
+    assert ubs[-1] == res.best_value and min(ubs) >= bf.value - 1e-9
 
 
 class TestOracle:
@@ -569,7 +565,8 @@ class TestOracle:
     @pytest.mark.parametrize(
         "inst, seed",
         [
-            # the penalized incumbent (1, 0) is infeasible and ties the optimum
+            # the infeasible (1, 0) ties the optimum's penalized cost, and
+            # only the feasible row may become the incumbent
             (BlpInstance(c=[-5, 1], A=[[0, 0], [-1, -2]], b=[0, -2]), 2436),
             (
                 BlpInstance(
@@ -609,9 +606,10 @@ class TestOracle:
     def test_off_grid_instances_match_brute_force(self):
         # half-integer A with kappa = 1: a violation can cost less than
         # sum|c|, so a penalized value can undercut the optimum, and no
-        # prune may read one. The first instance's infeasible (1, 0) pays
-        # -3 + 0.25 M = -2 (M = 4): a prune at that value once made seed 0
-        # return infeasible, where brute force gives 0.
+        # prune or bound may read one. The first instance's infeasible
+        # (1, 0) pays -3 + 0.25 M = -2 (M = 4): a prune at that value once
+        # made seed 0 return infeasible, where brute force gives 0, and 19
+        # of these draws once ended optimal with global_lb below the value.
         rng = np.random.default_rng(5)
         draws = [BlpInstance(c=[-3, 1], A=[[0.5, -1]], b=[0])]
         for _ in range(300):
