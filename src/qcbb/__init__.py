@@ -2,9 +2,9 @@
 
 Binary linear programs with equality constraints are encoded as Ising
 Hamiltonians with a big-M penalty, attacked per node with a simulated QAOA
-whose samples drive conflict-based branching, bounded classically through a
-Goemans-Williamson MaxCut relaxation, and pruned until proven optimality or a
-target gap.
+whose samples supply candidate solutions, bounded classically through a
+Goemans-Williamson MaxCut relaxation that also picks the branching variable,
+and pruned until proven optimality or a target gap.
 """
 
 from .blp import (

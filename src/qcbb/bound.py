@@ -18,7 +18,8 @@ diagonal is solved by the primal-dual interior-point method of Helmberg,
 Rendl, Vanderbei and Wolkowicz (SIAM J. Optim. 6(2), 1996), whose dual
 vector y bounds every cut through ``sdp_upper_bound``. That bound holds for
 any y, so it does not rely on the method's stop: a solve cut short only
-loosens it. The factor V of the final X feeds hyperplane rounding alone.
+loosens it. The factor V of the final X feeds hyperplane rounding and the
+relaxed spins X[0, i+1] = V[i+1] . V[0], never the bound.
 
 When every objective coefficient is an integer, every objective value lies
 on a lattice g*Z (``objective_lattice``), so a bound on the best feasible
@@ -45,8 +46,16 @@ GW_ROUNDS = 64
 
 @dataclass(frozen=True)
 class BoundResult:
+    """The certified bound and two readings of the relaxation's final X.
+
+    ``relaxed_spins[i]`` = V[i+1] . V[0] = X[0, i+1], spin i's relaxed value
+    in [-1, 1]: near +-1 when the relaxation has decided the spin, near 0
+    when it has not. Neither it nor ``side`` enters ``lb_value``.
+    """
+
     lb_value: float  # -2 z_sdp + W
     side: np.ndarray  # best rounded cut, +-1 per vertex, vertex 0 on the + side
+    relaxed_spins: np.ndarray  # X[0, i+1] per spin; zeros for the all-zero model
 
 
 def ising_to_maxcut(model: IsingModel) -> np.ndarray:
@@ -163,15 +172,19 @@ def lower_bound(model: IsingModel, rng: np.random.Generator) -> BoundResult:
     z_sdp >= z* is the certified relaxation value, so the bound holds for
     every configuration. The result also carries the best hyperplane-rounded
     side of the relaxation, drawn with ``rng``: ``side[1:]`` is a spin
-    configuration of the model (all +1 when no coefficient is nonzero).
+    configuration of the model (all +1 when no coefficient is nonzero); and
+    each spin's relaxed value ``V[1:] @ V[0]``.
     """
     W = ising_to_maxcut(model)
+    n = model.n_spins
     if not W.any():
-        return BoundResult(lb_value=0.0, side=np.ones(W.shape[0], dtype=int))
+        return BoundResult(lb_value=0.0, side=np.ones(n + 1, dtype=int), relaxed_spins=np.zeros(n))
     V, y = solve_sdp(W)
     z_sdp = sdp_upper_bound(y, W)
     _, side = gw_round(V, W, rng)
-    return BoundResult(lb_value=-2.0 * z_sdp + 0.5 * float(W.sum()), side=side)
+    return BoundResult(
+        lb_value=-2.0 * z_sdp + 0.5 * float(W.sum()), side=side, relaxed_spins=V[1:] @ V[0]
+    )
 
 
 def feasible_ceiling(c: np.ndarray, fixings: dict[int, int]) -> float:

@@ -1,4 +1,4 @@
-"""Conflict-driven branch and bound around a variational quantum subroutine.
+"""Branch and bound around a variational quantum subroutine.
 
 Each node is a partial assignment of the master problem. Opening a node
 propagates its forced fixings; a node that propagation refutes is never
@@ -8,9 +8,13 @@ constant, so bounds live in the master frame), applies the prune rule once
 to that bound, and then fathoms a leaf or runs the QAOA subroutine to
 sample candidate solutions. When every cost is an integer, the bound is
 rounded up to the lattice g*Z of objective values (g = gcd of the costs),
-so it bounds the best feasible objective of the node. Violated constraints
-in the samples yield per-variable conflict values; the most conflicting
-variable is branched on.
+so it bounds the best feasible objective of the node. A branched node
+branches on the free variable its SDP relaxation leaves most undecided, the
+relaxed spin X[0, i+1] nearest 0. This departs from the paper, which
+branches on the samples' conflict values: on set partitioning those often
+tie, leaving the choice to the variable index, and the relaxed spin needs
+fewer nodes (README). The samples' most conflicting variable is recorded
+per node (``NodeRecord.conflict_var``) but decides nothing.
 Candidates come from the samples and from the Goemans-Williamson rounded cut
 of the bound's relaxation; each incumbent update records which one (or a
 fathomed leaf) supplied it. Best-first selection by lowest lower bound. The
@@ -115,6 +119,10 @@ class NodeRecord:
     fixings: dict[int, int]
     n_free: int
     many_body_count: int | None = None
+    # A branched node's most conflicting free variable in its samples (the
+    # paper's branching rule), None when no sample violates a row. Observed
+    # only: it feeds neither branching nor pruning.
+    conflict_var: int | None = None
 
 
 @dataclass(frozen=True)
@@ -157,19 +165,6 @@ def conflict_values(
     violation = (np.abs(residual) > FEASIBILITY_TOL).T.astype(np.int8)
     nu = (violation @ counts) / counts.sum()
     return nu @ (A != 0).astype(np.int8)
-
-
-def select_branching_variable(gamma: np.ndarray, fields: np.ndarray) -> int:
-    """Most conflicting variable; ties to the lowest index.
-
-    When all samples were feasible (gamma identically zero) falls back to the
-    variable with the largest absolute field.
-    """
-    if gamma.size == 0:
-        raise ValueError("cannot branch on an empty problem")
-    if float(np.max(gamma)) > 0.0:
-        return int(np.argmax(gamma))
-    return int(np.argmax(np.abs(fields)))
 
 
 def propagate(
@@ -301,7 +296,7 @@ def evaluate_node(
     through ``propagate``). Ordering: restricting ``model``
     (``encode(master, M)``) to the free variables and bounding; the prune
     rule, once, on the node bound; leaf fathoming; the variational
-    subroutine; then choosing the most conflicting variable to branch on.
+    subroutine; then choosing the branching variable.
     The prune rule measures the bound against the node's feasible ceiling T
     and against ``best_feasible``, the incumbent's value (None prunes
     nothing).
@@ -336,8 +331,14 @@ def evaluate_node(
     fathomed leaf's one point, are merged with the fixings into master
     assignments once, feasibility checked, and the cheapest feasible row is
     offered (``_best_rows``; ``candidate_source`` names its row, and a tie
-    keeps the sample). The conflict values read the merged sample rows
-    alone, so branching ignores the cut.
+    keeps the sample).
+
+    The branching variable is the free variable whose relaxed spin
+    ``bres.relaxed_spins`` (X[0, i+1] of the bound's final SDP solution) is
+    nearest 0, the one the relaxation leaves most undecided; only an exact
+    tie in |X[0, i+1]| goes to the lowest index. The samples' conflict
+    values, read from the merged sample rows alone, give the record's
+    ``conflict_var`` and nothing else.
     """
     red = reduce(model, node.fixings)
     bres = bound_mod.lower_bound(red.model, _node_rng(config.seed, node.id, 0))
@@ -346,9 +347,12 @@ def evaluate_node(
     )
     many_body = many_body_count(red.model)
 
-    def finish(outcome: str, reason: str | None = None, **rest) -> NodeEvaluation:
+    def finish(
+        outcome: str, reason: str | None = None, conflict_var: int | None = None, **rest
+    ) -> NodeEvaluation:
         record = NodeRecord(
-            node.id, node.parent, outcome, reason, node_lb, node.fixings, red.n_free, many_body
+            node.id, node.parent, outcome, reason, node_lb, node.fixings, red.n_free, many_body,
+            conflict_var,
         )
         return NodeEvaluation(record, **rest)
 
@@ -366,12 +370,13 @@ def evaluate_node(
     patience = 2 * (2 * config.p + 1)
     expectations, samples = _run_vqa(red.model, config, node.id, config.node_queries, patience)
     full = red.merge(np.vstack((samples.bitstrings, (bres.side[1:] + 1) // 2)))
-    gamma = conflict_values(master.A, master.b, full[:-1], samples.counts)
-    k = int(red.index_map[select_branching_variable(gamma[red.index_map], red.model.fields)])
+    gamma = conflict_values(master.A, master.b, full[:-1], samples.counts)[red.index_map]
+    conflict_var = int(red.index_map[np.argmax(gamma)]) if gamma.max() > 0.0 else None
     return finish(
         "branched",
+        conflict_var=conflict_var,
         expectations=expectations,
-        branch_var=k,
+        branch_var=int(red.index_map[np.argmin(np.abs(bres.relaxed_spins))]),
         **_candidate(master, full, M, "gw", "qaoa"),
     )
 

@@ -341,6 +341,28 @@ class TestLowerBound:
             assert cost == pytest.approx(W.sum() / 2 - 2.0 * cut + red.model.constant, abs=1e-9)
 
 
+class TestRelaxedSpins:
+    def test_within_unit_interval(self):
+        rng = np.random.default_rng(5)
+        for trial in range(40):
+            model = random_model(rng, n_max=8)
+            spins = lower_bound(model, np.random.default_rng(trial)).relaxed_spins
+            assert spins.shape == (model.n_spins,)
+            assert np.all(np.abs(spins) <= 1.0 + 1e-9)
+
+    @pytest.mark.parametrize("fields, spin", [([5.0, 0.2, -0.3], 0), ([0.1, -4.0, 0.3], 1)])
+    def test_dominant_field_decides_its_spin(self, fields, spin):
+        # E = f . sigma + couplings is least with sigma_i = -sign(f_i) for the
+        # dominant field, and the relaxation settles that spin there
+        model = model_of({(0, 1): 0.5, (1, 2): -0.4}, fields)
+        spins = lower_bound(model, np.random.default_rng(0)).relaxed_spins
+        assert spins[spin] == pytest.approx(-np.sign(fields[spin]), abs=1e-6)
+
+    def test_zero_model(self):
+        spins = lower_bound(model_of({}, [0.0, 0.0, 0.0]), np.random.default_rng(0)).relaxed_spins
+        assert np.array_equal(spins, np.zeros(3))
+
+
 class TestObjectiveLattice:
     def test_integral_costs(self):
         assert objective_lattice(np.array([4.0, -6.0, 10.0])) == 2.0

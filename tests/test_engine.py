@@ -16,7 +16,7 @@ from qcbb.blp import (
     load_instance,
     save_instance,
 )
-from qcbb.bound import OPTIMALITY_TOL, objective_lattice
+from qcbb.bound import OPTIMALITY_TOL, lower_bound, objective_lattice
 from qcbb.engine import (
     Node,
     SolverConfig,
@@ -24,7 +24,6 @@ from qcbb.engine import (
     evaluate_node,
     propagate,
     run_plain_qaoa,
-    select_branching_variable,
     solve,
 )
 from qcbb.ising import encode, many_body_count
@@ -56,21 +55,6 @@ class TestConflictValues:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             conflict_values(np.ones((1, 3)), np.ones(1), np.array([[1.0, 0.0]]), np.array([1]))
-
-
-class TestSelectBranchingVariable:
-    def test_argmax(self):
-        assert select_branching_variable(np.array([1.0, 1.25, 0.25]), np.zeros(3)) == 1
-
-    def test_tie_breaks_low_index(self):
-        assert select_branching_variable(np.array([0.5, 0.5]), np.zeros(2)) == 0
-
-    def test_zero_gamma_falls_back_to_field(self):
-        assert select_branching_variable(np.zeros(2), np.array([0.5, -3.0])) == 1
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            select_branching_variable(np.zeros(0), np.zeros(0))
 
 
 class TestPropagate:
@@ -172,6 +156,29 @@ class TestEvaluateNode:
         assert ev.branch_var in range(three_var_instance.n)
         assert ev.branch_var not in ev.record.fixings
 
+    def test_branch_variable_follows_a_column_permutation(self):
+        # the rule reads the relaxation, not the variable order: permuting
+        # the columns of c and A moves the root's branch variable with them
+        inst = generate_spp(10, 3, seed=21)
+        perm = np.random.default_rng(4).permutation(inst.n)
+        permuted = BlpInstance(c=inst.c[perm], A=inst.A[:, perm], b=inst.b, kappa=inst.kappa)
+        config = SolverConfig(p=1, node_queries=4, shots=16, seed=0)
+        branch = []
+        for case in (inst, permuted):
+            fixings, _ = propagate(case.A, case.b, {})
+            red = ising.reduce(encode(case, compute_big_m(case)), fixings)
+            spins = lower_bound(red.model, np.random.default_rng(0)).relaxed_spins
+            nearest = np.sort(np.abs(spins))
+            # no near-tie that float error in the permuted solve could flip
+            assert nearest[1] - nearest[0] > 1e-6
+            node = Node(id=0, parent=None, fixings=fixings, local_lb=-np.inf)
+            ev = evaluate(case, node, config, None, objective_lattice(case.c))
+            assert ev.record.outcome == "branched"
+            assert ev.branch_var == red.index_map[np.argmin(np.abs(spins))]
+            branch.append(ev.branch_var)
+        assert branch[0] != branch[1]
+        assert perm[branch[1]] == branch[0]
+
     def test_bound_proves_cycle_infeasible(self):
         # 3-cycle of equality pairs has no binary solution, yet every row
         # passes activity propagation; only the penalty bound can refute it
@@ -256,8 +263,9 @@ class TestSolve:
         assert res.nodes_evaluated == 1
 
     def test_gap_target_stops_early(self):
-        # this tree stops after 7 nodes with best -23 over global_lb -24
-        inst = subset_sum_instance(12, 0)
+        # this tree stops after 4 of its 17 nodes with best -58 over
+        # global_lb -64
+        inst = subset_sum_instance(12, 3)
         config = SolverConfig(p=1, node_queries=4, shots=64, seed=1)
         res = solve(inst, dataclasses.replace(config, gap=0.2))
         assert res.status == "gap_reached"
@@ -387,11 +395,25 @@ class TestSolve:
 
         monkeypatch.setattr(engine, "propagate", counted)
         config = SolverConfig(p=1, node_queries=4, shots=16, seed=0)
-        res = solve(generate_spp(10, 3, seed=21), config)
+        # this tree branches at 3 nodes
+        res = solve(subset_sum_instance(10, 3), config)
         branched = sum(r.outcome == "branched" for r in res.node_records.values())
         assert branched > 1
         assert calls == [branched]
         assert propagations == [1 + 2 * branched]
+
+    def test_conflict_variable_is_a_free_variable_of_a_branched_node(self):
+        config = SolverConfig(p=1, node_queries=4, shots=16, seed=0)
+        res = solve(subset_sum_instance(10, 0), config)
+        observed = 0
+        for record in res.node_records.values():
+            if record.outcome != "branched":
+                assert record.conflict_var is None
+            elif record.conflict_var is not None:
+                assert record.conflict_var in range(10)
+                assert record.conflict_var not in record.fixings
+                observed += 1
+        assert observed > 0
 
     def test_one_encode_per_run(self, monkeypatch):
         # nodes restrict the master model; nothing encodes it again

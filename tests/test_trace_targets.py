@@ -1,4 +1,4 @@
-"""Every function the benchmark traces exists in qcbb.
+"""Every function the benchmark traces exists in qcbb, and a solve calls it.
 
 ``perfbench/worker.py`` wraps each ``TRACE_TARGETS`` entry by module
 attribute and skips one it cannot find, so a renamed function would read 0
@@ -9,9 +9,12 @@ worker's own imports and path set-up do not run here.
 import ast
 import importlib
 import inspect
+import sys
+from collections import Counter
 from pathlib import Path
 
-from qcbb import vqa
+from conftest import subset_sum_instance
+from qcbb import SolverConfig, engine, vqa
 
 WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
 
@@ -37,3 +40,32 @@ def test_every_trace_target_is_a_module_function():
 def test_state_work_reads_the_leading_arguments_of_qaoa_state():
     # the worker's state_work reads qaoa_state's diag and params by position
     assert list(inspect.signature(vqa.qaoa_state).parameters)[:2] == ["diag", "params"]
+
+
+def counting(calls: Counter, name: str, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_a_branched_solve_calls_every_trace_target(monkeypatch):
+    # Mirrors the benchmark's trace smoke gate, which fails when a traced
+    # metric reads 0. Each function is swapped by identity in every qcbb
+    # module, as perfbench/tracer.py does, so ``from x import f`` names count.
+    calls = Counter()
+    modules = [m for key, m in list(sys.modules.items()) if key.split(".")[0] == "qcbb"]
+    for name, module, attr in trace_targets():
+        original = getattr(importlib.import_module(f"qcbb.{module}"), attr)
+        wrapper = counting(calls, name, original)
+        for m in modules:
+            for key, value in list(vars(m).items()):
+                if value is original:
+                    monkeypatch.setattr(m, key, wrapper)
+    config = SolverConfig(p=1, node_queries=4, shots=64, seed=1)
+    res = engine.solve(subset_sum_instance(10, 3), config)
+    assert any(r.outcome == "branched" for r in res.node_records.values())
+    # solve and run_plain_qaoa share the metric engine.search
+    idle = sorted({name for name, _, _ in trace_targets()} - set(calls))
+    assert not idle, f"never called: {idle}"
