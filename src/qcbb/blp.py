@@ -117,6 +117,14 @@ def compute_big_m(instance: BlpInstance) -> float:
     return M
 
 
+def violations(instance: BlpInstance, X: np.ndarray) -> np.ndarray:
+    """Which constraints each row of ``X``, a 0/1 assignment of the
+    variables, violates: entry [k, j] is True when
+    |(A x_k - b)_j| > FEASIBILITY_TOL. A row is feasible when its row of
+    the result is all False."""
+    return np.abs(X @ instance.A.T - instance.b) > FEASIBILITY_TOL
+
+
 def penalized_cost(instance: BlpInstance, x: np.ndarray, M: float) -> float:
     """``c^T x + M * ||Ax - b||^2``; equals ``c^T x`` exactly when Ax = b."""
     x = np.asarray(x, dtype=float)
@@ -187,8 +195,7 @@ def _feasible_rows(instance: BlpInstance) -> tuple[np.ndarray, np.ndarray]:
     """Every feasible assignment as a row, enumerated (n <= 20 guard), and
     the row costs."""
     X = enumerate_assignments(instance.n)
-    res = X @ instance.A.T - instance.b
-    X = X[np.all(np.abs(res) <= FEASIBILITY_TOL, axis=1)]
+    X = X[~violations(instance, X).any(axis=1)]
     return X, X @ instance.c
 
 

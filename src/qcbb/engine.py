@@ -16,12 +16,13 @@ tie, leaving the choice to the variable index, and the relaxed spin needs
 fewer nodes (README). The samples' most conflicting variable is recorded
 per node (``NodeRecord.conflict_var``) but decides nothing.
 Candidates come from the samples and from the Goemans-Williamson rounded cut
-of the bound's relaxation; each incumbent update records which one (or a
-fathomed leaf) supplied it. Best-first selection by lowest lower bound. The
-search keeps one incumbent, the best feasible point found: it is the
-reported answer, the prune cutoff, the trace's upper bound ``ub`` and the
-incumbent term of the global lower bound. Nodes are evaluated one at a
-time, so a run is deterministic for a fixed seed.
+of the bound's relaxation, ranked by c.x among the feasible ones (the big-M
+penalty lives only in ``encode``'s model); each incumbent update records
+which one (or a fathomed leaf) supplied it. Best-first selection by lowest
+lower bound. The search keeps one incumbent, the best feasible point found:
+it is the reported answer, the prune cutoff, the trace's upper bound ``ub``
+and the incumbent term of the global lower bound. Nodes are evaluated one
+at a time, so a run is deterministic for a fixed seed.
 
 ``evaluate_node`` returns the node's ``NodeRecord``, which ``solve`` keeps,
 with what ``solve`` applies: query expectations, the node's best feasible
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import bound as bound_mod
 from . import vqa
-from .blp import FEASIBILITY_TOL, BlpInstance, compute_big_m, penalized_cost
+from .blp import FEASIBILITY_TOL, BlpInstance, compute_big_m, penalized_cost, violations
 from .bound import OPTIMALITY_TOL
 from .ising import IsingModel, encode, many_body_count, reduce
 from .metrics import TraceEvent, TraceRecorder, many_body_fraction
@@ -147,23 +148,17 @@ class SolveResult:
     node_records: dict[int, NodeRecord]
 
 
-def conflict_values(
-    A: np.ndarray, b: np.ndarray, X: np.ndarray, counts: np.ndarray
-) -> np.ndarray:
+def conflict_values(A: np.ndarray, violated: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Conflict value gamma of each variable.
 
-    Sample row k of ``X``, seen ``counts[k]`` times, violates constraint j
-    when its residual is nonzero; nu_j is the count-weighted fraction of
-    violating samples, and gamma = nu @ P spreads the scores onto the
-    variables appearing in each constraint.
+    Sample k, seen ``counts[k]`` times, violates constraint j when
+    ``violated[k, j]`` (``blp.violations``); nu_j is the count-weighted
+    fraction of violating samples, and gamma = nu @ P spreads the scores
+    onto the variables appearing in each constraint.
     """
-    if X.shape[1] != A.shape[1]:
-        raise ValueError(
-            f"samples have {X.shape[1]} variables, constraints have {A.shape[1]}"
-        )
-    residual = X @ A.T - b
-    violation = (np.abs(residual) > FEASIBILITY_TOL).T.astype(np.int8)
-    nu = (violation @ counts) / counts.sum()
+    if violated.shape[1] != A.shape[0]:
+        raise ValueError(f"violations cover {violated.shape[1]} constraints, A has {A.shape[0]}")
+    nu = (violated.T.astype(np.int8) @ counts) / counts.sum()
     return nu @ (A != 0).astype(np.int8)
 
 
@@ -217,31 +212,28 @@ def _node_rng(seed: int, node_id: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, node_id, stream])
 
 
-def _best_rows(master: BlpInstance, full: np.ndarray, M: float) -> tuple[int, int | None]:
-    """Rows of ``full``, each a 0/1 assignment of the master variables, with
-    the least penalized cost c.x + M ||Ax - b||^2 overall and among the
-    feasible rows (None when no row is feasible); the first row on ties.
-
-    Rows are ranked on one matrix product, whose sums can differ from a dot
-    product's in the last bit on fractional costs, so a chosen row is valued
-    with ``penalized_cost``, which is c.x on a feasible row."""
-    residual = full @ master.A.T - master.b
-    penalized = full @ master.c + M * np.sum(residual * residual, axis=1)
-    feasible = np.flatnonzero(np.all(np.abs(residual) <= FEASIBILITY_TOL, axis=1))
-    best_feasible = int(feasible[np.argmin(penalized[feasible])]) if feasible.size else None
-    return int(np.argmin(penalized)), best_feasible
+def _cheapest_feasible(c: np.ndarray, full: np.ndarray, violated: np.ndarray) -> int | None:
+    """The first row of ``full`` (0/1 master assignments) with the least c.x
+    among those whose ``violated`` row is all False, None when there is none.
+    The ranking product's sums can differ from a dot product's in the last
+    bit on fractional costs, so callers value the row with its own c @ x."""
+    feasible = np.flatnonzero(~violated.any(axis=1))
+    return int(feasible[np.argmin((full @ c)[feasible])]) if feasible.size else None
 
 
-def _candidate(master: BlpInstance, full: np.ndarray, M: float, last: str, other: str) -> dict:
-    """The ``NodeEvaluation`` fields of the best feasible row of ``full``:
-    ``candidate`` (value, x) and ``candidate_source``, ``last`` when it is
-    the last row and ``other`` otherwise; none when no row is feasible."""
-    row = _best_rows(master, full, M)[1]
+def _candidate(
+    master: BlpInstance, full: np.ndarray, violated: np.ndarray, last: str, other: str
+) -> dict:
+    """The ``NodeEvaluation`` fields of the cheapest feasible row of
+    ``full``: ``candidate`` (c @ x, x) and ``candidate_source``, ``last``
+    when it is the last row and ``other`` otherwise; none when no row is
+    feasible."""
+    row = _cheapest_feasible(master.c, full, violated)
     if row is None:
         return {}
     x = full[row].copy()
     source = last if row == len(full) - 1 else other
-    return {"candidate": (penalized_cost(master, x, M), x), "candidate_source": source}
+    return {"candidate": (float(master.c @ x), x), "candidate_source": source}
 
 
 def _run_vqa(
@@ -284,7 +276,6 @@ def _prune(
 def evaluate_node(
     master: BlpInstance,
     model: IsingModel,
-    M: float,
     node: Node,
     config: SolverConfig,
     best_feasible: float | None,
@@ -293,10 +284,11 @@ def evaluate_node(
     """Full lifecycle of one open node; pure given the node's seed streams.
 
     ``node.fixings`` are already propagated (``solve`` opens every node
-    through ``propagate``). Ordering: restricting ``model``
-    (``encode(master, M)``) to the free variables and bounding; the prune
-    rule, once, on the node bound; leaf fathoming; the variational
-    subroutine; then choosing the branching variable.
+    through ``propagate``). Ordering: restricting ``model`` (``encode``'s
+    penalized model of ``master``, the only place its big M lives) to the
+    free variables and bounding; the prune rule, once, on the node bound;
+    leaf fathoming; the variational subroutine; then choosing the branching
+    variable.
     The prune rule measures the bound against the node's feasible ceiling T
     and against ``best_feasible``, the incumbent's value (None prunes
     nothing).
@@ -329,16 +321,17 @@ def evaluate_node(
     At a branched node the best hyperplane-rounded cut of the bound's
     relaxation follows the QAOA samples as the last row. The rows, or a
     fathomed leaf's one point, are merged with the fixings into master
-    assignments once, feasibility checked, and the cheapest feasible row is
-    offered (``_best_rows``; ``candidate_source`` names its row, and a tie
-    keeps the sample).
+    assignments once, and their violation matrix (``blp.violations``) is
+    built once. The cheapest feasible row by c.x, the first on ties, is
+    offered valued at its own c @ x (``candidate_source`` names its row, so
+    a sample tied with the cut is offered as the sample).
 
     The branching variable is the free variable whose relaxed spin
     ``bres.relaxed_spins`` (X[0, i+1] of the bound's final SDP solution) is
     nearest 0, the one the relaxation leaves most undecided; only an exact
     tie in |X[0, i+1]| goes to the lowest index. The samples' conflict
-    values, read from the merged sample rows alone, give the record's
-    ``conflict_var`` and nothing else.
+    values, read from the sample rows of that violation matrix, give the
+    record's ``conflict_var`` and nothing else.
     """
     red = reduce(model, node.fixings)
     bres = bound_mod.lower_bound(red.model, _node_rng(config.seed, node.id, 0))
@@ -363,21 +356,23 @@ def evaluate_node(
 
     if red.n_free == 0:
         leaf = red.merge(np.zeros((1, 0)))
-        return finish("fathomed_leaf", **_candidate(master, leaf, M, "leaf", "leaf"))
+        leaf_violated = violations(master, leaf)
+        return finish("fathomed_leaf", **_candidate(master, leaf, leaf_violated, "leaf", "leaf"))
 
     # Stop after two Nelder-Mead simplex sizes (2p+1 points over 2p angles)
     # of queries without a new best.
     patience = 2 * (2 * config.p + 1)
     expectations, samples = _run_vqa(red.model, config, node.id, config.node_queries, patience)
     full = red.merge(np.vstack((samples.bitstrings, (bres.side[1:] + 1) // 2)))
-    gamma = conflict_values(master.A, master.b, full[:-1], samples.counts)[red.index_map]
+    violated = violations(master, full)
+    gamma = conflict_values(master.A, violated[:-1], samples.counts)[red.index_map]
     conflict_var = int(red.index_map[np.argmax(gamma)]) if gamma.max() > 0.0 else None
     return finish(
         "branched",
         conflict_var=conflict_var,
         expectations=expectations,
         branch_var=int(red.index_map[np.argmin(np.abs(bres.relaxed_spins))]),
-        **_candidate(master, full, M, "gw", "qaoa"),
+        **_candidate(master, full, violated, "gw", "qaoa"),
     )
 
 
@@ -414,9 +409,8 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
             f"instance has {instance.n} variables, simulator limit is "
             f"{vqa.SIMULATOR_LIMIT}"
         )
-    M = compute_big_m(instance)
     lattice = bound_mod.objective_lattice(instance.c)
-    model = encode(instance, M)
+    model = encode(instance, compute_big_m(instance))
     master_mb = many_body_count(model)
     t0 = time.perf_counter()
     rec = TraceRecorder(wall_clock=config.wall_clock)
@@ -493,7 +487,7 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
         node = heapq.heappop(heap)[3]
         node_index += 1
         rec.record("node_start", node_index)
-        ev = evaluate_node(instance, model, M, node, config, best_value, lattice)
+        ev = evaluate_node(instance, model, node, config, best_value, lattice)
         apply_evaluation(ev)
         refresh_global_lb()
 
@@ -554,8 +548,9 @@ def run_plain_qaoa(
     for q, value in enumerate(expectations, start=1):
         rec.record("optimizer_query", 0, query_index=q, expectation=value)
     full = samples.bitstrings.astype(float)
-    best, feasible = _best_rows(instance, full, M)
-    x = full[best].copy()
+    residual = full @ instance.A.T - instance.b
+    x = full[np.argmin(full @ instance.c + M * np.sum(residual * residual, axis=1))].copy()
+    feasible = _cheapest_feasible(instance.c, full, violations(instance, full))
     feasible_x = None if feasible is None else full[feasible].copy()
     value = penalized_cost(instance, x, M)
     rec.record("incumbent_update", 0, ub=value)
@@ -563,7 +558,7 @@ def run_plain_qaoa(
     return BaselineResult(
         best_penalized_value=value,
         best_penalized_assignment=x,
-        best_feasible_value=None if feasible_x is None else penalized_cost(instance, feasible_x, M),
+        best_feasible_value=None if feasible_x is None else float(instance.c @ feasible_x),
         best_feasible_assignment=feasible_x,
         queries=len(expectations),
         trace=tuple(rec.events),

@@ -202,48 +202,43 @@ def _column_type(column: str) -> type:
     return float
 
 
-def _parse_cell(column: str, text: str):
-    return None if text == "" else _column_type(column)(text)
-
-
 def _csv_row(row: list[str]) -> dict:
     if len(row) != len(CSV_COLUMNS):
         raise ValueError(f"{len(row)} cells, the header has {len(CSV_COLUMNS)}")
-    return {col: _parse_cell(col, cell) for col, cell in zip(CSV_COLUMNS, row)}
+    return {
+        col: None if cell == "" else _column_type(col)(cell) for col, cell in zip(CSV_COLUMNS, row)
+    }
 
 
 def _json_row(row) -> dict:
-    """A JSON event whose cells have their CSV columns' types (a float
-    column takes any number, a bool is none) and null only where optional."""
     if not isinstance(row, dict):
         raise ValueError("an event must be a JSON object")
-    for column in CSV_COLUMNS:
-        value, kind = row.get(column), _column_type(column)
-        if value is None:
-            ok = column not in ("wall_time_s", "node_index", "kind")
-        else:
-            ok = isinstance(value, (int, float) if kind is float else kind)
-        if not ok or isinstance(value, bool):
-            raise ValueError(f"{column} cannot be {json.dumps(value)}")
     return row
 
 
-def _check_range(row: dict) -> dict:
-    """``row`` once its numbers are finite and its indices non-negative."""
+def _check_row(row: dict) -> dict:
+    """``row`` once each cell has its column's type (a float column takes
+    any number, a bool is none), is null only where optional, is finite and,
+    for an index, non-negative."""
     for column in CSV_COLUMNS:
         value, kind = row.get(column), _column_type(column)
-        if value is None or kind is str:
-            continue
-        if not math.isfinite(value) or (kind is int and value < 0):
-            raise ValueError(f"{column} cannot be {value!r}")
+        types = (int, float) if kind is float else kind
+        if value is None:
+            ok = column not in ("wall_time_s", "node_index", "kind")
+        elif isinstance(value, bool) or not isinstance(value, types):
+            ok = False
+        else:
+            ok = kind is str or (math.isfinite(value) and not (kind is int and value < 0))
+        if not ok:
+            raise ValueError(f"{column} cannot be {json.dumps(value)}")
     return row
 
 
 def load_trace(path) -> list[TraceEvent]:
     """Read a trace written by ``export_trace`` (JSON when ``path`` ends in
-    .json, else CSV). A malformed event, a non-finite number or a negative
-    index raises ValueError naming its row, counted from 1 after the CSV
-    header."""
+    .json, else CSV). Each event is decoded to a dict and checked by
+    ``_check_row``; a malformed event raises ValueError naming its row,
+    counted from 1 after the CSV header."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         if _is_json(path):
             rows = json.load(fh)
@@ -260,7 +255,7 @@ def load_trace(path) -> list[TraceEvent]:
     events: list[TraceEvent] = []
     for i, row in enumerate(rows, start=1):
         try:
-            events.append(TraceEvent(**_check_range(parse(row))))
+            events.append(TraceEvent(**_check_row(parse(row))))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"trace {path} row {i}: {exc}") from exc
     return events

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qcbb.blp import FEASIBILITY_TOL, BlpInstance
+from qcbb.blp import BlpInstance, violations
 from qcbb.bound import ising_to_maxcut
 from qcbb.ising import IsingModel
 from qcbb.vqa import MIXER_BLOCK, QaoaParams
@@ -24,8 +24,8 @@ def three_var_instance() -> BlpInstance:
 
 
 def is_feasible(instance: BlpInstance, x: np.ndarray) -> bool:
-    """Whether the binary assignment x satisfies Ax = b within FEASIBILITY_TOL."""
-    return bool(np.max(np.abs(instance.residual(x)), initial=0.0) <= FEASIBILITY_TOL)
+    """Whether the binary assignment x satisfies Ax = b (``blp.violations``)."""
+    return not violations(instance, np.asarray(x, dtype=float)[None]).any()
 
 
 def sigma_of_x(x: np.ndarray) -> np.ndarray:

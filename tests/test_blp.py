@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import is_feasible
 from qcbb import blp
 from qcbb.blp import (
+    FEASIBILITY_TOL,
     BlpInstance,
     InstanceFormatError,
     brute_force_optimum,
@@ -17,6 +18,7 @@ from qcbb.blp import (
     load_instance,
     penalized_cost,
     save_instance,
+    violations,
 )
 
 
@@ -123,6 +125,27 @@ class TestPenalizedCost:
                 cost = float(inst.c @ x)
                 assert p >= cost - 1e-12
                 assert (abs(p - cost) < 1e-12) == is_feasible(inst, x)
+
+
+class TestViolations:
+    def test_tolerance_boundary(self):
+        # at x = 1 the rows' residuals are +tol, +above, -tol and -above
+        above = np.nextafter(FEASIBILITY_TOL, 1.0)
+        A = [[FEASIBILITY_TOL], [above], [0.0], [0.0]]
+        inst = BlpInstance(c=[1.0], A=A, b=[0.0, 0.0, FEASIBILITY_TOL, above])
+        # a residual of exactly FEASIBILITY_TOL, of either sign, satisfies its
+        # row; the next float above it violates it
+        assert violations(inst, np.array([[1.0]])).tolist() == [[False, True, False, True]]
+
+    def test_rows_and_columns(self):
+        inst = BlpInstance(c=[1, 2, 3], A=[[1, 1, 0], [0, 1, 1]], b=[1, 1])
+        X = np.array([[0, 1, 0], [1, 0, 1], [0, 0, 0], [1, 1, 0]], dtype=float)
+        assert violations(inst, X).tolist() == [
+            [False, False],
+            [False, False],
+            [True, True],
+            [True, False],
+        ]
 
 
 class TestGenerateSpp:

@@ -272,6 +272,18 @@ class TestReport:
         assert cli.main(["report", "--trace", str(t), "--instance", str(big)]) == 1
         assert "error" in capsys.readouterr().err
 
+    # the second row misses its time, then its node index
+    @pytest.mark.parametrize("row", [",0,done,1.0,2.0,,,,optimal", "2e-06,,done,1.0,2.0,,,,optimal"])
+    def test_csv_row_missing_a_required_cell_errors(self, tmp_path, capsys, row):
+        from qcbb.metrics import CSV_COLUMNS
+
+        path = tmp_path / "t.csv"
+        path.write_text(f"{','.join(CSV_COLUMNS)}\n1e-06,0,node_start,,,,,,\n{row}\n")
+        assert cli.main(["report", "--trace", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and "row 2" in err and "cannot be null" in err
+        assert "Traceback" not in err and "null" not in out
+
     def test_empty_trace_errors(self, tmp_path):
         from qcbb.metrics import export_trace
 

@@ -15,6 +15,7 @@ from qcbb.blp import (
     generate_spp,
     load_instance,
     save_instance,
+    violations,
 )
 from qcbb.bound import OPTIMALITY_TOL, lower_bound, objective_lattice
 from qcbb.engine import (
@@ -27,34 +28,35 @@ from qcbb.engine import (
     solve,
 )
 from qcbb.ising import encode, many_body_count
-from qcbb.vqa import SIMULATOR_LIMIT
+from qcbb.vqa import SIMULATOR_LIMIT, SampleSet
+
+
+def gamma(A, b, X, counts):
+    """``conflict_values`` of the sample rows ``X`` of the constraints Ax = b."""
+    inst = BlpInstance(c=np.zeros(len(A[0])), A=A, b=b)
+    return conflict_values(inst.A, violations(inst, np.array(X, dtype=float)), np.array(counts))
 
 
 class TestConflictValues:
     def test_hand_worked_example(self):
-        A = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
-        b = np.array([1.0, 1.0])
-        X = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        A = [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]
+        X = [[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
         # nu = [1, 1/4] per constraint, spread onto each constraint's variables
-        assert np.allclose(conflict_values(A, b, X, np.array([3, 1])), [1.0, 1.25, 0.25])
+        assert np.allclose(gamma(A, [1.0, 1.0], X, [3, 1]), [1.0, 1.25, 0.25])
 
     def test_all_feasible(self):
-        A = np.array([[1.0, 1.0]])
-        b = np.array([1.0])
-        gamma = conflict_values(A, b, np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([2, 2]))
-        assert np.all(gamma == 0)
+        assert np.all(gamma([[1.0, 1.0]], [1.0], [[1.0, 0.0], [0.0, 1.0]], [2, 2]) == 0)
 
     def test_single_fully_violating_sample(self):
-        A = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
-        b = np.array([1.0, 1.0])
-        gamma = conflict_values(A, b, np.zeros((1, 3)), np.array([4]))
+        A = [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
         # every constraint is violated, so gamma_i counts the constraints
         # variable i appears in
-        assert np.allclose(gamma, [1.0, 1.0, 2.0])
+        assert np.allclose(gamma(A, [1.0, 1.0], np.zeros((1, 3)), [4]), [1.0, 1.0, 2.0])
 
     def test_dimension_mismatch(self):
+        # two constraints' violations against a one-row A
         with pytest.raises(ValueError):
-            conflict_values(np.ones((1, 3)), np.ones(1), np.array([[1.0, 0.0]]), np.array([1]))
+            conflict_values(np.ones((1, 3)), np.zeros((1, 2), dtype=bool), np.array([1]))
 
 
 class TestPropagate:
@@ -118,8 +120,8 @@ class TestPropagate:
 
 def evaluate(inst, node, config, best_feasible, lattice):
     """``evaluate_node`` on the encoded master of ``inst`` with its big M."""
-    M = compute_big_m(inst)
-    return evaluate_node(inst, encode(inst, M), M, node, config, best_feasible, lattice)
+    model = encode(inst, compute_big_m(inst))
+    return evaluate_node(inst, model, node, config, best_feasible, lattice)
 
 
 class TestEvaluateNode:
@@ -188,6 +190,68 @@ class TestEvaluateNode:
         assert ev.record.outcome == "pruned_infeasible" and ev.record.reason == "bound"
         for x in enumerate_assignments(inst.n):
             assert not is_feasible(inst, x)
+
+
+class TestCandidate:
+    """The row a branched node offers: the cheapest feasible one by c.x,
+    the first on ties, valued at its own c @ x. ``root`` patches in the
+    samples; the hyperplane-rounded cut, the last row, is the solver's own."""
+
+    # x0 + x1 = 1 and x1 + x2 = 1: both feasible points, (0, 1, 0) and
+    # (1, 0, 1), cost 2
+    tied = BlpInstance(c=[1.0, 2.0, 1.0], A=[[1, 1, 0], [0, 1, 1]], b=[1, 1])
+
+    @staticmethod
+    def root(inst, monkeypatch, rows):
+        """The root's evaluation when its samples are ``rows``, each seen once."""
+        samples = SampleSet(np.array(rows, dtype=np.int8), np.ones(len(rows), dtype=np.int64))
+        monkeypatch.setattr(engine, "_run_vqa", lambda *args: ((), samples))
+        node = Node(id=0, parent=None, fixings={}, local_lb=-np.inf)
+        ev = evaluate(inst, node, SolverConfig(seed=1), None, objective_lattice(inst.c))
+        assert ev.record.outcome == "branched"
+        return ev
+
+    def test_the_cut_is_offered_when_no_sample_is_feasible(self, monkeypatch):
+        ev = self.root(self.tied, monkeypatch, [[0, 0, 0], [1, 1, 1]])
+        assert ev.candidate_source == "gw"
+        assert ev.candidate[0] == 2.0 and is_feasible(self.tied, ev.candidate[1])
+
+    @pytest.mark.parametrize("point", [[0, 1, 0], [1, 0, 1]])
+    def test_a_sample_tied_with_the_cut_is_offered(self, monkeypatch, point):
+        # the cut is feasible at cost 2 (the test above), as is either point
+        ev = self.root(self.tied, monkeypatch, [[1, 1, 1], point])
+        assert ev.candidate_source == "qaoa"
+        assert ev.candidate[0] == 2.0 and np.array_equal(ev.candidate[1], point)
+
+    @pytest.mark.parametrize("first, second", [([0, 1, 0], [1, 0, 1]), ([1, 0, 1], [0, 1, 0])])
+    def test_first_of_two_tied_samples_is_offered(self, monkeypatch, first, second):
+        ev = self.root(self.tied, monkeypatch, [first, second])
+        assert np.array_equal(ev.candidate[1], first)
+
+    def test_a_cheaper_infeasible_row_is_never_offered(self, monkeypatch):
+        # (0, 0, 0) costs 0 and (1, 1, 0) costs 3, both infeasible
+        ev = self.root(self.tied, monkeypatch, [[0, 0, 0], [1, 1, 0], [0, 1, 0]])
+        assert ev.candidate_source == "qaoa"
+        assert np.array_equal(ev.candidate[1], [0, 1, 0])
+
+    def test_sampled_offer_is_feasible_and_valued_at_c_dot_x(self):
+        # real samples; fractional costs, where a matrix product's row sums
+        # and a dot product can round apart
+        rng = np.random.default_rng(5)
+        offered = 0
+        for seed in range(6):
+            spp = generate_spp(9, 3, seed=seed)
+            inst = BlpInstance(c=spp.c * rng.uniform(0.1, 1.0, spp.n) / 3.0, A=spp.A, b=spp.b)
+            fixings, _ = propagate(inst.A, inst.b, {})
+            node = Node(id=0, parent=None, fixings=fixings, local_lb=-np.inf)
+            config = SolverConfig(p=1, node_queries=4, shots=64, seed=seed)
+            ev = evaluate(inst, node, config, None, objective_lattice(inst.c))
+            if ev.candidate is not None:
+                value, x = ev.candidate
+                assert is_feasible(inst, x)
+                assert type(value) is float and value == float(inst.c @ x)
+                offered += 1
+        assert offered
 
 
 def count_phase_tables(monkeypatch) -> list[int]:

@@ -146,6 +146,8 @@ class TestExportImport:
                 '[{"wall_time_s": 1e-06, "node_index": 0, "kind": "optimizer_query",'
                 ' "query_index": -3, "expectation": 1.0}]',
             ),
+            ("bad.csv", ",".join(CSV_COLUMNS) + "\n1e-06,0,node_start,,,,,,\n,0,done,1.0,2.0,,,,optimal\n"),
+            ("bad.csv", ",".join(CSV_COLUMNS) + "\n1e-06,0,node_start,,,,,,\n2e-06,,done,1.0,2.0,,,,optimal\n"),
         ],
         ids=[
             "json_unknown_key",
@@ -160,6 +162,8 @@ class TestExportImport:
             "json_nan_ub",
             "json_minus_infinity_time",
             "json_negative_query_index",
+            "csv_null_time",
+            "csv_null_index",
         ],
     )
     def test_malformed_row_rejected(self, tmp_path, name, text):
