@@ -55,6 +55,8 @@ def _assignment_string(x) -> str:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):

@@ -7,11 +7,12 @@ from functools import reduce
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.optimize import minimize
 
 from qcbb.blp import BlpInstance, violations
 from qcbb.bound import ising_to_maxcut
 from qcbb.ising import IsingModel
-from qcbb.vqa import MIXER_BLOCK, QaoaParams
+from qcbb.vqa import MIXER_BLOCK, QaoaParams, expectation, phase_table, qaoa_state
 
 # Goemans-Williamson approximation ratio of hyperplane rounding.
 ALPHA = 0.87856
@@ -153,6 +154,56 @@ def dense_qaoa_expectation(diag: np.ndarray, params: QaoaParams) -> float:
         psi = np.exp(-1j * gamma * diag) * psi
         psi = expm(-1j * beta * x_sum) @ psi
     return float(np.real(np.vdot(psi, diag * psi)))
+
+
+class _Stop(Exception):
+    pass
+
+
+def scipy_optimize_angles(
+    diag: np.ndarray,
+    p: int,
+    max_queries: int,
+    rng: np.random.Generator,
+    patience: int | None = None,
+) -> tuple[QaoaParams, tuple[float, ...]]:
+    """Reference for ``qcbb.vqa.optimize_angles``: the same restart loop,
+    budget and patience rule around SciPy's ``minimize(method="Nelder-Mead")``
+    (``maxfev`` the remaining budget, ``xatol=1e-4``, ``fatol=1e-8``)."""
+    values: list[float] = []
+    best_x: np.ndarray | None = None
+    best_f = np.inf
+    stale = 0
+    table = phase_table(diag)
+
+    def objective(x: np.ndarray) -> float:
+        nonlocal best_x, best_f, stale
+        if len(values) >= max_queries:
+            raise _Stop
+        value = expectation(qaoa_state(diag, QaoaParams.from_vector(x), table), diag)
+        values.append(value)
+        if value < best_f:
+            best_f = value
+            best_x = x.copy()
+            stale = 0
+        else:
+            stale += 1
+            if stale == patience:
+                raise _Stop
+        return value
+
+    try:
+        while len(values) < max_queries:
+            minimize(
+                objective,
+                rng.uniform(0.0, np.pi, size=2 * p),
+                method="Nelder-Mead",
+                options={"maxfev": max_queries - len(values), "xatol": 1e-4, "fatol": 1e-8},
+            )
+    except _Stop:
+        pass
+    assert best_x is not None
+    return QaoaParams.from_vector(best_x), tuple(values)
 
 
 def tensordot_mixer(state: np.ndarray, beta: float, n_spins: int) -> np.ndarray:

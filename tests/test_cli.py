@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qcbb
 from qcbb import cli
 from qcbb.blp import BlpInstance, brute_force_optimum, load_instance, save_instance
 from qcbb.metrics import load_trace
@@ -62,6 +67,33 @@ class TestGen:
         assert cli.main(["gen", "--n", "21", "--m", "6", "--out", str(over), "--with-optimum"]) == 1
         assert "error" in capsys.readouterr().err
         assert not list(over.glob("*.json"))
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_is_usage_error(self, tmp_path, capsys, count):
+        # a count below 1 once exited 0 having written nothing
+        out = tmp_path / "d"
+        assert cli.main(["gen", "--n", "10", "--m", "4", "--count", count, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+
+def test_start_up_imports_no_scipy():
+    # the CLI's start-up cost is its imports; SciPy is a test dependency only
+    code = (
+        "import sys, qcbb, qcbb.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    src = str(Path(qcbb.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 class TestSolve:

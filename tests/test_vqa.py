@@ -7,6 +7,7 @@ from conftest import (
     dense_qaoa_expectation,
     kron_mixer,
     random_model,
+    scipy_optimize_angles,
     spin_product_diagonal,
     tensordot_mixer,
 )
@@ -342,6 +343,48 @@ class TestOptimizeAngles:
         p2, t2 = optimize_angles(pair_diag, 2, 80, np.random.default_rng(3))
         assert np.array_equal(as_vector(p1), as_vector(p2))
         assert t1 == t2
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["half_integer", "gaussian", "constant"])
+    def test_replays_scipy_nelder_mead(self, kind, p):
+        # 60 cases per (kind, p): every query and the returned angles equal
+        # SciPy's, bit for bit
+        rng = np.random.default_rng(100 * p + len(kind))
+        for budget in (1, 5, 7, 30, 120):
+            for patience in (None, 6, 14):
+                for _ in range(4):
+                    size = 1 << int(rng.integers(1, 7))
+                    if kind == "half_integer":
+                        diag = rng.integers(-20, 21, size) / 2
+                    elif kind == "gaussian":
+                        diag = rng.normal(size=size)
+                    else:
+                        diag = np.full(size, float(rng.integers(-3, 4)))
+                    seed = int(rng.integers(2**32))
+                    ours = optimize_angles(
+                        diag, p, budget, np.random.default_rng(seed), patience=patience
+                    )
+                    ref = scipy_optimize_angles(
+                        diag, p, budget, np.random.default_rng(seed), patience=patience
+                    )
+                    case = (kind, p, budget, patience, size, seed)
+                    assert ours[1] == ref[1], case
+                    assert as_vector(ours[0]).tobytes() == as_vector(ref[0]).tobytes(), case
+
+    def test_queried_params_are_never_overwritten(self, monkeypatch):
+        # each query gets its own copy of the simplex point, so the params a
+        # caller saw still hold the angles it was queried at
+        seen = []
+        original = vqa.qaoa_state
+
+        def recording(diag, params, table=None):
+            seen.append((params, as_vector(params).copy()))
+            return original(diag, params, table)
+
+        monkeypatch.setattr(vqa, "qaoa_state", recording)
+        optimize_angles(spp_diagonal(6, 2, seed=3), 2, 60, np.random.default_rng(4))
+        assert len(seen) == 60
+        assert all(np.array_equal(as_vector(params), x) for params, x in seen)
 
     def test_phase_table_built_once_per_call(self, monkeypatch):
         calls = {"phase_table": 0, "qaoa_state": 0}
