@@ -283,7 +283,7 @@ def optimize_angles(
         values.append(value)
         if value < best_f:
             best_f = value
-            best_x = x.copy()
+            best_x = x  # a fresh copy per query (_nelder_mead)
             stale = 0
         else:
             stale += 1
