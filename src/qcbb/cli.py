@@ -58,7 +58,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):
         instance_seed = args.seed + i
         instance = blp.generate_spp(
@@ -68,6 +67,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
             result = blp.brute_force_optimum(instance)
             instance = dataclasses.replace(instance, optimum=result.value)
             print(f"{instance.name}: optimum {result.value:g}")
+        # created only now, so a rejected call leaves no directory behind
+        out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"{instance.name}.json"
         blp.save_instance(instance, path)
         print(f"wrote {path}")

@@ -247,11 +247,13 @@ def _run_vqa(
     the best angles."""
     diag = vqa.build_diagonal(model)
     table = vqa.phase_table(diag)
+    buffers = vqa.state_pair(diag.size)  # every query's state, and the sampled one
     rng = _node_rng(config.seed, node_id, 1)
     params, values = vqa.optimize_angles(
-        diag, config.p, queries, rng, table=table, patience=patience
+        diag, config.p, queries, rng, table=table, patience=patience, buffers=buffers
     )
-    state = vqa.qaoa_state(diag, params, table)
+    state = vqa.qaoa_state(diag, params, table, buffers)
+    del diag, table  # sampling reads only the state; its arrays reuse this memory
     samples = vqa.sample(state, config.shots, _node_rng(config.seed, node_id, 2))
     return tuple(v + model.constant for v in values), samples
 

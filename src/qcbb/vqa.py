@@ -8,11 +8,13 @@ binary value of variable i (bit 0 -> x_0), and spin sigma_i = 2*bit_i - 1.
 The cost diagonal is built by spin doubling: with h = f_k + sum_{i<k} w_ik
 sigma_i, spin k's local field over the 2^k configurations of the lower spins
 (itself doubled one lower spin at a time), the table over spins 0..k is
-concat(diag - h, diag + h), lower half sigma_k = -1. That is O(2^n) work with
-about three arrays alive. It sums in another order than a term-by-term
-build, but on penalized set-partitioning data (integer costs and M, 0/1
-rows) every coefficient and partial sum is an exact half-integer, so the
-diagonal is the same to the bit.
+(diag - h, diag + h), lower half sigma_k = -1. Both halves are written in
+place: the table fills one preallocated 2^n array from the bottom up and h
+one 2^(n-1) field buffer, so the build is O(2^n) work in 1.5 diagonals of
+memory. It sums in another order than a term-by-term build, but on
+penalized set-partitioning data (integer costs and M, 0/1 rows) every
+coefficient and partial sum is an exact half-integer, so the diagonal is the
+same to the bit.
 
 The mixer applies R = R_x(beta)^{(x)k}, a symmetric 2^k x 2^k matrix, to
 blocks of at most MIXER_BLOCK spins with one matrix product each. Each R is
@@ -22,14 +24,26 @@ state as a (2^k, 2^(n-k)) array puts the top k bits of the index on the rows,
 and ``psi.reshape(2^k, -1).T @ R`` mixes them and writes them back at the
 bottom of the index, so the next block meets the next k bits on top. After
 blocks whose sizes sum to n every bit has been mixed once and the bit order
-is back where it started: no axis moves, and no copies beyond each
-product's output.
+is back where it started, with no axis moved. Each product writes into the
+other of two state buffers, so the blocks alternate between them.
 
 A phase layer multiplies by exp(-i*gamma*E_z). Cost diagonals repeat few
 energies, so ``phase_table`` lists the distinct energies once with each
 entry's index among them, and a layer evaluates its factors only on those.
 Every entry meets the same elementwise function of the same float as it
 would on the full diagonal.
+
+A node's circuit runs in two complex state buffers (``state_pair``), which
+every query and the sampled state reuse. A phase layer gathers its factors
+into the buffer not holding the state and multiplies in place, each mixer
+product writes into the other buffer, and an expectation's diag * psi lands
+in the spare one. So during the queries a node holds the diagonal, the
+table's index and two states, 48 bytes per amplitude, plus temporaries the
+size of the level list or of numpy's fixed cast buffer; no per-query array
+grows with 2^n. The gather runs ``np.take`` with ``mode="clip"``, because
+"raise" copies the whole output, so ``qaoa_state`` checks a given table's
+index range itself. The index is intp: ``np.take`` copies any other integer
+index to intp on every call.
 
 Angle optimization is derivative-free under a query cap: Nelder-Mead runs
 with random restarts, every expectation evaluation is recorded, and the best
@@ -112,18 +126,34 @@ def build_diagonal(model: IsingModel) -> np.ndarray:
     n = model.n_spins
     if n > SIMULATOR_LIMIT:
         raise ValueError(f"{n} spins exceeds the simulator limit of {SIMULATOR_LIMIT}")
-    diag = np.zeros(1)
+    diag = np.zeros(1 << n)
+    field = np.empty(diag.size >> 1)  # spin k's local field, over spins < k, in field[:2^k]
     for k in range(n):
-        h = np.full(1, model.fields[k])  # spin k's local field, over spins < k
+        field[0] = model.fields[k]
         for i in range(k):
             w = model.couplings[i, k]
-            h = np.concatenate((h - w, h + w))
-        diag = np.concatenate((diag - h, diag + h))
+            low = field[: 1 << i]
+            np.add(low, w, out=field[1 << i : 2 << i])
+            low -= w
+        low = diag[: 1 << k]
+        np.add(low, field[: 1 << k], out=diag[1 << k : 2 << k])
+        low -= field[: 1 << k]
     return diag
 
 
-def _apply_mixer(state: np.ndarray, beta: float, n_spins: int) -> np.ndarray:
-    """exp(-i*beta*X) on every spin, one matrix product per block of spins."""
+def state_pair(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two complex arrays of ``size`` amplitudes for the in-place circuit."""
+    return np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+
+
+def _apply_mixer(
+    state: np.ndarray, beta: float, n_spins: int, spare: np.ndarray | None = None
+) -> np.ndarray:
+    """exp(-i*beta*X) on every spin, one matrix product per block of spins.
+
+    The products alternate between ``state`` and ``spare`` (a new array when
+    not given), so both are overwritten; returns the one holding the result.
+    """
     c = np.cos(beta)
     s = -1j * np.sin(beta)
     rot = np.array([[c, s], [s, c]])
@@ -134,52 +164,91 @@ def _apply_mixer(state: np.ndarray, beta: float, n_spins: int) -> np.ndarray:
     for k in range(2, max(sizes) + 1):
         prev = blocks[k - 1]
         blocks[k] = (prev[:, None, :, None] * rot[None, :, None, :]).reshape(1 << k, 1 << k)
-    psi = state
+    src = state
+    dst = np.empty_like(state) if spare is None else spare
     for k in sizes:
-        psi = psi.reshape(1 << k, -1).T @ blocks[k]
-    return psi.reshape(-1)
+        np.matmul(src.reshape(1 << k, -1).T, blocks[k], out=dst.reshape(-1, 1 << k))
+        src, dst = dst, src
+    return src
 
 
 def phase_table(diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct energies of ``diag`` and the index of each entry among them."""
-    return np.unique(diag, return_inverse=True)
+    """Distinct energies of ``diag`` and the index of each entry among them.
+
+    The same arrays as ``np.unique(diag, return_inverse=True)``, from the
+    same quicksort, with fewer full-length temporaries alive at once.
+    """
+    # allocated before the temporaries, so freeing them leaves no hole below
+    # it in glibc malloc's heap: 8 MB less peak RSS at n = 20
+    index = np.empty(diag.size, dtype=np.intp)
+    order = np.argsort(diag)
+    ranked = diag[order]
+    first = np.empty(diag.size, dtype=bool)  # first entry of each level in ``ranked``
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    levels = ranked[first]
+    del ranked
+    rank = np.cumsum(first)
+    del first
+    rank -= 1
+    index[order] = rank
+    return levels, index
 
 
 def qaoa_state(
     diag: np.ndarray,
     params: QaoaParams,
     table: tuple[np.ndarray, np.ndarray] | None = None,
+    buffers: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Alternating phase/mixer circuit applied to the uniform superposition.
 
     ``table`` is ``phase_table(diag)``; pass it to reuse one across calls.
+    ``buffers`` is a ``state_pair(diag.size)`` that the circuit overwrites
+    (a new pair when not given); the state is returned in one of the two.
+    ``diag`` and ``table`` are only read.
     """
     size = diag.size
     n_spins = int(size).bit_length() - 1
     if 1 << n_spins != size:
         raise ValueError("diagonal length must be a power of two")
-    levels, index = phase_table(diag) if table is None else table
-    state = np.full(size, 1.0 / np.sqrt(size), dtype=complex)
+    if table is None:
+        levels, index = phase_table(diag)
+    else:
+        levels, index = table
+        if index.min() < 0 or index.max() >= levels.size:
+            raise IndexError("phase table index out of range")
+    state, spare = state_pair(size) if buffers is None else buffers
+    state.fill(1.0 / np.sqrt(size))
     for gamma, beta in zip(params.gammas, params.betas):
-        state *= np.exp(-1j * gamma * levels)[index]
-        if n_spins:
-            state = _apply_mixer(state, beta, n_spins)
+        # "clip" gathers straight into spare, where "raise" would buffer a
+        # copy; the index is in range (checked above)
+        factors = -1j * gamma * levels
+        np.take(np.exp(factors, out=factors), index, out=spare, mode="clip")
+        state *= spare
+        if n_spins and _apply_mixer(state, beta, n_spins, spare) is spare:
+            state, spare = spare, state
     return state
 
 
-def expectation(state: np.ndarray, diag: np.ndarray) -> float:
-    """<psi| diag |psi> = sum_z |amp_z|^2 diag_z."""
+def expectation(state: np.ndarray, diag: np.ndarray, spare: np.ndarray | None = None) -> float:
+    """<psi| diag |psi> = sum_z |amp_z|^2 diag_z.
+
+    ``spare``, a complex array of the state's size, receives diag*psi in
+    place of a new array.
+    """
     if state.shape != diag.shape:
         raise ValueError("state and diagonal dimensions differ")
-    return float(np.real(np.vdot(state, state * diag)))
+    return float(np.real(np.vdot(state, np.multiply(state, diag, out=spare))))
 
 
 def sample(state: np.ndarray, q: int, rng: np.random.Generator) -> SampleSet:
     """q independent measurements, aggregated into distinct bitstrings."""
     if q < 1:
         raise ValueError("need at least one shot")
-    probs = np.abs(state) ** 2
-    probs = probs / probs.sum()
+    probs = np.abs(state)
+    np.square(probs, out=probs)
+    probs /= probs.sum()
     n_spins = int(state.size).bit_length() - 1
     draws = rng.choice(state.size, size=q, p=probs)
     values, counts = np.unique(draws, return_counts=True)
@@ -248,6 +317,7 @@ def optimize_angles(
     rng: np.random.Generator,
     table: tuple[np.ndarray, np.ndarray] | None = None,
     patience: int | None = None,
+    buffers: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[QaoaParams, tuple[float, ...]]:
     """Minimize the state expectation over 2p angles under a query budget.
 
@@ -262,7 +332,8 @@ def optimize_angles(
     restarts), so the last query is k after the last improvement; None
     spends the whole budget. Every query shares one phase table: ``table``
     when given (``phase_table(diag)``, so the caller can reuse it for
-    sampling), otherwise one built here.
+    sampling), otherwise one built here, and one ``state_pair``:
+    ``buffers`` when given, otherwise one allocated here.
     """
     if max_queries < 1:
         raise ValueError("max_queries must be at least 1")
@@ -274,12 +345,15 @@ def optimize_angles(
     stale = 0  # consecutive queries since the last strict improvement
     if table is None:
         table = phase_table(diag)
+    if buffers is None:
+        buffers = state_pair(diag.size)
 
     def objective(x: np.ndarray) -> float:
         nonlocal best_x, best_f, stale
         if len(values) >= max_queries:
             raise _StopQueries
-        value = expectation(qaoa_state(diag, QaoaParams.from_vector(x), table), diag)
+        state = qaoa_state(diag, QaoaParams.from_vector(x), table, buffers)
+        value = expectation(state, diag, buffers[1] if state is buffers[0] else buffers[0])
         values.append(value)
         if value < best_f:
             best_f = value

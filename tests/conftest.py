@@ -259,6 +259,20 @@ def spin_product_diagonal(model: IsingModel, include_constant: bool = True) -> n
     return diag
 
 
+def concat_diagonal(model: IsingModel) -> np.ndarray:
+    """Bitwise reference for ``qcbb.vqa.build_diagonal``: the same spin
+    doubling, each step a new array from ``np.concatenate`` instead of a
+    write into one preallocated table."""
+    diag = np.zeros(1)
+    for k in range(model.n_spins):
+        h = np.full(1, model.fields[k])  # spin k's local field, over spins < k
+        for i in range(k):
+            w = model.couplings[i, k]
+            h = np.concatenate((h - w, h + w))
+        diag = np.concatenate((diag - h, diag + h))
+    return diag
+
+
 def loop_gw_round(
     V: np.ndarray, W: np.ndarray, rounds: int, rng: np.random.Generator
 ) -> tuple[float, np.ndarray]:

@@ -42,6 +42,16 @@ class TestGen:
         assert cli.main(["gen", "--n", "4", "--m", "6", "--out", str(tmp_path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "shape",
+        [["--n", "0", "--m", "0"], ["--n", "8", "--m", "3", "--cost-low", "5", "--cost-high", "1"]],
+    )
+    def test_rejected_call_creates_no_directory(self, tmp_path, capsys, shape):
+        out = tmp_path / "d" / "nested"
+        assert cli.main(["gen", *shape, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "d").exists()
+
     def test_with_optimum_matches_brute_force(self, tmp_path):
         out = tmp_path / "d"
         assert (
@@ -66,7 +76,7 @@ class TestGen:
         over = tmp_path / "over"
         assert cli.main(["gen", "--n", "21", "--m", "6", "--out", str(over), "--with-optimum"]) == 1
         assert "error" in capsys.readouterr().err
-        assert not list(over.glob("*.json"))
+        assert not over.exists()
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_count_below_one_is_usage_error(self, tmp_path, capsys, count):

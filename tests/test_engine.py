@@ -1,5 +1,6 @@
 import dataclasses
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -574,6 +575,32 @@ class TestPlainQaoa:
         calls = count_phase_tables(monkeypatch)
         run_plain_qaoa(generate_spp(8, 3, seed=0), SolverConfig(p=1, seed=0), queries=10)
         assert calls == [1]
+
+
+class TestRunVqaMemory:
+    def test_peak_is_diagonal_index_and_two_states(self):
+        # Every query and the sampled state reuse one pair of state buffers,
+        # so a node's traced peak (numpy reports its array data to
+        # tracemalloc) stays within the diagonal, the phase-table index and
+        # two states, plus 25% for the level list and numpy's fixed
+        # 8192-entry cast buffer. n = 16 keeps those under 6 bytes per
+        # amplitude; at n = 14 they take 9. A fresh array per mixer product,
+        # phase layer or expectation reads about 65 bytes against 60.
+        inst = generate_spp(16, 5, seed=0)
+        model = encode(inst, compute_big_m(inst))
+        diag = vqa.build_diagonal(model)
+        _, index = vqa.phase_table(diag)
+        floor = diag.nbytes + index.nbytes + 2 * 16 * diag.size
+        del diag, index
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            engine._run_vqa(model, SolverConfig(p=3, shots=64, seed=0), 0, 4, None)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * floor, peak / floor
 
 
 ORACLE_COSTS = {

@@ -4,6 +4,7 @@ from scipy.stats import chisquare
 
 from conftest import (
     as_vector,
+    concat_diagonal,
     dense_qaoa_expectation,
     kron_mixer,
     random_model,
@@ -24,6 +25,7 @@ from qcbb.vqa import (
     phase_table,
     qaoa_state,
     sample,
+    state_pair,
 )
 
 
@@ -97,6 +99,25 @@ class TestBuildDiagonal:
             assert np.array_equal(ours, spin_product_diagonal(model, include_constant=False))
             assert np.array_equal(ours + model.constant, spin_product_diagonal(model))
 
+    @pytest.mark.parametrize("kind", ["spp", "fractional", "edge"])
+    def test_matches_concatenation_build(self, kind):
+        # the in-place build does the same float operations as the
+        # concatenation chain, so it matches to the bit, signed zeros included
+        rng = np.random.default_rng(33)
+        if kind == "spp":
+            draws = [generate_spp(n, m, seed=s) for n, m, s in ((6, 2, 0), (9, 3, 1), (14, 4, 2))]
+            models = [encode(inst, compute_big_m(inst)) for inst in draws]
+        elif kind == "fractional":
+            costs = rng.integers(-50, 50, size=9) / 7 + 0.3
+            inst = BlpInstance(c=costs, A=[[1] * 5 + [0] * 4], b=[2])
+            models = [encode(inst, 13.7), random_model(rng, n_min=11, n_max=11)]
+        else:  # n = 0 and n = 1, and signed zero fields
+            models = [field_model(f) for f in ([], [0.0], [-0.0], [-1.25], [0.0, -0.0])]
+        for model in models:
+            ours = build_diagonal(model)
+            assert ours.dtype == np.float64 and ours.shape == (1 << model.n_spins,)
+            assert ours.tobytes() == concat_diagonal(model).tobytes()
+
     def test_spp_master_equals_penalized_costs(self):
         inst = generate_spp(20, 7, seed=0)
         M = compute_big_m(inst)
@@ -155,6 +176,45 @@ class TestQaoaState:
         with pytest.raises(ValueError):
             qaoa_state(np.zeros(3), QaoaParams(gammas=[0.1], betas=[0.1]))
 
+    @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 8, 9])
+    def test_caller_buffers_match_allocating_call(self, n):
+        # n = 1, 3, 4 and 9 take an odd number of mixer products per layer
+        # (blocks of 4 spins and one remainder), so over p = 1, 2, 3 the
+        # state ends in either buffer; n = 5 and 8 take an even number, and
+        # n = 0 none
+        rng = np.random.default_rng(40 + n)
+        diag = rng.integers(-30, 31, size=1 << n) / 2.0
+        table = phase_table(diag)
+        kept = (diag.copy(), table[0].copy(), table[1].copy())
+        buffers = state_pair(diag.size)
+        ends = set()
+        for p in (1, 2, 3):
+            params = QaoaParams(gammas=rng.uniform(0, np.pi, p), betas=rng.uniform(0, np.pi, p))
+            want = qaoa_state(diag, params)
+            got = qaoa_state(diag, params, table, buffers)
+            assert any(got is b for b in buffers)
+            ends.add(got is buffers[0])
+            assert got.tobytes() == want.tobytes()
+            spare = buffers[1] if got is buffers[0] else buffers[0]
+            assert expectation(got, diag, spare) == expectation(want, diag)
+        for before, after in zip(kept, (diag, *table)):
+            assert before.tobytes() == after.tobytes()
+        assert ends == ({True, False} if n in (1, 3, 4, 9) else {True})
+
+    @pytest.mark.parametrize("bad", [-1, "size"])
+    def test_index_out_of_range_raises(self, bad):
+        diag = np.array([0.0, 1.0, 1.0, 2.0])
+        levels, index = phase_table(diag)
+        index = index.copy()
+        index[2] = levels.size if bad == "size" else bad
+        params = QaoaParams(gammas=[0.3], betas=[0.2])
+        with pytest.raises(IndexError):
+            qaoa_state(diag, params, (levels, index))
+        with pytest.raises(IndexError):
+            qaoa_state(diag, params, (levels, index), state_pair(4))
+        with pytest.raises(IndexError):
+            optimize_angles(diag, 1, 5, np.random.default_rng(0), table=(levels, index))
+
     def test_zero_spins(self):
         state = qaoa_state(np.array([2.0]), QaoaParams(gammas=[0.5, 0.25], betas=[0.3, 0.1]))
         assert state.shape == (1,)
@@ -170,10 +230,17 @@ class TestMixer:
                 raw = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
                 state = raw / np.linalg.norm(raw)
                 beta = float(rng.uniform(-np.pi, np.pi))
-                ours = _apply_mixer(state, beta, n)
                 ref = tensordot_mixer(state, beta, n)
+                kron = kron_mixer(state, beta, n)
+                # the mixer overwrites its input, so each call gets a copy
+                ours = _apply_mixer(state.copy(), beta, n)
                 assert np.max(np.abs(ours - ref)) <= 1e-12
-                assert np.array_equal(ours, kron_mixer(state, beta, n))
+                assert np.array_equal(ours, kron)
+                pair = state_pair(state.size)
+                pair[0][:] = state
+                mixed = _apply_mixer(pair[0], beta, n, pair[1])
+                assert any(mixed is b for b in pair)
+                assert mixed.tobytes() == ours.tobytes()
 
 
 def spp_diagonal(n, m, seed):
@@ -201,6 +268,31 @@ class TestPhaseTable:
             factors = np.exp(-1j * gamma * levels)[index]
             assert np.array_equal(factors, np.exp(-1j * gamma * diag))
 
+    @pytest.mark.parametrize("kind", ["spp", "ties", "signed_zeros", "one_entry", "distinct"])
+    def test_equals_numpy_unique(self, kind):
+        rng = np.random.default_rng(len(kind))
+        if kind == "spp":
+            diags = [spp_diagonal(n, m, seed=s) for n, m, s in ((10, 4, 3), (13, 4, 0), (15, 5, 1))]
+        elif kind == "ties":
+            diags = [rng.integers(-3, 4, size=1 << n) / 4.0 for n in (1, 5, 11)]
+        elif kind == "signed_zeros":
+            diags = []
+            for n in (1, 3, 6, 10):
+                diag = rng.choice([0.0, -0.0, 1.5, -2.0], size=1 << n)
+                diag[:2] = (-0.0, 0.0)
+                diags.append(diag)
+        elif kind == "one_entry":
+            diags = [np.array([-0.0]), np.array([7.25])]
+        else:
+            diags = [rng.normal(size=1 << 9)]
+        for diag in diags:
+            levels, index = phase_table(diag)
+            ref_levels, ref_index = np.unique(diag, return_inverse=True)
+            # tobytes tells -0.0 from 0.0, so the same representative won
+            assert levels.tobytes() == ref_levels.tobytes()
+            assert index.dtype == ref_index.dtype
+            assert np.array_equal(index, ref_index)
+
     def test_given_table_matches_built_table(self):
         rng = np.random.default_rng(6)
         params = QaoaParams(gammas=rng.uniform(0, np.pi, 3), betas=rng.uniform(0, np.pi, 3))
@@ -217,6 +309,17 @@ class TestExpectation:
         state = np.zeros(4, dtype=complex)
         state[2] = 1.0
         assert expectation(state, np.array([5.0, 6.0, 7.0, 8.0])) == 7.0
+
+    def test_spare_matches_new_array(self):
+        rng = np.random.default_rng(12)
+        for n in (0, 1, 6):
+            diag = rng.normal(size=1 << n)
+            raw = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            state = raw / np.linalg.norm(raw)
+            kept = state.copy()
+            spare = np.full(state.size, np.nan, dtype=complex)
+            assert expectation(state, diag, spare) == expectation(state, diag)
+            assert state.tobytes() == kept.tobytes()
 
     def test_bounded_by_diagonal_range(self):
         rng = np.random.default_rng(5)
@@ -267,6 +370,17 @@ class TestSample:
         _, p_value = chisquare(observed[keep], probs[keep] / probs[keep].sum() * observed[keep].sum())
         assert p_value > 1e-3
 
+    def test_draws_match_squared_magnitude_reference(self):
+        rng = np.random.default_rng(19)
+        raw = rng.normal(size=64) + 1j * rng.normal(size=64)
+        state = raw / np.linalg.norm(raw)
+        probs = np.abs(state) ** 2
+        draws = np.random.default_rng(3).choice(64, size=300, p=probs / probs.sum())
+        values, counts = np.unique(draws, return_counts=True)
+        got = sample(state, 300, np.random.default_rng(3))
+        assert np.array_equal(got.bitstrings @ (1 << np.arange(6)), values)
+        assert np.array_equal(got.counts, counts)
+
     def test_seeded_determinism(self):
         state = np.full(4, 0.5, dtype=complex)
         a = sample(state, 500, np.random.default_rng(42))
@@ -286,9 +400,9 @@ class TestOptimizeAngles:
         queried = []
         original = vqa.qaoa_state
 
-        def recording(diag, params, table=None):
+        def recording(diag, params, *args):
             queried.append(as_vector(params))
-            return original(diag, params, table)
+            return original(diag, params, *args)
 
         monkeypatch.setattr(vqa, "qaoa_state", recording)
         params, values = optimize_angles(pair_diag, 1, 1, np.random.default_rng(0))
@@ -377,9 +491,9 @@ class TestOptimizeAngles:
         seen = []
         original = vqa.qaoa_state
 
-        def recording(diag, params, table=None):
+        def recording(diag, params, *args):
             seen.append((params, as_vector(params).copy()))
-            return original(diag, params, table)
+            return original(diag, params, *args)
 
         monkeypatch.setattr(vqa, "qaoa_state", recording)
         optimize_angles(spp_diagonal(6, 2, seed=3), 2, 60, np.random.default_rng(4))
