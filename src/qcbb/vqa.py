@@ -16,16 +16,34 @@ penalized set-partitioning data (integer costs and M, 0/1 rows) every
 coefficient and partial sum is an exact half-integer, so the diagonal is the
 same to the bit.
 
-The mixer applies R = R_x(beta)^{(x)k}, a symmetric 2^k x 2^k matrix, to
-blocks of at most MIXER_BLOCK spins with one matrix product each. Each R is
-built from the one below it as a broadcast outer product, the same products
-``np.kron`` forms, so it equals the Kronecker fold to the bit. Viewing the
-state as a (2^k, 2^(n-k)) array puts the top k bits of the index on the rows,
-and ``psi.reshape(2^k, -1).T @ R`` mixes them and writes them back at the
-bottom of the index, so the next block meets the next k bits on top. After
-blocks whose sizes sum to n every bit has been mixed once and the bit order
-is back where it started, with no axis moved. Each product writes into the
-other of two state buffers, so the blocks alternate between them.
+The mixer runs in a phase frame. With S = diag(1, i) and the real rotation
+Q(beta) = [[cos, sin], [-sin, cos]], R_x(beta) = S Q S^dagger, so
+R_x(beta)^{(x)n} = D Q^{(x)n} D^dagger with D = diag(i^popcount(z)). D is
+diagonal and commutes with every phase layer, so ``qaoa_state`` starts from
+D^dagger|+>, applies the real Q^{(x)n} in each layer and multiplies by D
+once at the end. That last step is exact: every factor is +-1 or +-i. Its
+factors, like the start's, are the outer product of two halves of at most
+2^11 entries (``_frame_factors``).
+
+A real operator acts on the real and imaginary parts alike, so the mixer
+works on the float view of the state: real matrix products, half the flops
+of complex ones. The view's index is the amplitude index with one more bit
+at the bottom, re/im. Viewing it as a (2^k, -1) array puts the top k bits
+on the rows, and ``x.reshape(2^k, -1).T @ M`` mixes them and writes them
+back at the bottom of the index, so the next product meets the next bits on
+top; once n + 1 bits have gone round, the order is back where it started.
+The last product of a round takes the re/im bit along through
+M = Q^{(x)k} kron I_2 and leaves the buffer interleaved complex again.
+
+These rotating products run one tile at a time: the low TILE_BITS spins
+and re/im, 256 KB of contiguous floats, go round in blocks of at most
+MIXER_BLOCK bits while the tile stays in cache. The spins above the tile
+are mixed first, by non-rotating products Q^{(x)k} @ x.reshape(2^done,
+2^k, -1) over groups of at most PASS_SPINS spins, one pass over the state
+each. Each block is built from the one below it as a broadcast outer
+product, the same products ``np.kron`` forms, so it equals the Kronecker
+fold to the bit. Every product writes into the other of two state buffers,
+so the products alternate between them.
 
 A phase layer multiplies by exp(-i*gamma*E_z). Cost diagonals repeat few
 energies, so ``phase_table`` lists the distinct energies once with each
@@ -72,9 +90,16 @@ import numpy as np
 from .ising import IsingModel
 
 SIMULATOR_LIMIT = 22
-# Spins per mixer product: 16x16 blocks beat 4x4, 8x8 and 32x32 at n = 14..20
-# (x86-64, 2 vCPU, one OpenBLAS thread).
-MIXER_BLOCK = 4
+# Spins mixed inside one cache tile: 2^14 amplitudes are 256 KB, and 14 beat
+# 12, 13, 15 and 16 at n = 14..20 (x86-64, 2 vCPU, one OpenBLAS thread).
+TILE_BITS = 14
+# Index bits per product inside a tile: 8x8 blocks beat 16x16 and 32x32 by
+# 8-15% of the mixer at n = 16..20 (same machine).
+MIXER_BLOCK = 3
+# Spins per full-state product above the tile: one 64x64 pass at n = 20
+# beat two 8x8 passes by 4% (same machine); past 6 spins a pass turns
+# compute-bound.
+PASS_SPINS = 6
 
 
 @dataclass(frozen=True)
@@ -146,30 +171,69 @@ def state_pair(size: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty(size, dtype=complex), np.empty(size, dtype=complex)
 
 
+def _split(bits: int, most: int) -> list[int]:
+    """``bits`` as the fewest near-equal parts of at most ``most``, larger first."""
+    parts = -(-bits // most)
+    return [bits // parts + (i < bits % parts) for i in range(parts)]
+
+
+def _frame_factors(n_spins: int, unit: complex) -> tuple[np.ndarray, np.ndarray]:
+    """unit^popcount(z) as a column over the high bits of z and a row over
+    the low ones; their outer product holds the factor of every z.
+
+    Each half doubles from [1]: the entries of the next bit are those below
+    it times ``unit``, so for unit = +-i every entry is exactly +-1 or +-i.
+    A half has at most 2^11 entries below the simulator limit.
+    """
+    halves = []
+    for bits in (n_spins - n_spins // 2, n_spins // 2):
+        f = np.ones(1 << bits, dtype=complex)
+        for k in range(bits):
+            np.multiply(f[: 1 << k], unit, out=f[1 << k : 2 << k])
+        halves.append(f)
+    return halves[0][:, None], halves[1]
+
+
 def _apply_mixer(
     state: np.ndarray, beta: float, n_spins: int, spare: np.ndarray | None = None
 ) -> np.ndarray:
-    """exp(-i*beta*X) on every spin, one matrix product per block of spins.
+    """Q(beta)^{(x)n}, Q = [[cos, sin], [-sin, cos]], in real matrix
+    products on the float view of the state: the phase-frame form of
+    exp(-i*beta*X) on every spin (see the module docstring).
 
     The products alternate between ``state`` and ``spare`` (a new array when
     not given), so both are overwritten; returns the one holding the result.
     """
     c = np.cos(beta)
-    s = -1j * np.sin(beta)
-    rot = np.array([[c, s], [s, c]])
-    sizes = [MIXER_BLOCK] * (n_spins // MIXER_BLOCK)
-    if n_spins % MIXER_BLOCK:
-        sizes.append(n_spins % MIXER_BLOCK)
-    blocks = {1: rot}  # blocks[k] = rot kron ... kron rot, k factors
-    for k in range(2, max(sizes) + 1):
+    s = np.sin(beta)
+    low = min(n_spins, TILE_BITS)
+    tile_sizes = _split(low + 1, MIXER_BLOCK)  # the re/im bit rides along
+    pass_sizes = _split(n_spins - low, PASS_SPINS) if n_spins > low else []
+    qt = np.array([[c, -s], [s, c]])  # Q^T
+    blocks = [np.ones((1, 1))]  # blocks[k] = Q^T kron ... kron Q^T, k factors
+    for k in range(1, max(tile_sizes + pass_sizes) + 1):
         prev = blocks[k - 1]
-        blocks[k] = (prev[:, None, :, None] * rot[None, :, None, :]).reshape(1 << k, 1 << k)
-    src = state
-    dst = np.empty_like(state) if spare is None else spare
-    for k in sizes:
-        np.matmul(src.reshape(1 << k, -1).T, blocks[k], out=dst.reshape(-1, 1 << k))
-        src, dst = dst, src
-    return src
+        blocks.append((prev[:, None, :, None] * qt[None, :, None, :]).reshape(1 << k, 1 << k))
+    last = blocks[tile_sizes[-1] - 1]  # kron I_2 on the re/im bit
+    last = (last[:, None, :, None] * np.eye(2)[None, :, None, :]).reshape(2 * last.shape[0], -1)
+    tile_blocks = [blocks[k] for k in tile_sizes[:-1]] + [last]
+    if spare is None:
+        spare = np.empty_like(state)
+    done = 0  # spins above the tile mixed so far, from the top
+    for k in pass_sizes:
+        shape = (1 << done, 1 << k, -1)
+        np.matmul(blocks[k].T, state.view(float).reshape(shape), out=spare.view(float).reshape(shape))
+        state, spare = spare, state
+        done += k
+    src = state.view(float)
+    dst = spare.view(float)
+    size = 2 << low
+    for start in range(0, src.size, size):
+        a, b = src[start : start + size], dst[start : start + size]
+        for block in tile_blocks:
+            np.matmul(a.reshape(block.shape[0], -1).T, block, out=b.reshape(-1, block.shape[0]))
+            a, b = b, a
+    return spare if len(tile_blocks) % 2 else state
 
 
 def phase_table(diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,7 +283,9 @@ def qaoa_state(
         if index.min() < 0 or index.max() >= levels.size:
             raise IndexError("phase table index out of range")
     state, spare = state_pair(size) if buffers is None else buffers
-    state.fill(1.0 / np.sqrt(size))
+    # the circuit runs in the phase frame: from D^dagger|+>, D = diag(i^popcount(z))
+    rows, cols = _frame_factors(n_spins, -1j)
+    np.multiply(rows * (1.0 / np.sqrt(size)), cols, out=state.reshape(rows.size, cols.size))
     for gamma, beta in zip(params.gammas, params.betas):
         # "clip" gathers straight into spare, where "raise" would buffer a
         # copy; the index is in range (checked above)
@@ -228,6 +294,10 @@ def qaoa_state(
         state *= spare
         if n_spins and _apply_mixer(state, beta, n_spins, spare) is spare:
             state, spare = spare, state
+    rows, cols = _frame_factors(n_spins, 1j)  # back from the frame, exactly
+    frame = state.reshape(rows.size, cols.size)
+    frame *= rows
+    frame *= cols
     return state
 
 

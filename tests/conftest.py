@@ -12,7 +12,8 @@ from scipy.optimize import minimize
 from qcbb.blp import BlpInstance, violations
 from qcbb.bound import ising_to_maxcut
 from qcbb.ising import IsingModel
-from qcbb.vqa import MIXER_BLOCK, QaoaParams, expectation, phase_table, qaoa_state
+from qcbb import vqa
+from qcbb.vqa import QaoaParams, expectation, phase_table, qaoa_state
 
 # Goemans-Williamson approximation ratio of hyperplane rounding.
 ALPHA = 0.87856
@@ -223,19 +224,66 @@ def tensordot_mixer(state: np.ndarray, beta: float, n_spins: int) -> np.ndarray:
 
 
 def kron_mixer(state: np.ndarray, beta: float, n_spins: int) -> np.ndarray:
-    """Bitwise reference for ``qcbb.vqa._apply_mixer``: the same block
-    products, with each block matrix built by ``np.kron`` folds."""
+    """Bitwise reference for ``qcbb.vqa._apply_mixer``: the same real block
+    products on the float view of the state, each block a ``np.kron`` fold
+    of Q^T = [[cos, -sin], [sin, cos]] and each product a new array.
+
+    Spins above ``vqa.TILE_BITS`` take one non-rotating product per group of
+    at most ``vqa.PASS_SPINS``; then every tile of the low spins and the
+    re/im bit takes rotating products of at most ``vqa.MIXER_BLOCK`` bits,
+    the last one with I_2 on the re/im bit. The constants are read at call
+    time, so a test that patches one gets the matching reference.
+    """
+
+    def parts(bits: int, most: int) -> list[int]:
+        if not bits:
+            return []
+        return [len(p) for p in np.array_split(np.arange(bits), -(-bits // most))]
+
     c = np.cos(beta)
-    s = -1j * np.sin(beta)
-    rot = np.array([[c, s], [s, c]])
-    sizes = [MIXER_BLOCK] * (n_spins // MIXER_BLOCK)
-    if n_spins % MIXER_BLOCK:
-        sizes.append(n_spins % MIXER_BLOCK)
-    blocks = {k: reduce(np.kron, [rot] * k) for k in set(sizes)}
-    psi = state
-    for k in sizes:
-        psi = psi.reshape(1 << k, -1).T @ blocks[k]
-    return psi.reshape(-1)
+    s = np.sin(beta)
+    qt = np.array([[c, -s], [s, c]])
+
+    def block(k: int) -> np.ndarray:
+        return reduce(np.kron, [qt] * k, np.ones((1, 1)))
+
+    low = min(n_spins, vqa.TILE_BITS)
+    psi = state.view(float)
+    done = 0
+    for k in parts(n_spins - low, vqa.PASS_SPINS):
+        psi = (block(k).T @ psi.reshape(1 << done, 1 << k, -1)).reshape(-1)
+        done += k
+    sizes = parts(low + 1, vqa.MIXER_BLOCK)
+    mats = [block(k) for k in sizes[:-1]] + [np.kron(block(sizes[-1] - 1), np.eye(2))]
+    tiles = []
+    for tile in psi.reshape(-1, 2 << low):
+        for m in mats:
+            tile = tile.reshape(m.shape[0], -1).T @ m
+        tiles.append(tile.reshape(-1))
+    return np.concatenate(tiles).view(complex)
+
+
+def frame_phases(n_spins: int) -> np.ndarray:
+    """i^popcount(z) for every basis index z: the diagonal D of the mixer's
+    phase frame, R_x(beta)^{(x)n} = D Q(beta)^{(x)n} D^dagger."""
+    z = np.arange(1 << n_spins)
+    popcount = sum((z >> i) & 1 for i in range(n_spins))
+    return np.array([1, 1j, -1, -1j])[popcount % 4]
+
+
+def dense_qaoa_state(diag: np.ndarray, params: QaoaParams) -> np.ndarray:
+    """Reference statevector: the uniform superposition, then per layer the
+    phase diagonal exp(-i*gamma*diag) and the dense mixer R_x(beta)^{(x)n},
+    a ``np.kron`` fold of complex 2x2 rotations."""
+    size = diag.size
+    n = int(size).bit_length() - 1
+    psi = np.full(size, 1.0 / np.sqrt(size), dtype=complex)
+    for gamma, beta in zip(params.gammas, params.betas):
+        c = np.cos(beta)
+        s = -1j * np.sin(beta)
+        mixer = reduce(np.kron, [np.array([[c, s], [s, c]])] * n, np.ones((1, 1)))
+        psi = mixer @ (np.exp(-1j * gamma * diag) * psi)
+    return psi
 
 
 def spin_product_diagonal(model: IsingModel, include_constant: bool = True) -> np.ndarray:

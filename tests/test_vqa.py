@@ -6,6 +6,8 @@ from conftest import (
     as_vector,
     concat_diagonal,
     dense_qaoa_expectation,
+    dense_qaoa_state,
+    frame_phases,
     kron_mixer,
     random_model,
     scipy_optimize_angles,
@@ -176,30 +178,52 @@ class TestQaoaState:
         with pytest.raises(ValueError):
             qaoa_state(np.zeros(3), QaoaParams(gammas=[0.1], betas=[0.1]))
 
-    @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 8, 9])
-    def test_caller_buffers_match_allocating_call(self, n):
-        # n = 1, 3, 4 and 9 take an odd number of mixer products per layer
-        # (blocks of 4 spins and one remainder), so over p = 1, 2, 3 the
-        # state ends in either buffer; n = 5 and 8 take an even number, and
-        # n = 0 none
-        rng = np.random.default_rng(40 + n)
-        diag = rng.integers(-30, 31, size=1 << n) / 2.0
-        table = phase_table(diag)
-        kept = (diag.copy(), table[0].copy(), table[1].copy())
-        buffers = state_pair(diag.size)
-        ends = set()
-        for p in (1, 2, 3):
-            params = QaoaParams(gammas=rng.uniform(0, np.pi, p), betas=rng.uniform(0, np.pi, p))
-            want = qaoa_state(diag, params)
-            got = qaoa_state(diag, params, table, buffers)
-            assert any(got is b for b in buffers)
-            ends.add(got is buffers[0])
-            assert got.tobytes() == want.tobytes()
-            spare = buffers[1] if got is buffers[0] else buffers[0]
-            assert expectation(got, diag, spare) == expectation(want, diag)
-        for before, after in zip(kept, (diag, *table)):
-            assert before.tobytes() == after.tobytes()
-        assert ends == ({True, False} if n in (1, 3, 4, 9) else {True})
+    @pytest.mark.parametrize("tile_bits", [14, 3, 1])
+    def test_state_matches_dense_reference(self, tile_bits, monkeypatch):
+        # the whole vector, phases included: the frame's D^dagger at the
+        # start and D at the end cancel exactly. Tiles of 3 and 1 spins run
+        # the tile loop, n = 8 with one and two products above the tile.
+        monkeypatch.setattr(vqa, "TILE_BITS", tile_bits)
+        rng = np.random.default_rng(23)
+        for n in range(9):
+            for p in (1, 2, 3):
+                diag = rng.normal(size=1 << n) * 4
+                params = QaoaParams(
+                    gammas=rng.uniform(0, np.pi, p), betas=rng.uniform(-np.pi, np.pi, p)
+                )
+                ours = qaoa_state(diag, params)
+                assert np.max(np.abs(ours - dense_qaoa_state(diag, params))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 8, 9, 11])
+    def test_caller_buffers_match_allocating_call(self, n, monkeypatch):
+        # a layer takes ceil((t + 1) / 3) products in a tile of t spins plus
+        # one per group of up to 6 spins above it. An odd count puts the
+        # state in either buffer over p = 1, 2, 3, an even one always in
+        # the first; n = 0 takes none. Whole-state tiles: odd at n = 1, 8.
+        # 3-spin tiles (2 products each): one group above at n = 4..9, two
+        # at n = 11.
+        for tile_bits, odd in ((14, n in (1, 8)), (3, n in (1, 4, 5, 8, 9))):
+            monkeypatch.setattr(vqa, "TILE_BITS", tile_bits)
+            rng = np.random.default_rng(40 + n)
+            diag = rng.integers(-30, 31, size=1 << n) / 2.0
+            table = phase_table(diag)
+            kept = (diag.copy(), table[0].copy(), table[1].copy())
+            buffers = state_pair(diag.size)
+            ends = set()
+            for p in (1, 2, 3):
+                params = QaoaParams(
+                    gammas=rng.uniform(0, np.pi, p), betas=rng.uniform(0, np.pi, p)
+                )
+                want = qaoa_state(diag, params)
+                got = qaoa_state(diag, params, table, buffers)
+                assert any(got is b for b in buffers)
+                ends.add(got is buffers[0])
+                assert got.tobytes() == want.tobytes()
+                spare = buffers[1] if got is buffers[0] else buffers[0]
+                assert expectation(got, diag, spare) == expectation(want, diag)
+            for before, after in zip(kept, (diag, *table)):
+                assert before.tobytes() == after.tobytes()
+            assert ends == ({True, False} if odd else {True}), tile_bits
 
     @pytest.mark.parametrize("bad", [-1, "size"])
     def test_index_out_of_range_raises(self, bad):
@@ -222,25 +246,30 @@ class TestQaoaState:
 
 
 class TestMixer:
-    def test_matches_tensordot_reference(self):
-        # n = 1..11 covers every remainder mod 4 and up to three full blocks
+    def test_matches_tensordot_reference(self, monkeypatch):
+        # n = 1..11 covers every remainder mod 3 of the tile's bits; a
+        # 3-spin tile puts one product above it at n = 4..9 and two at
+        # n = 10, 11
         rng = np.random.default_rng(21)
-        for n in range(1, 12):
-            for _ in range(3):
-                raw = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-                state = raw / np.linalg.norm(raw)
-                beta = float(rng.uniform(-np.pi, np.pi))
-                ref = tensordot_mixer(state, beta, n)
-                kron = kron_mixer(state, beta, n)
-                # the mixer overwrites its input, so each call gets a copy
-                ours = _apply_mixer(state.copy(), beta, n)
-                assert np.max(np.abs(ours - ref)) <= 1e-12
-                assert np.array_equal(ours, kron)
-                pair = state_pair(state.size)
-                pair[0][:] = state
-                mixed = _apply_mixer(pair[0], beta, n, pair[1])
-                assert any(mixed is b for b in pair)
-                assert mixed.tobytes() == ours.tobytes()
+        for tile_bits in (14, 3):
+            monkeypatch.setattr(vqa, "TILE_BITS", tile_bits)
+            for n in range(1, 12):
+                frame = frame_phases(n)
+                for _ in range(3):
+                    raw = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+                    state = raw / np.linalg.norm(raw)
+                    beta = float(rng.uniform(-np.pi, np.pi))
+                    ref = tensordot_mixer(state, beta, n)
+                    # in the frame, D Q^{(x)n} D^dagger = R_x^{(x)n}; the mixer
+                    # overwrites its input, so each call gets its own array
+                    ours = _apply_mixer(np.conj(frame) * state, beta, n)
+                    assert np.max(np.abs(frame * ours - ref)) <= 1e-12
+                    assert np.array_equal(ours, kron_mixer(np.conj(frame) * state, beta, n))
+                    pair = state_pair(state.size)
+                    pair[0][:] = np.conj(frame) * state
+                    mixed = _apply_mixer(pair[0], beta, n, pair[1])
+                    assert any(mixed is b for b in pair)
+                    assert mixed.tobytes() == ours.tobytes()
 
 
 def spp_diagonal(n, m, seed):
