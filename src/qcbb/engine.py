@@ -48,6 +48,11 @@ from .ising import IsingModel, encode, many_body_count, reduce
 from .metrics import TraceEvent, TraceRecorder, many_body_fraction
 from .vqa import SampleSet
 
+# Relaxed spins within this of the smallest |X[0, i+1]| tie for branching;
+# on ladder and deep_tree some nodes' two smallest differ by under 1e-6,
+# where another BLAS build's rounding could reorder them.
+BRANCH_TIE_TOL = 1e-6
+
 
 def check_setting(name: str, value, annotation: str) -> None:
     """Raise ValueError unless ``value`` has the JSON-style type that
@@ -330,8 +335,10 @@ def evaluate_node(
 
     The branching variable is the free variable whose relaxed spin
     ``bres.relaxed_spins`` (X[0, i+1] of the bound's final SDP solution) is
-    nearest 0, the one the relaxation leaves most undecided; only an exact
-    tie in |X[0, i+1]| goes to the lowest index. The samples' conflict
+    nearest 0, the one the relaxation leaves most undecided. Spins within
+    BRANCH_TIE_TOL = 1e-6 of the smallest |X[0, i+1]| count as tied, and the
+    lowest free index among them wins, so the SDP solve's rounding does not
+    decide between near-equal spins. The samples' conflict
     values, read from the sample rows of that violation matrix, give the
     record's ``conflict_var`` and nothing else.
     """
@@ -369,11 +376,12 @@ def evaluate_node(
     violated = violations(master, full)
     gamma = conflict_values(master.A, violated[:-1], samples.counts)[red.index_map]
     conflict_var = int(red.index_map[np.argmax(gamma)]) if gamma.max() > 0.0 else None
+    undecided = np.abs(bres.relaxed_spins)
     return finish(
         "branched",
         conflict_var=conflict_var,
         expectations=expectations,
-        branch_var=int(red.index_map[np.argmin(np.abs(bres.relaxed_spins))]),
+        branch_var=int(red.index_map[np.argmax(undecided <= undecided.min() + BRANCH_TIE_TOL)]),
         **_candidate(master, full, violated, "gw", "qaoa"),
     )
 

@@ -182,6 +182,29 @@ class TestEvaluateNode:
         assert branch[0] != branch[1]
         assert perm[branch[1]] == branch[0]
 
+    @pytest.mark.parametrize("gap, pick", [(0.0, 1), (5e-7, 1), (2e-6, 2)])
+    def test_near_tied_spins_branch_on_the_lowest_index(self, monkeypatch, gap, pick):
+        # free spins 1 and 2 have |X[0, i+1]| 0.2 + gap and 0.2: within
+        # BRANCH_TIE_TOL (1e-6) of the smallest they tie and the lower index
+        # wins; beyond it the smaller one does
+        real = engine.bound_mod.lower_bound
+
+        def crafted(model, rng=None):
+            spins = np.full(model.n_spins, 0.9)
+            spins[1] = -(0.2 + gap)
+            spins[2] = 0.2
+            return dataclasses.replace(real(model, rng), relaxed_spins=spins)
+
+        monkeypatch.setattr(engine.bound_mod, "lower_bound", crafted)
+        inst = generate_spp(10, 3, seed=21)
+        fixings, _ = propagate(inst.A, inst.b, {})
+        free = [i for i in range(inst.n) if i not in fixings]
+        node = Node(id=0, parent=None, fixings=fixings, local_lb=-np.inf)
+        config = SolverConfig(p=1, node_queries=4, shots=16, seed=0)
+        ev = evaluate(inst, node, config, None, objective_lattice(inst.c))
+        assert ev.record.outcome == "branched"
+        assert ev.branch_var == free[pick]
+
     def test_bound_proves_cycle_infeasible(self):
         # 3-cycle of equality pairs has no binary solution, yet every row
         # passes activity propagation; only the penalty bound can refute it
