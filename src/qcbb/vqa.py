@@ -21,9 +21,9 @@ Q(beta) = [[cos, sin], [-sin, cos]], R_x(beta) = S Q S^dagger, so
 R_x(beta)^{(x)n} = D Q^{(x)n} D^dagger with D = diag(i^popcount(z)). D is
 diagonal and commutes with every phase layer, so ``qaoa_state`` starts from
 D^dagger|+>, applies the real Q^{(x)n} in each layer and multiplies by D
-once at the end. That last step is exact: every factor is +-1 or +-i. Its
-factors, like the start's, are the outer product of two halves of at most
-2^11 entries (``_frame_factors``).
+once at the end. That last step is exact: every factor is +-1 or +-i. D
+is the outer product of two halves of at most 2^11 entries
+(``_frame_factors``), and the start uses their conjugates.
 
 A real operator acts on the real and imaginary parts alike, so the mixer
 works on the float view of the state: real matrix products, half the flops
@@ -90,15 +90,16 @@ import numpy as np
 from .ising import IsingModel
 
 SIMULATOR_LIMIT = 22
-# Spins mixed inside one cache tile: 2^14 amplitudes are 256 KB, and 14 beat
-# 12, 13, 15 and 16 at n = 14..20 (x86-64, 2 vCPU, one OpenBLAS thread).
+# Spins mixed inside one cache tile: 2^14 amplitudes are 256 KB. 14 beat 12,
+# 13, 15 and 16 at n = 16 and 18; at n = 20, 15 was 6% faster and 16 slower
+# (x86-64, 2 vCPU, one OpenBLAS thread).
 TILE_BITS = 14
-# Index bits per product inside a tile: 8x8 blocks beat 16x16 and 32x32 by
-# 8-15% of the mixer at n = 16..20 (same machine).
+# Index bits per product inside a tile: 8x8 blocks beat 16x16 ones by 14%,
+# 9% and 4% of the mixer at n = 16, 18 and 20, and 32x32 ones by more (same
+# machine).
 MIXER_BLOCK = 3
-# Spins per full-state product above the tile: one 64x64 pass at n = 20
-# beat two 8x8 passes by 4% (same machine); past 6 spins a pass turns
-# compute-bound.
+# Spins per full-state product above the tile: one 64x64 pass beat two 8x8
+# passes by 4% at n = 20, but costs 1.7 times a 16x16 pass (same machine).
 PASS_SPINS = 6
 
 
@@ -177,19 +178,19 @@ def _split(bits: int, most: int) -> list[int]:
     return [bits // parts + (i < bits % parts) for i in range(parts)]
 
 
-def _frame_factors(n_spins: int, unit: complex) -> tuple[np.ndarray, np.ndarray]:
-    """unit^popcount(z) as a column over the high bits of z and a row over
-    the low ones; their outer product holds the factor of every z.
+def _frame_factors(n_spins: int) -> tuple[np.ndarray, np.ndarray]:
+    """i^popcount(z) as a column over the high bits of z and a row over the
+    low ones; their outer product is the frame's D.
 
     Each half doubles from [1]: the entries of the next bit are those below
-    it times ``unit``, so for unit = +-i every entry is exactly +-1 or +-i.
-    A half has at most 2^11 entries below the simulator limit.
+    it times i, so every entry is exactly +-1 or +-i. A half has at most
+    2^11 entries below the simulator limit.
     """
     halves = []
     for bits in (n_spins - n_spins // 2, n_spins // 2):
         f = np.ones(1 << bits, dtype=complex)
         for k in range(bits):
-            np.multiply(f[: 1 << k], unit, out=f[1 << k : 2 << k])
+            np.multiply(f[: 1 << k], 1j, out=f[1 << k : 2 << k])
         halves.append(f)
     return halves[0][:, None], halves[1]
 
@@ -208,7 +209,7 @@ def _apply_mixer(
     s = np.sin(beta)
     low = min(n_spins, TILE_BITS)
     tile_sizes = _split(low + 1, MIXER_BLOCK)  # the re/im bit rides along
-    pass_sizes = _split(n_spins - low, PASS_SPINS) if n_spins > low else []
+    pass_sizes = _split(n_spins - low, PASS_SPINS)
     qt = np.array([[c, -s], [s, c]])  # Q^T
     blocks = [np.ones((1, 1))]  # blocks[k] = Q^T kron ... kron Q^T, k factors
     for k in range(1, max(tile_sizes + pass_sizes) + 1):
@@ -284,8 +285,9 @@ def qaoa_state(
             raise IndexError("phase table index out of range")
     state, spare = state_pair(size) if buffers is None else buffers
     # the circuit runs in the phase frame: from D^dagger|+>, D = diag(i^popcount(z))
-    rows, cols = _frame_factors(n_spins, -1j)
-    np.multiply(rows * (1.0 / np.sqrt(size)), cols, out=state.reshape(rows.size, cols.size))
+    rows, cols = _frame_factors(n_spins)
+    frame = state.reshape(rows.size, cols.size)
+    np.multiply(np.conj(rows) * (1.0 / np.sqrt(size)), np.conj(cols), out=frame)
     for gamma, beta in zip(params.gammas, params.betas):
         # "clip" gathers straight into spare, where "raise" would buffer a
         # copy; the index is in range (checked above)
@@ -294,8 +296,7 @@ def qaoa_state(
         state *= spare
         if n_spins and _apply_mixer(state, beta, n_spins, spare) is spare:
             state, spare = spare, state
-    rows, cols = _frame_factors(n_spins, 1j)  # back from the frame, exactly
-    frame = state.reshape(rows.size, cols.size)
+    frame = state.reshape(rows.size, cols.size)  # back from the frame, exactly
     frame *= rows
     frame *= cols
     return state
