@@ -5,13 +5,20 @@ holds the instance data model, the big-M penalty used to fold the equality
 constraints into the objective, a set-partitioning instance generator with a
 planted feasible solution, an exhaustive optimum oracle for small instances,
 and JSON file I/O.
+
+It also holds the one rule for what JSON value a record field may take,
+``check_value``, read from the field's annotation. Settings
+(``engine.SolverConfig``), instance files and trace rows
+(``metrics.TraceEvent``) are all checked by it, so each schema is written
+once, as dataclass annotations.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -231,75 +238,83 @@ def instance_to_dict(instance: BlpInstance) -> dict:
     return out
 
 
-def _is_json_number(value, kind: type) -> bool:
-    """A JSON integer for int; for float, a JSON number that is a finite
-    float, which an integer too large for a float is not. A bool is
-    neither, and 2.7 is not rounded to an int."""
-    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
-        return False
-    try:
-        return kind is int or math.isfinite(value)
-    except OverflowError:
-        return False
+_KINDS = {"int": int, "float": float, "bool": bool, "str": str}
 
 
-def _scalar_field(data: dict, key: str, kind: type):
-    """``data[key]`` as ``kind`` (see ``_is_json_number``)."""
-    value = data[key]
-    if not _is_json_number(value, kind):
-        what = "an integer" if kind is int else "a finite number"
-        raise InstanceFormatError(f"field {key!r} is not {what}: {value!r}")
-    return kind(value)
+def value_kind(annotation: str) -> tuple[type, bool]:
+    """The type that a record field's annotation, such as ``"float | None"``,
+    names (int, float, bool or str) and whether it allows None."""
+    kind, _, optional = annotation.partition(" | ")
+    return _KINDS[kind], optional == "None"
 
 
-def _array_field(data: dict, key: str) -> np.ndarray:
-    """``data[key]`` as a float array whose every entry is a finite JSON
-    number: ``np.asarray(..., dtype=float)`` alone would load true as 1 and
-    "1" as 1, and raise OverflowError on an integer too large for a float."""
-    arr = np.asarray(data[key], dtype=object)
-    for value in arr.flat:
-        if not _is_json_number(value, float):
-            raise InstanceFormatError(
-                f"field {key!r} has an entry that is not a finite number: {value!r}"
-            )
-    return arr.astype(float)
+def check_value(name: str, value, annotation: str) -> None:
+    """Raise ValueError unless ``value`` is a JSON value of the type that
+    ``annotation`` names (``value_kind``); None only under ``| None``.
+
+    A number is an int for ``int`` (a bool is none, and 1.5 is not
+    rounded) and any real for ``float``; either way its float value must
+    be finite, as RFC 8259 numbers are, which an integer beyond float range
+    is not.
+    """
+    kind, optional = value_kind(annotation)
+    if value is None:
+        ok = optional
+    elif kind in (bool, str):
+        ok = isinstance(value, kind)
+    else:
+        number = numbers.Integral if kind is int else numbers.Real
+        try:
+            ok = isinstance(value, number) and not isinstance(value, bool) and math.isfinite(value)
+        except OverflowError:
+            ok = False
+    if not ok:
+        raise ValueError(f"{name} must be {annotation}, not {value!r}")
 
 
 def instance_from_dict(data: dict) -> BlpInstance:
-    for key in ("n", "m", "c", "A", "b"):
-        if key not in data:
-            raise InstanceFormatError(f"missing field {key!r}")
-    n, m = _scalar_field(data, "n", int), _scalar_field(data, "m", int)
-    c, A, b = (_array_field(data, key) for key in ("c", "A", "b"))
-    if c.shape != (n,):
-        raise InstanceFormatError(f"c has {c.size} entries, expected n={n}")
-    if A.shape != (m, n):
-        raise InstanceFormatError(f"A has shape {A.shape}, expected ({m}, {n})")
-    if b.shape != (m,):
-        raise InstanceFormatError(f"b has {b.size} entries, expected m={m}")
-    name = data.get("name")
-    if name is not None and not isinstance(name, str):
-        raise InstanceFormatError(f"field 'name' is not a string: {name!r}")
+    """The instance a JSON object describes, each value checked by
+    ``check_value``: ``n`` and ``m`` as ints, every entry of ``c``, ``A``
+    and ``b`` as a float, and ``name``, ``kappa`` and ``optimum`` as
+    ``BlpInstance`` annotates them. The arrays must have the shapes ``n``
+    and ``m`` give, and A and b must lie on the kappa grid. Any failure
+    raises InstanceFormatError."""
+    arrays = ("c", "A", "b")
     try:
-        instance = BlpInstance(
-            c=c,
-            A=A,
-            b=b,
-            name=name,
-            kappa=_scalar_field(data, "kappa", float) if "kappa" in data else 1.0,
-            optimum=None if data.get("optimum") is None else _scalar_field(data, "optimum", float),
-        )
+        for key in ("n", "m", *arrays):
+            if key not in data:
+                raise ValueError(f"missing field {key!r}")
+        for key in ("n", "m"):
+            check_value(f"field {key!r}", data[key], "int")
+        n, m = data["n"], data["m"]
+        entries = [np.asarray(data[key], dtype=object) for key in arrays]
+        for key, arr in zip(arrays, entries):
+            for value in arr.flat:
+                check_value(f"field {key!r} entry", value, "float")
+        scalars = {}
+        for f in fields(BlpInstance):
+            if f.name not in arrays:
+                scalars[f.name] = data.get(f.name, f.default)
+                check_value(f"field {f.name!r}", scalars[f.name], f.type)
+        c, A, b = (arr.astype(float) for arr in entries)
+        if c.shape != (n,):
+            raise ValueError(f"c has {c.size} entries, expected n={n}")
+        if A.shape != (m, n):
+            raise ValueError(f"A has shape {A.shape}, expected ({m}, {n})")
+        if b.shape != (m,):
+            raise ValueError(f"b has {b.size} entries, expected m={m}")
+        instance = BlpInstance(c=c, A=A, b=b, **scalars)
         compute_big_m(instance)
+        # compute_big_m assumes a violated row misses b by at least kappa,
+        # which only holds when A and b lie on the kappa grid.
+        for key, arr in (("A", instance.A), ("b", instance.b)):
+            units = arr / instance.kappa
+            if np.any(np.abs(units - np.round(units)) > KAPPA_GRID_TOL):
+                raise ValueError(
+                    f"{key} has entries that are not integer multiples of kappa={instance.kappa}"
+                )
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from exc
-    # compute_big_m assumes a violated row misses b by at least kappa, which
-    # only holds when A and b lie on the kappa grid.
-    for key, arr in (("A", instance.A), ("b", instance.b)):
-        units = arr / instance.kappa
-        if np.any(np.abs(units - np.round(units)) > KAPPA_GRID_TOL):
-            raise InstanceFormatError(
-                f"{key} has entries that are not integer multiples of kappa={instance.kappa}"
-            )
     return instance
 
 

@@ -46,7 +46,7 @@ def _settings(args: argparse.Namespace) -> tuple[engine.SolverConfig, int]:
         if getattr(args, key, None) is not None:
             values[key] = getattr(args, key)
     queries = values.pop("queries", engine.BASELINE_QUERIES)
-    engine.check_setting("queries", queries, "int")
+    blp.check_value("queries", queries, "int")
     return engine.SolverConfig(**values), queries
 
 

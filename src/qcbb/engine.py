@@ -27,6 +27,10 @@ at a time, so a run is deterministic for a fixed seed.
 ``evaluate_node`` returns the node's ``NodeRecord``, which ``solve`` keeps,
 with what ``solve`` applies: query expectations, the node's best feasible
 point and the branching variable, whose two children ``solve`` opens.
+
+``SolverConfig`` checks each setting against its annotation with
+``blp.check_value``, the rule instance and trace files are loaded by, so a
+limit is a finite number and an integer setting lies within float range.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from __future__ import annotations
 import heapq
 import dataclasses
 import itertools
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -42,7 +45,14 @@ import numpy as np
 
 from . import bound as bound_mod
 from . import vqa
-from .blp import FEASIBILITY_TOL, BlpInstance, compute_big_m, penalized_cost, violations
+from .blp import (
+    FEASIBILITY_TOL,
+    BlpInstance,
+    check_value,
+    compute_big_m,
+    penalized_cost,
+    violations,
+)
 from .bound import OPTIMALITY_TOL
 from .ising import IsingModel, encode, many_body_count, reduce
 from .metrics import TraceEvent, TraceRecorder, many_body_fraction
@@ -54,25 +64,10 @@ from .vqa import SampleSet
 BRANCH_TIE_TOL = 1e-6
 
 
-def check_setting(name: str, value, annotation: str) -> None:
-    """Raise ValueError unless ``value`` has the JSON-style type that
-    ``annotation`` names: ``int`` (a bool is none, and 1.5 is not rounded),
-    ``float`` (any real number) or ``bool``; None only under ``| None``."""
-    kind, _, optional = annotation.partition(" | ")
-    if value is None:
-        ok = optional == "None"
-    elif kind == "bool":
-        ok = isinstance(value, bool)
-    else:
-        number = numbers.Integral if kind == "int" else numbers.Real
-        ok = isinstance(value, number) and not isinstance(value, bool)
-    if not ok:
-        raise ValueError(f"{name} must be {annotation}, not {value!r}")
-
-
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver settings, each checked against its annotated type.
+    """Solver settings, each checked against its annotation by
+    ``blp.check_value``.
 
     ``node_queries`` caps the optimizer queries of each branched node; a
     node stops earlier once 2(2p+1) consecutive queries have found no
@@ -93,13 +88,13 @@ class SolverConfig:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            check_setting(f.name, getattr(self, f.name), f.type)
+            check_value(f.name, getattr(self, f.name), f.type)
         if self.p < 1 or self.shots < 1 or self.node_queries < 1:
             raise ValueError("p, shots and node_queries must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         for limit in (self.node_limit, self.time_limit, self.gap):
-            if limit is not None and not limit > 0:  # NaN is not a limit
+            if limit is not None and limit <= 0:
                 raise ValueError("limits must be positive when set")
 
 
@@ -251,14 +246,10 @@ def _run_vqa(
     """Every query's expectation, in the master frame, and the samples of
     the best angles."""
     diag = vqa.build_diagonal(model)
-    table = vqa.phase_table(diag)
-    buffers = vqa.state_pair(diag.size)  # every query's state, and the sampled one
-    rng = _node_rng(config.seed, node_id, 1)
-    params, values = vqa.optimize_angles(
-        diag, config.p, queries, rng, table=table, patience=patience, buffers=buffers
+    _, values, state = vqa.optimize_angles(
+        diag, config.p, queries, _node_rng(config.seed, node_id, 1), patience
     )
-    state = vqa.qaoa_state(diag, params, table, buffers)
-    del diag, table  # sampling reads only the state; its arrays reuse this memory
+    del diag  # sampling reads only the state; its arrays reuse this memory
     samples = vqa.sample(state, config.shots, _node_rng(config.seed, node_id, 2))
     return tuple(v + model.constant for v in values), samples
 
@@ -547,7 +538,7 @@ def run_plain_qaoa(
     """
     if config is None:
         config = SolverConfig()
-    check_setting("queries", queries, "int")
+    check_value("queries", queries, "int")
     if queries < 1:
         raise ValueError("queries must be positive")
     if instance.n > vqa.SIMULATOR_LIMIT:

@@ -4,6 +4,11 @@ Events form an append-only log feeding the bound-convergence series, the
 primal-dual integral, and the many-body-term series. Exports are bit-stable:
 a CSV or JSON round trip reproduces the series exactly.
 
+``TraceEvent``'s annotations are the trace schema: its field names, in
+order, are the CSV header, a CSV cell is converted by its field's type, and
+``load_trace`` checks every value with ``blp.check_value`` (plus
+non-negative indices), so a malformed row fails as a ValueError naming it.
+
 By default event timestamps come from a deterministic virtual clock (one
 microsecond per event) so identical runs export identical bytes; pass
 ``wall_clock=True`` to record real elapsed seconds instead, at the cost of
@@ -14,9 +19,10 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import time
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import asdict, dataclass, fields
+
+from .blp import check_value, value_kind
 
 EVENT_KINDS = (
     "node_start",
@@ -28,19 +34,6 @@ EVENT_KINDS = (
     "branch",
     "done",
 )
-
-CSV_COLUMNS = (
-    "wall_time_s",
-    "node_index",
-    "kind",
-    "lb",
-    "ub",
-    "expectation",
-    "query_index",
-    "many_body_fraction",
-    "status",
-)
-
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -57,6 +50,10 @@ class TraceEvent:
     def __post_init__(self):
         if self.kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {self.kind!r}")
+
+
+# A CSV trace's header: the event fields, in order.
+CSV_COLUMNS = tuple(f.name for f in fields(TraceEvent))
 
 
 class TraceRecorder:
@@ -78,10 +75,6 @@ class TraceRecorder:
         )
         self.events.append(event)
         return event
-
-
-def _event_dict(event: TraceEvent) -> dict:
-    return {f.name: getattr(event, f.name) for f in dataclass_fields(TraceEvent)}
 
 
 @dataclass(frozen=True)
@@ -184,7 +177,7 @@ def export_trace(events, path) -> None:
     """Write a trace as JSON when ``path`` ends in .json, else as CSV."""
     if _is_json(path):
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump([_event_dict(e) for e in events], fh, indent=1)
+            json.dump([asdict(e) for e in events], fh, indent=1)
             fh.write("\n")
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -194,19 +187,13 @@ def export_trace(events, path) -> None:
             writer.writerow([_cell(getattr(e, col)) for col in CSV_COLUMNS])
 
 
-def _column_type(column: str) -> type:
-    if column in ("node_index", "query_index"):
-        return int
-    if column in ("kind", "status"):
-        return str
-    return float
-
-
 def _csv_row(row: list[str]) -> dict:
+    """A CSV row's cells, each converted to its field's type; empty is None."""
     if len(row) != len(CSV_COLUMNS):
         raise ValueError(f"{len(row)} cells, the header has {len(CSV_COLUMNS)}")
     return {
-        col: None if cell == "" else _column_type(col)(cell) for col, cell in zip(CSV_COLUMNS, row)
+        f.name: None if cell == "" else value_kind(f.type)[0](cell)
+        for f, cell in zip(fields(TraceEvent), row)
     }
 
 
@@ -217,20 +204,13 @@ def _json_row(row) -> dict:
 
 
 def _check_row(row: dict) -> dict:
-    """``row`` once each cell has its column's type (a float column takes
-    any number, a bool is none), is null only where optional, is finite and,
-    for an index, non-negative."""
-    for column in CSV_COLUMNS:
-        value, kind = row.get(column), _column_type(column)
-        types = (int, float) if kind is float else kind
-        if value is None:
-            ok = column not in ("wall_time_s", "node_index", "kind")
-        elif isinstance(value, bool) or not isinstance(value, types):
-            ok = False
-        else:
-            ok = kind is str or (math.isfinite(value) and not (kind is int and value < 0))
-        if not ok:
-            raise ValueError(f"{column} cannot be {json.dumps(value)}")
+    """``row`` once each field's value passes ``blp.check_value`` against
+    the field's annotation and, for an index, is non-negative."""
+    for f in fields(TraceEvent):
+        value = row.get(f.name)
+        check_value(f.name, value, f.type)
+        if value is not None and value_kind(f.type)[0] is int and value < 0:
+            raise ValueError(f"{f.name} must be non-negative, not {value!r}")
     return row
 
 

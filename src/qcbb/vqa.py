@@ -195,15 +195,13 @@ def _frame_factors(n_spins: int) -> tuple[np.ndarray, np.ndarray]:
     return halves[0][:, None], halves[1]
 
 
-def _apply_mixer(
-    state: np.ndarray, beta: float, n_spins: int, spare: np.ndarray | None = None
-) -> np.ndarray:
+def _apply_mixer(state: np.ndarray, beta: float, n_spins: int, spare: np.ndarray) -> np.ndarray:
     """Q(beta)^{(x)n}, Q = [[cos, sin], [-sin, cos]], in real matrix
     products on the float view of the state: the phase-frame form of
     exp(-i*beta*X) on every spin (see the module docstring).
 
-    The products alternate between ``state`` and ``spare`` (a new array when
-    not given), so both are overwritten; returns the one holding the result.
+    The products alternate between ``state`` and ``spare``, an array of the
+    same size, so both are overwritten; returns the one holding the result.
     """
     c = np.cos(beta)
     s = np.sin(beta)
@@ -218,8 +216,6 @@ def _apply_mixer(
     last = blocks[tile_sizes[-1] - 1]  # kron I_2 on the re/im bit
     last = (last[:, None, :, None] * np.eye(2)[None, :, None, :]).reshape(2 * last.shape[0], -1)
     tile_blocks = [blocks[k] for k in tile_sizes[:-1]] + [last]
-    if spare is None:
-        spare = np.empty_like(state)
     done = 0  # spins above the tile mixed so far, from the top
     for k in pass_sizes:
         shape = (1 << done, 1 << k, -1)
@@ -386,25 +382,24 @@ def optimize_angles(
     p: int,
     max_queries: int,
     rng: np.random.Generator,
-    table: tuple[np.ndarray, np.ndarray] | None = None,
     patience: int | None = None,
-    buffers: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[QaoaParams, tuple[float, ...]]:
+) -> tuple[QaoaParams, tuple[float, ...], np.ndarray]:
     """Minimize the state expectation over 2p angles under a query budget.
 
     In-house Nelder-Mead (``_nelder_mead``, which queries SciPy's points:
     start simplex +5% per coordinate, reflection 1, expansion 2, contraction
     1/2, shrink 1/2, stop at xatol 1e-4 and fatol 1e-8) from a random start
     in [0, pi)^2p, with fresh random restarts while budget remains. Never
-    evaluates more than ``max_queries`` times; returns the best parameters
-    seen and every query's expectation, in order. With
-    ``patience`` k, it also stops once k consecutive queries have not found
-    an expectation strictly below the best so far (the count runs across
-    restarts), so the last query is k after the last improvement; None
-    spends the whole budget. Every query shares one phase table: ``table``
-    when given (``phase_table(diag)``, so the caller can reuse it for
-    sampling), otherwise one built here, and one ``state_pair``:
-    ``buffers`` when given, otherwise one allocated here.
+    evaluates more than ``max_queries`` times. With ``patience`` k, it also
+    stops once k consecutive queries have not found an expectation strictly
+    below the best so far (the count runs across restarts), so the last
+    query is k after the last improvement; None spends the whole budget.
+
+    Returns the best parameters seen, every query's expectation in order,
+    and the best parameters' state. Every query and that state share one
+    ``phase_table(diag)`` and one ``state_pair``, built here; the state is
+    in one of the pair, and the table and the other buffer are freed on
+    return.
     """
     if max_queries < 1:
         raise ValueError("max_queries must be at least 1")
@@ -414,10 +409,8 @@ def optimize_angles(
     best_x: np.ndarray | None = None
     best_f = np.inf
     stale = 0  # consecutive queries since the last strict improvement
-    if table is None:
-        table = phase_table(diag)
-    if buffers is None:
-        buffers = state_pair(diag.size)
+    table = phase_table(diag)
+    buffers = state_pair(diag.size)
 
     def objective(x: np.ndarray) -> float:
         nonlocal best_x, best_f, stale
@@ -442,4 +435,5 @@ def optimize_angles(
     except _StopQueries:
         pass
     assert best_x is not None
-    return QaoaParams.from_vector(best_x), tuple(values)
+    params = QaoaParams.from_vector(best_x)
+    return params, tuple(values), qaoa_state(diag, params, table, buffers)

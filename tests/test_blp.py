@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qcbb.blp import (
     BlpInstance,
     InstanceFormatError,
     brute_force_optimum,
+    check_value,
     compute_big_m,
     enumerate_assignments,
     generate_spp,
@@ -210,6 +212,36 @@ class TestBruteForce:
         inst = BlpInstance(c=np.ones(21), A=np.ones((1, 21)), b=[1])
         with pytest.raises(ValueError):
             brute_force_optimum(inst)
+
+
+class TestCheckValue:
+    def test_table(self):
+        # each value and the kinds that take it: a number must be finite,
+        # which an integer beyond float range is not, and a bool is no number
+        table = [
+            (3, {"int", "float"}),
+            (np.int64(3), {"int", "float"}),
+            (2.5, {"float"}),
+            (np.float64(2.5), {"float"}),
+            (True, {"bool"}),
+            ("x", {"str"}),
+            (None, set()),
+            (float("nan"), set()),
+            (float("inf"), set()),
+            (float("-inf"), set()),
+            (10**400, set()),
+            (-(10**400), set()),
+        ]
+        for kind in ("int", "float", "bool", "str"):
+            for annotation in (kind, f"{kind} | None"):
+                for value, kinds in table:
+                    ok = kind in kinds or (value is None and annotation.endswith("| None"))
+                    if ok:
+                        check_value("x", value, annotation)
+                        continue
+                    message = f"x must be {annotation}, not {value!r}"
+                    with pytest.raises(ValueError, match=re.escape(message)):
+                        check_value("x", value, annotation)
 
 
 class TestInstanceIO:

@@ -88,21 +88,23 @@ class TestGen:
         assert not out.exists()
 
 
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a new process that imports this qcbb."""
+    src = str(Path(qcbb.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True
+    )
+
+
 def test_start_up_imports_no_scipy():
     # the CLI's start-up cost is its imports; SciPy is a test dependency only
     code = (
         "import sys, qcbb, qcbb.cli; "
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     )
-    src = str(Path(qcbb.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    done = run_python("-c", code)
+    assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
 
 
@@ -212,21 +214,30 @@ class TestSolve:
         assert f"{key} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flags, config",
+        "flags, config, key",
         [
-            (["--time-limit", "nan"], None),
-            (["--gap", "nan"], None),
-            ([], {"time_limit": float("nan")}),
+            (["--time-limit", "nan"], None, "time_limit"),
+            (["--gap", "nan"], None, "gap"),
+            ([], {"time_limit": float("nan")}, "time_limit"),
+            (["--time-limit", "inf"], None, "time_limit"),
+            ([], {"gap": float("inf")}, "gap"),
         ],
-        ids=["time_limit_flag", "gap_flag", "time_limit_config"],
+        ids=[
+            "time_limit_flag",
+            "gap_flag",
+            "time_limit_config",
+            "inf_time_limit_flag",
+            "inf_gap_config",
+        ],
     )
-    def test_nan_limit_rejected(self, fixture_instance, tmp_path, capsys, flags, config):
+    def test_nan_limit_rejected(self, fixture_instance, tmp_path, capsys, flags, config, key):
+        # a limit is a finite number: NaN and inf fail the JSON type check
         if config is not None:
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps(config))  # writes the NaN token json.load reads
             flags = ["--config", str(path)]
         assert cli.main(["solve", str(fixture_instance), *flags]) == 1
-        assert "limits must be positive" in capsys.readouterr().err
+        assert f"{key} must be float | None, not " in capsys.readouterr().err
 
 
 class TestBaseline:
@@ -315,16 +326,35 @@ class TestReport:
         assert "error" in capsys.readouterr().err
 
     # the second row misses its time, then its node index
-    @pytest.mark.parametrize("row", [",0,done,1.0,2.0,,,,optimal", "2e-06,,done,1.0,2.0,,,,optimal"])
-    def test_csv_row_missing_a_required_cell_errors(self, tmp_path, capsys, row):
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            pytest.param(row, message, id=row)
+            for row, message in (
+                (",0,done,1.0,2.0,,,,optimal", "wall_time_s must be float, not None"),
+                ("2e-06,,done,1.0,2.0,,,,optimal", "node_index must be int, not None"),
+            )
+        ],
+    )
+    def test_csv_row_missing_a_required_cell_errors(self, tmp_path, capsys, row, message):
         from qcbb.metrics import CSV_COLUMNS
 
         path = tmp_path / "t.csv"
         path.write_text(f"{','.join(CSV_COLUMNS)}\n1e-06,0,node_start,,,,,,\n{row}\n")
         assert cli.main(["report", "--trace", str(path)]) == 1
         out, err = capsys.readouterr()
-        assert err.startswith("error: ") and "row 2" in err and "cannot be null" in err
+        assert err.startswith("error: ") and "row 2" in err and message in err
         assert "Traceback" not in err and "null" not in out
+
+    def test_integer_beyond_float_range_errors(self, tmp_path):
+        # math.isfinite once raised OverflowError on such a cell: a
+        # traceback, not an error line
+        path = tmp_path / "t.json"
+        path.write_text('[{"wall_time_s": 1e-06, "node_index": %d, "kind": "done"}]' % 10**400)
+        done = run_python("-m", "qcbb.cli", "report", "--trace", str(path))
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ") and "row 1: node_index must be int" in done.stderr
+        assert "Traceback" not in done.stderr and done.stdout == ""
 
     def test_empty_trace_errors(self, tmp_path):
         from qcbb.metrics import export_trace

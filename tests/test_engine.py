@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import time
 import tracemalloc
 
@@ -298,9 +299,9 @@ def record_optimizer_runs(monkeypatch) -> list[tuple[int, tuple[float, ...]]]:
     original = vqa.optimize_angles
 
     def logged(diag, p, max_queries, *args, **kwargs):
-        params, values = original(diag, p, max_queries, *args, **kwargs)
+        params, values, state = original(diag, p, max_queries, *args, **kwargs)
         runs.append((max_queries, values))
-        return params, values
+        return params, values, state
 
     monkeypatch.setattr(vqa, "optimize_angles", logged)
     return runs
@@ -548,8 +549,12 @@ class TestSolve:
         with pytest.raises(ValueError):
             SolverConfig(node_limit=0)
         for limit in ("time_limit", "gap"):
-            with pytest.raises(ValueError):
-                SolverConfig(**{limit: float("nan")})
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=re.escape(f"{limit} must be float | None")):
+                    SolverConfig(**{limit: value})
+        # an integer beyond float range is no JSON number
+        with pytest.raises(ValueError, match="seed must be int"):
+            SolverConfig(seed=10**400)
         # each field has its JSON type: a bool is no integer, 1.5 is not rounded
         bad = [("p", 1.5), ("shots", True), ("seed", 1.5), ("node_limit", 2.5)]
         bad += [("wall_clock", "no"), ("gap", "0.1"), ("p", None)]

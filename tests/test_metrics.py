@@ -148,6 +148,10 @@ class TestExportImport:
             ),
             ("bad.csv", ",".join(CSV_COLUMNS) + "\n1e-06,0,node_start,,,,,,\n,0,done,1.0,2.0,,,,optimal\n"),
             ("bad.csv", ",".join(CSV_COLUMNS) + "\n1e-06,0,node_start,,,,,,\n2e-06,,done,1.0,2.0,,,,optimal\n"),
+            # integers beyond float range once raised OverflowError
+            ("bad.json", '[{"wall_time_s": 1e-06, "node_index": %d, "kind": "done"}]' % 10**400),
+            ("bad.csv", ",".join(CSV_COLUMNS) + "\n1e-06,0,node_start,,,,,,\n2e-06,%d,done,,,,,,\n" % 10**400),
+            ("bad.json", '[{"wall_time_s": 1e-06, "node_index": 0, "kind": "done", "lb": %d}]' % 10**400),
         ],
         ids=[
             "json_unknown_key",
@@ -164,6 +168,9 @@ class TestExportImport:
             "json_negative_query_index",
             "csv_null_time",
             "csv_null_index",
+            "json_huge_node_index",
+            "csv_huge_node_index",
+            "json_huge_lb",
         ],
     )
     def test_malformed_row_rejected(self, tmp_path, name, text):

@@ -236,8 +236,6 @@ class TestQaoaState:
             qaoa_state(diag, params, (levels, index))
         with pytest.raises(IndexError):
             qaoa_state(diag, params, (levels, index), state_pair(4))
-        with pytest.raises(IndexError):
-            optimize_angles(diag, 1, 5, np.random.default_rng(0), table=(levels, index))
 
     def test_zero_spins(self):
         state = qaoa_state(np.array([2.0]), QaoaParams(gammas=[0.5, 0.25], betas=[0.3, 0.1]))
@@ -262,7 +260,7 @@ class TestMixer:
                     ref = tensordot_mixer(state, beta, n)
                     # in the frame, D Q^{(x)n} D^dagger = R_x^{(x)n}; the mixer
                     # overwrites its input, so each call gets its own array
-                    ours = _apply_mixer(np.conj(frame) * state, beta, n)
+                    ours = _apply_mixer(np.conj(frame) * state, beta, n, np.empty_like(state))
                     assert np.max(np.abs(frame * ours - ref)) <= 1e-12
                     assert np.array_equal(ours, kron_mixer(np.conj(frame) * state, beta, n))
                     pair = state_pair(state.size)
@@ -434,32 +432,34 @@ class TestOptimizeAngles:
             return original(diag, params, *args)
 
         monkeypatch.setattr(vqa, "qaoa_state", recording)
-        params, values = optimize_angles(pair_diag, 1, 1, np.random.default_rng(0))
-        assert len(values) == 1 and len(queried) == 1
+        params, values, _ = optimize_angles(pair_diag, 1, 1, np.random.default_rng(0))
+        # the one query, then the returned state at the returned params
+        assert len(values) == 1 and len(queried) == 2
         assert np.array_equal(as_vector(params), queried[0])
+        assert np.array_equal(as_vector(params), queried[1])
 
     def test_constant_diagonal(self):
         diag = np.full(4, 3.0)
-        _, values = optimize_angles(diag, 1, 20, np.random.default_rng(1))
+        _, values, _ = optimize_angles(diag, 1, 20, np.random.default_rng(1))
         assert np.allclose(values, 3.0)
 
     @pytest.mark.parametrize("patience", [1, 3, 7])
     def test_patience_on_constant_diagonal(self, patience):
         # every query reads exactly 0, so only the first sets a best
         diag = np.zeros(8)
-        _, values = optimize_angles(diag, 2, 50, np.random.default_rng(1), patience=patience)
+        _, values, _ = optimize_angles(diag, 2, 50, np.random.default_rng(1), patience=patience)
         assert len(values) == 1 + patience
 
     def test_no_patience_spends_whole_budget(self):
         diag = np.zeros(8)
-        _, values = optimize_angles(diag, 2, 50, np.random.default_rng(1), patience=None)
+        _, values, _ = optimize_angles(diag, 2, 50, np.random.default_rng(1), patience=None)
         assert len(values) == 50
 
     def test_patience_stops_k_queries_after_last_improvement(self):
         diag = spp_diagonal(8, 3, seed=1)
         for seed in range(5):
-            _, full = optimize_angles(diag, 2, 200, np.random.default_rng(seed))
-            params, values = optimize_angles(diag, 2, 200, np.random.default_rng(seed), patience=6)
+            _, full, _ = optimize_angles(diag, 2, 200, np.random.default_rng(seed))
+            params, values, _ = optimize_angles(diag, 2, 200, np.random.default_rng(seed), patience=6)
             # the same queries as without patience, cut 6 after the last new best
             assert values == full[: len(values)]
             last = values.index(min(values))
@@ -472,18 +472,19 @@ class TestOptimizeAngles:
             optimize_angles(pair_diag, 1, 10, np.random.default_rng(0), patience=0)
 
     def test_budget_respected_and_best_reported(self, pair_diag):
-        _, values = optimize_angles(pair_diag, 3, 200, np.random.default_rng(5))
+        _, values, _ = optimize_angles(pair_diag, 3, 200, np.random.default_rng(5))
         assert len(values) <= 200
         assert min(values) <= values[0]
 
     def test_best_params_reproduce_best_value(self, pair_diag):
-        params, values = optimize_angles(pair_diag, 2, 60, np.random.default_rng(9))
+        params, values, state = optimize_angles(pair_diag, 2, 60, np.random.default_rng(9))
         value = expectation(qaoa_state(pair_diag, params), pair_diag)
         assert value == pytest.approx(min(values), abs=1e-12)
+        assert state.tobytes() == qaoa_state(pair_diag, params).tobytes()
 
     def test_seeded_determinism(self, pair_diag):
-        p1, t1 = optimize_angles(pair_diag, 2, 80, np.random.default_rng(3))
-        p2, t2 = optimize_angles(pair_diag, 2, 80, np.random.default_rng(3))
+        p1, t1, _ = optimize_angles(pair_diag, 2, 80, np.random.default_rng(3))
+        p2, t2, _ = optimize_angles(pair_diag, 2, 80, np.random.default_rng(3))
         assert np.array_equal(as_vector(p1), as_vector(p2))
         assert t1 == t2
 
@@ -526,7 +527,7 @@ class TestOptimizeAngles:
 
         monkeypatch.setattr(vqa, "qaoa_state", recording)
         optimize_angles(spp_diagonal(6, 2, seed=3), 2, 60, np.random.default_rng(4))
-        assert len(seen) == 60
+        assert len(seen) == 61  # 60 queries and the returned state
         assert all(np.array_equal(as_vector(params), x) for params, x in seen)
 
     def test_phase_table_built_once_per_call(self, monkeypatch):
@@ -543,6 +544,6 @@ class TestOptimizeAngles:
 
         counted("phase_table")
         counted("qaoa_state")
-        _, values = optimize_angles(spp_diagonal(8, 3, seed=1), 2, 30, np.random.default_rng(2))
-        assert calls == {"phase_table": 1, "qaoa_state": len(values)}
+        _, values, _ = optimize_angles(spp_diagonal(8, 3, seed=1), 2, 30, np.random.default_rng(2))
+        assert calls == {"phase_table": 1, "qaoa_state": len(values) + 1}
         assert len(values) == 30
