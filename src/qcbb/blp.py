@@ -328,7 +328,7 @@ def load_instance(path) -> BlpInstance:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
             raise InstanceFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InstanceFormatError("instance file must hold a JSON object")

@@ -2,13 +2,15 @@
 
 Each node is a partial assignment of the master problem. Opening a node
 propagates its forced fixings; a node that propagation refutes is never
-evaluated. Evaluating an open node restricts the master's model to the free
-variables, computes a MaxCut-based lower bound (plus the restricted model's
-constant, so bounds live in the master frame), applies the prune rule once
-to that bound, and then fathoms a leaf or runs the QAOA subroutine to
-sample candidate solutions. When every cost is an integer, the bound is
-rounded up to the lattice g*Z of objective values (g = gcd of the costs),
-so it bounds the best feasible objective of the node. A branched node
+evaluated. Evaluating an open node runs, in order: bound (restrict the
+master's model to the free variables and compute a MaxCut-based lower bound
+plus the restricted model's constant, so bounds live in the master frame);
+prune; fathom a leaf; close the node on its own Goemans-Williamson cut when
+that cut is feasible and node_lb >= c.cut, which makes the cut the node's
+optimum; otherwise run the QAOA subroutine to sample candidate solutions,
+and branch. When every cost is an integer, the bound is rounded up to the
+lattice g*Z of objective values (g = gcd of the costs), so it bounds the
+best feasible objective of the node. A branched node
 branches on the free variable its SDP relaxation leaves most undecided, the
 relaxed spin X[0, i+1] nearest 0. This departs from the paper, which
 branches on the samples' conflict values: on set partitioning those often
@@ -284,12 +286,21 @@ def evaluate_node(
     ``node.fixings`` are already propagated (``solve`` opens every node
     through ``propagate``). Ordering: restricting ``model`` (``encode``'s
     penalized model of ``master``, the only place its big M lives) to the
-    free variables and bounding; the prune rule, once, on the node bound;
-    leaf fathoming; the variational subroutine; then choosing the branching
-    variable.
+    free variables and bounding; the prune rule on the node bound; leaf
+    fathoming; the node's own cut; the variational subroutine; then
+    choosing the branching variable.
     The prune rule measures the bound against the node's feasible ceiling T
     and against ``best_feasible``, the incumbent's value (None prunes
     nothing).
+
+    The node's own cut is the best hyperplane-rounded cut of the bound's
+    relaxation, merged with the fixings into one master row. When it is
+    feasible, the prune rule runs again with min(best_feasible, c.cut); as
+    node_lb < best_feasible passed the first check, it prunes only when
+    node_lb >= c.cut. The cut is feasible in the node, so c.cut >= f* >=
+    node_lb and the cut is the node's optimum: the node closes as
+    ``pruned_bound`` with reason ``gw`` and the cut as its ``candidate``,
+    with no query and no ``branch_var``.
 
     Every exit builds the node's ``NodeRecord`` once, through ``finish``,
     with the node bound and many-body count. A fathomed leaf's evaluation
@@ -316,11 +327,11 @@ def evaluate_node(
     - optimal stop: every open node's bound is at most its f*, so
       ``global_lb`` still bounds the optimum and ``optimal`` is a proof.
 
-    At a branched node the best hyperplane-rounded cut of the bound's
-    relaxation follows the QAOA samples as the last row. The rows, or a
-    fathomed leaf's one point, are merged with the fixings into master
-    assignments once, and their violation matrix (``blp.violations``) is
-    built once. The cheapest feasible row by c.x, the first on ties, is
+    At a branched node the cut's row, merged and checked once, follows the
+    QAOA samples as the last row. The rows, or a fathomed leaf's one point,
+    are merged with the fixings into master assignments once, and their
+    violation matrix (``blp.violations``) is built once. The cheapest
+    feasible row by c.x, the first on ties, is
     offered valued at its own c @ x (``candidate_source`` names its row, so
     a sample tied with the cut is offered as the sample).
 
@@ -359,12 +370,20 @@ def evaluate_node(
         leaf_violated = violations(master, leaf)
         return finish("fathomed_leaf", **_candidate(master, leaf, leaf_violated, "leaf", "leaf"))
 
+    cut = red.merge((bres.side[None, 1:] + 1) // 2)
+    cut_violated = violations(master, cut)
+    own = _candidate(master, cut, cut_violated, "gw", "gw")
+    if own:
+        value = own["candidate"][0]
+        if _prune(node_lb, ceiling, value if best_feasible is None else min(best_feasible, value)):
+            return finish("pruned_bound", "gw", **own)
+
     # Stop after two Nelder-Mead simplex sizes (2p+1 points over 2p angles)
     # of queries without a new best.
     patience = 2 * (2 * config.p + 1)
     expectations, samples = _run_vqa(red.model, config, node.id, config.node_queries, patience)
-    full = red.merge(np.vstack((samples.bitstrings, (bres.side[1:] + 1) // 2)))
-    violated = violations(master, full)
+    full = np.vstack((red.merge(samples.bitstrings), cut))
+    violated = np.vstack((violations(master, full[:-1]), cut_violated))
     gamma = conflict_values(master.A, violated[:-1], samples.counts)[red.index_map]
     conflict_var = int(red.index_map[np.argmax(gamma)]) if gamma.max() > 0.0 else None
     undecided = np.abs(bres.relaxed_spins)

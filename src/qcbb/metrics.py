@@ -218,10 +218,14 @@ def load_trace(path) -> list[TraceEvent]:
     """Read a trace written by ``export_trace`` (JSON when ``path`` ends in
     .json, else CSV). Each event is decoded to a dict and checked by
     ``_check_row``; a malformed event raises ValueError naming its row,
-    counted from 1 after the CSV header."""
+    counted from 1 after the CSV header, and a JSON file that does not
+    decode one naming the file."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         if _is_json(path):
-            rows = json.load(fh)
+            try:
+                rows = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
+                raise ValueError(f"trace {path}: {exc}") from exc
             if not isinstance(rows, list):
                 raise ValueError("trace JSON must hold a list of events")
             parse = _json_row

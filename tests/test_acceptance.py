@@ -239,6 +239,35 @@ def test_criterion_7_pruning_neutrality():
     assert ok
 
 
+def test_nodes_closed_by_their_own_cut(spp_runs, crafted_runs):
+    # A node its GW cut closes (reason "gw") passed the first prune, so its
+    # cut is strictly cheaper than the incumbent before it: the node records
+    # an incumbent update from "gw" whose value is at most its bound, and no
+    # optimizer query.
+    runs = [(inst, result, bf) for inst, _, result, bf, _ in spp_runs]
+    runs += [(inst, result, brute_force_optimum(inst)) for inst, result in crafted_runs]
+    closed = 0
+    for inst, result, bf in runs:
+        expected = ("optimal", bf.value) if bf.feasible else ("infeasible", None)
+        assert (result.status, result.best_value) == expected
+        events: dict[int, list] = {}
+        for event in result.trace:
+            events.setdefault(event.node_index, []).append(event)
+        # solve stores each evaluated node's record in evaluation order;
+        # records of children refuted by propagation are never evaluated
+        evaluated = [r for r in result.node_records.values() if r.reason != "propagation"]
+        for index, record in enumerate(evaluated):
+            if record.reason != "gw":
+                continue
+            closed += 1
+            assert record.outcome == "pruned_bound"
+            kinds = [e.kind for e in events[index]]
+            assert "optimizer_query" not in kinds
+            (update,) = [e for e in events[index] if e.kind == "incumbent_update"]
+            assert update.status == "gw" and update.ub <= record.local_lb
+    assert closed > 0
+
+
 def test_criterion_8_baseline_comparison(spp_runs):
     wins = 0
     diffs = []

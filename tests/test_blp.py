@@ -351,6 +351,15 @@ class TestInstanceIO:
         with pytest.raises(InstanceFormatError):
             load_instance(path)
 
+    def test_integer_past_the_digit_limit(self, tmp_path):
+        # json.load raises a plain ValueError for an integer of more than
+        # 4,300 digits (the int-string conversion limit)
+        path = tmp_path / "bad.json"
+        text = '{"n": 2, "m": 1, "c": [1, 2], "A": [[1, 1]], "b": [1], "optimum": 1%s}'
+        path.write_text(text % ("0" * 5000))
+        with pytest.raises(InstanceFormatError):
+            load_instance(path)
+
     def test_worst_feasible_cost(self, three_var_instance):
         # exhaustive check: feasible assignments are 010 and 101
         assert blp.worst_feasible_cost(three_var_instance) == 2.0

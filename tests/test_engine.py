@@ -153,11 +153,13 @@ class TestEvaluateNode:
         ev = evaluate(three_var_instance, node, SolverConfig(seed=0), 0.5, 1.0)
         assert ev.record.outcome == "pruned_bound"
 
-    def test_root_branches_on_one_variable(self, three_var_instance):
+    def test_root_branches_on_one_variable(self):
+        # a subset-sum root: its bound leaves a gap that its cut cannot close
+        inst = subset_sum_instance(8, 0)
         node = Node(id=0, parent=None, fixings={}, local_lb=-np.inf)
-        ev = evaluate(three_var_instance, node, SolverConfig(seed=1), None, 1.0)
+        ev = evaluate(inst, node, SolverConfig(seed=1), None, 1.0)
         assert ev.record.outcome == "branched"
-        assert ev.branch_var in range(three_var_instance.n)
+        assert ev.branch_var in range(inst.n)
         assert ev.branch_var not in ev.record.fixings
 
     def test_branch_variable_follows_a_column_permutation(self):
@@ -218,13 +220,23 @@ class TestEvaluateNode:
 
 
 class TestCandidate:
-    """The row a branched node offers: the cheapest feasible one by c.x,
-    the first on ties, valued at its own c @ x. ``root`` patches in the
-    samples; the hyperplane-rounded cut, the last row, is the solver's own."""
+    """The row a node offers: the cheapest feasible one by c.x, the first on
+    ties, valued at its own c @ x. ``root`` patches in the samples; the
+    hyperplane-rounded cut, the last row, is the solver's own."""
 
     # x0 + x1 = 1 and x1 + x2 = 1: both feasible points, (0, 1, 0) and
-    # (1, 0, 1), cost 2
+    # (1, 0, 1), cost 2. The root's bound is 2 as well, so its cut closes it.
     tied = BlpInstance(c=[1.0, 2.0, 1.0], A=[[1, 1, 0], [0, 1, 1]], b=[1, 1])
+    # ``tied`` next to the row 5 x3 + 25 x4 + 19 x5 + 11 x6 = 30 of
+    # ``subset_sum_instance(4, 14)``, whose bound leaves a gap: at seed 1 the
+    # root's bound is -15 and its cut, (1, 0, 1, 1, 1, 0, 0), costs -7, so the
+    # root branches. Both points with x3 = x4 = 1 cost -7, the optimum.
+    gapped = BlpInstance(
+        c=[1.0, 2.0, 1.0, -17.0, 8.0, -6.0, 15.0],
+        A=[[1, 1, 0, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0, 0], [0, 0, 0, 5, 25, 19, 11]],
+        b=[1, 1, 30],
+    )
+    cheapest = [[0, 1, 0, 1, 1, 0, 0], [1, 0, 1, 1, 1, 0, 0]]
 
     @staticmethod
     def root(inst, monkeypatch, rows):
@@ -236,28 +248,74 @@ class TestCandidate:
         assert ev.record.outcome == "branched"
         return ev
 
-    def test_the_cut_is_offered_when_no_sample_is_feasible(self, monkeypatch):
-        ev = self.root(self.tied, monkeypatch, [[0, 0, 0], [1, 1, 1]])
+    def test_a_cut_at_the_bound_closes_the_node_without_qaoa(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("QAOA ran at a node its own cut closes")
+
+        monkeypatch.setattr(vqa, "optimize_angles", never)
+        node = Node(id=0, parent=None, fixings={}, local_lb=-np.inf)
+        ev = evaluate(self.tied, node, SolverConfig(seed=1), None, 1.0)
+        assert (ev.record.outcome, ev.record.reason) == ("pruned_bound", "gw")
         assert ev.candidate_source == "gw"
-        assert ev.candidate[0] == 2.0 and is_feasible(self.tied, ev.candidate[1])
+        assert ev.expectations == () and ev.branch_var is None
+        value, x = ev.candidate
+        assert value == 2.0 and is_feasible(self.tied, x)
+        assert ev.record.local_lb >= value
 
-    @pytest.mark.parametrize("point", [[0, 1, 0], [1, 0, 1]])
+    def test_a_cut_above_the_bound_is_the_last_row_after_qaoa(self, monkeypatch):
+        cuts, rows, runs = [], [], []
+        real_bound, real_candidate = engine.bound_mod.lower_bound, engine._candidate
+
+        def bound(model, rng=None):
+            bres = real_bound(model, rng)
+            cuts.append((bres.side[1:] + 1) // 2)
+            return bres
+
+        def candidate(master, full, violated, last, other):
+            rows.append(full)
+            return real_candidate(master, full, violated, last, other)
+
+        def run_vqa(*args):
+            runs.append(args)
+            return (), SampleSet(np.zeros((1, 7), dtype=np.int8), np.ones(1, dtype=np.int64))
+
+        monkeypatch.setattr(engine.bound_mod, "lower_bound", bound)
+        monkeypatch.setattr(engine, "_candidate", candidate)
+        monkeypatch.setattr(engine, "_run_vqa", run_vqa)
+        node = Node(id=0, parent=None, fixings={}, local_lb=-np.inf)
+        ev = evaluate(self.gapped, node, SolverConfig(seed=1), None, 1.0)
+        assert ev.record.outcome == "branched" and len(runs) == 1
+        # the cut's row is checked alone first, then ends the rows after QAOA
+        (cut,), (own, full) = cuts, rows
+        assert is_feasible(self.gapped, cut)
+        assert self.gapped.c @ cut == -7.0 > ev.record.local_lb
+        assert np.array_equal(own, [cut])
+        assert full.shape == (2, 7) and np.array_equal(full[-1], cut)
+        assert ev.candidate_source == "gw" and np.array_equal(ev.candidate[1], cut)
+
+    def test_the_cut_is_offered_when_no_sample_is_feasible(self, monkeypatch):
+        ev = self.root(self.gapped, monkeypatch, [[0] * 7, [1] * 7])
+        assert ev.candidate_source == "gw"
+        assert ev.candidate[0] == -7.0 and is_feasible(self.gapped, ev.candidate[1])
+
+    @pytest.mark.parametrize("point", cheapest)
     def test_a_sample_tied_with_the_cut_is_offered(self, monkeypatch, point):
-        # the cut is feasible at cost 2 (the test above), as is either point
-        ev = self.root(self.tied, monkeypatch, [[1, 1, 1], point])
+        # the cut is feasible at cost -7 (the test above), as is either point
+        ev = self.root(self.gapped, monkeypatch, [[1] * 7, point])
         assert ev.candidate_source == "qaoa"
-        assert ev.candidate[0] == 2.0 and np.array_equal(ev.candidate[1], point)
+        assert ev.candidate[0] == -7.0 and np.array_equal(ev.candidate[1], point)
 
-    @pytest.mark.parametrize("first, second", [([0, 1, 0], [1, 0, 1]), ([1, 0, 1], [0, 1, 0])])
+    @pytest.mark.parametrize("first, second", [cheapest, cheapest[::-1]])
     def test_first_of_two_tied_samples_is_offered(self, monkeypatch, first, second):
-        ev = self.root(self.tied, monkeypatch, [first, second])
+        ev = self.root(self.gapped, monkeypatch, [first, second])
         assert np.array_equal(ev.candidate[1], first)
 
     def test_a_cheaper_infeasible_row_is_never_offered(self, monkeypatch):
-        # (0, 0, 0) costs 0 and (1, 1, 0) costs 3, both infeasible
-        ev = self.root(self.tied, monkeypatch, [[0, 0, 0], [1, 1, 0], [0, 1, 0]])
+        # the first row costs -23 and the second -6, both infeasible
+        rows = [[0, 0, 0, 1, 0, 1, 0], [1, 1, 0, 1, 1, 0, 0], self.cheapest[0]]
+        ev = self.root(self.gapped, monkeypatch, rows)
         assert ev.candidate_source == "qaoa"
-        assert np.array_equal(ev.candidate[1], [0, 1, 0])
+        assert np.array_equal(ev.candidate[1], self.cheapest[0])
 
     def test_sampled_offer_is_feasible_and_valued_at_c_dot_x(self):
         # real samples; fractional costs, where a matrix product's row sums
@@ -565,7 +623,7 @@ class TestSolve:
     def test_node_stops_two_simplex_sizes_after_last_improvement(self, monkeypatch):
         runs = record_optimizer_runs(monkeypatch)
         config = SolverConfig(p=3, node_queries=50, seed=0)
-        res = solve(generate_spp(12, 4, seed=1), config)
+        res = solve(subset_sum_instance(10, 0), config)
         assert res.status == "optimal"
         early = [values for budget, values in runs if len(values) < budget]
         assert early, "no node stopped before its budget"

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import pytest
@@ -178,6 +179,14 @@ class TestExportImport:
         path.write_text(text)
         row = 1 if name.endswith(".json") else 2
         with pytest.raises(ValueError, match=f"row {row}"):
+            load_trace(path)
+
+    def test_integer_past_the_digit_limit_names_the_file(self, tmp_path):
+        # json.load raises a plain ValueError for an integer of more than
+        # 4,300 digits, before any row is read
+        path = tmp_path / "huge.json"
+        path.write_text('[{"wall_time_s": 1e-06, "node_index": 1%s, "kind": "done"}]' % ("0" * 5000))
+        with pytest.raises(ValueError, match=f"^trace {re.escape(str(path))}"):
             load_trace(path)
 
 
