@@ -87,11 +87,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"assignment {_assignment_string(result.best_assignment)}")
     print(f"lower_bound {_fmt(result.global_lb)}")
     print(f"nodes {result.nodes_evaluated}")
-    try:
-        series = metrics.bound_series(result.trace, axis="nodes")
-        print(f"pd_integral {metrics.primal_dual_integral(series):g}")
-    except ValueError:
-        print("pd_integral n/a")
+    print(f"pd_integral {_fmt(_integral(metrics.bound_series(result.trace)))}")
 
     if result.status in ("optimal", "gap_reached"):
         return EXIT_OK
@@ -122,20 +118,21 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _integral(series: metrics.BoundSeries) -> float | None:
+    """The series' primal-dual integral, or None where it is undefined."""
+    try:
+        return metrics.primal_dual_integral(series)
+    except ValueError:
+        return None
+
+
 def _series_of(events) -> dict:
     out: dict = {}
     for axis in ("nodes", "seconds"):
         series = metrics.bound_series(events, axis=axis)
         key = "bounds_vs_nodes" if axis == "nodes" else "bounds_vs_time"
-        out[key] = {
-            "ub": [[t, v] for t, v in series.ub_steps],
-            "lb": [[t, v] for t, v in series.lb_steps],
-            "t_end": series.t_end,
-        }
-        try:
-            out[f"pd_integral_{axis}"] = metrics.primal_dual_integral(series)
-        except ValueError:
-            out[f"pd_integral_{axis}"] = None
+        out[key] = {"ub": series.ub_steps, "lb": series.lb_steps, "t_end": series.t_end}
+        out[f"pd_integral_{axis}"] = _integral(series)
     fraction = [
         [e.node_index, e.many_body_fraction]
         for e in events
@@ -151,15 +148,14 @@ def _series_of(events) -> dict:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    events = metrics.load_trace(args.trace)
-    if not events:
-        raise ValueError(f"trace {args.trace} is empty")
-    report = {"runs": [{"label": "qcbb", **_series_of(events)}]}
-    if args.baseline:
-        baseline_events = metrics.load_trace(args.baseline)
-        if not baseline_events:
-            raise ValueError(f"trace {args.baseline} is empty")
-        report["runs"].append({"label": "baseline", **_series_of(baseline_events)})
+    report = {"runs": []}
+    for label, path in (("qcbb", args.trace), ("baseline", args.baseline)):
+        if path is None:
+            continue
+        events = metrics.load_trace(path)
+        if not events:
+            raise ValueError(f"trace {path} is empty")
+        report["runs"].append({"label": label, **_series_of(events)})
     if args.instance:
         instance = blp.load_instance(args.instance)
         best = blp.brute_force_optimum(instance)

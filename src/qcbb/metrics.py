@@ -7,7 +7,8 @@ a CSV or JSON round trip reproduces the series exactly.
 ``TraceEvent``'s annotations are the trace schema: its field names, in
 order, are the CSV header, a CSV cell is converted by its field's type, and
 ``load_trace`` checks every value with ``blp.check_value`` (plus
-non-negative indices), so a malformed row fails as a ValueError naming it.
+non-negative indices, and a node index and time that never decrease), so a
+malformed row fails as a ValueError naming it.
 
 By default event timestamps come from a deterministic virtual clock (one
 microsecond per event) so identical runs export identical bytes; pass
@@ -90,6 +91,10 @@ class BoundSeries:
     t_end: float
 
 
+# The bound an event of each kind reports.
+_BOUND_OF_KIND = {"incumbent_update": "ub", "bound_update": "lb", "done": "lb"}
+
+
 def bound_series(events, axis: str = "nodes") -> BoundSeries:
     """Extract the bound-convergence series from a trace.
 
@@ -104,51 +109,37 @@ def bound_series(events, axis: str = "nodes") -> BoundSeries:
     def coord(e: TraceEvent) -> float:
         return float(e.node_index) if axis == "nodes" else e.wall_time_s
 
-    ub: list[tuple[float, float]] = []
-    lb: list[tuple[float, float]] = []
+    steps: dict[str, list[tuple[float, float]]] = {"ub": [], "lb": []}
     for e in events:
-        if e.kind == "incumbent_update" and e.ub is not None:
-            if ub and ub[-1][0] == coord(e):
-                ub[-1] = (coord(e), e.ub)
-            else:
-                ub.append((coord(e), e.ub))
-        if e.kind in ("bound_update", "done") and e.lb is not None:
-            if lb and lb[-1][0] == coord(e):
-                lb[-1] = (coord(e), e.lb)
-            else:
-                lb.append((coord(e), e.lb))
-    return BoundSeries(ub_steps=tuple(ub), lb_steps=tuple(lb), t_end=coord(events[-1]))
-
-
-def _step_value(steps, t: float) -> float:
-    value = None
-    for s_t, s_v in steps:
-        if s_t <= t:
-            value = s_v
-        else:
-            break
-    assert value is not None
-    return value
+        side = _BOUND_OF_KIND.get(e.kind)
+        if side is None or getattr(e, side) is None:
+            continue
+        if steps[side] and steps[side][-1][0] == coord(e):
+            steps[side].pop()  # a later event at the same coordinate wins
+        steps[side].append((coord(e), getattr(e, side)))
+    return BoundSeries(tuple(steps["ub"]), tuple(steps["lb"]), t_end=coord(events[-1]))
 
 
 def primal_dual_integral(series: BoundSeries) -> float:
-    """Exact integral of UB(t) - LB(t) over the horizon where both exist."""
+    """Exact integral of UB(t) - LB(t) over the horizon where both exist,
+    in one walk over the steps of both sides in time order."""
     if not series.ub_steps or not series.lb_steps:
         raise ValueError("need at least one UB and one LB step")
-    t0 = max(series.ub_steps[0][0], series.lb_steps[0][0])
-    breakpoints = sorted(
-        {t for t, _ in series.ub_steps if t >= t0}
-        | {t for t, _ in series.lb_steps if t >= t0}
-        | {t0, series.t_end}
+    steps = sorted(
+        [(t, 0, v) for t, v in series.ub_steps] + [(t, 1, v) for t, v in series.lb_steps],
+        key=lambda step: step[0],
     )
+    ends = [t for t, _, _ in steps[1:]] + [series.t_end]
+    bounds = [None, None]  # the (ub, lb) pair in force
     total = 0.0
-    for a, b in zip(breakpoints, breakpoints[1:]):
-        if a >= series.t_end:
-            break
-        gap = _step_value(series.ub_steps, a) - _step_value(series.lb_steps, a)
-        if gap < -1e-9:
-            raise ValueError(f"bounds crossed at t={a}: gap={gap}")
-        total += max(gap, 0.0) * (min(b, series.t_end) - a)
+    for (a, side, value), b in zip(steps, ends):
+        bounds[side] = value
+        b = min(b, series.t_end)
+        if b > a and None not in bounds:
+            gap = bounds[0] - bounds[1]
+            if gap < -1e-9:
+                raise ValueError(f"bounds crossed at t={a}: gap={gap}")
+            total += max(gap, 0.0) * (b - a)
     return total
 
 
@@ -217,9 +208,10 @@ def _check_row(row: dict) -> dict:
 def load_trace(path) -> list[TraceEvent]:
     """Read a trace written by ``export_trace`` (JSON when ``path`` ends in
     .json, else CSV). Each event is decoded to a dict and checked by
-    ``_check_row``; a malformed event raises ValueError naming its row,
-    counted from 1 after the CSV header, and a JSON file that does not
-    decode one naming the file."""
+    ``_check_row``, and its ``node_index`` and ``wall_time_s`` must not be
+    below the previous event's; a malformed event raises ValueError naming
+    its row, counted from 1 after the CSV header, and a file that does not
+    decode to rows one naming the file."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         if _is_json(path):
             try:
@@ -227,19 +219,26 @@ def load_trace(path) -> list[TraceEvent]:
             except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
                 raise ValueError(f"trace {path}: {exc}") from exc
             if not isinstance(rows, list):
-                raise ValueError("trace JSON must hold a list of events")
+                raise ValueError(f"trace {path}: JSON must hold a list of events")
             parse = _json_row
         else:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or tuple(header) != CSV_COLUMNS:
-                raise ValueError("trace CSV header does not match the schema")
+                raise ValueError(f"trace {path}: CSV header does not match the schema")
             rows = list(reader)
             parse = _csv_row
     events: list[TraceEvent] = []
     for i, row in enumerate(rows, start=1):
         try:
-            events.append(TraceEvent(**_check_row(parse(row))))
+            event = TraceEvent(**_check_row(parse(row)))
+            for name in ("node_index", "wall_time_s"):
+                if events and getattr(event, name) < getattr(events[-1], name):
+                    raise ValueError(
+                        f"{name} {getattr(event, name)!r} is below the previous row's"
+                        f" {getattr(events[-1], name)!r}"
+                    )
+            events.append(event)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"trace {path} row {i}: {exc}") from exc
     return events

@@ -356,6 +356,23 @@ class TestReport:
         assert done.stderr.startswith("error: ") and "row 1: node_index must be int" in done.stderr
         assert "Traceback" not in done.stderr and done.stdout == ""
 
+    def test_decreasing_node_index_errors(self, tmp_path, capsys):
+        # once loaded, this trace's report had lb steps [[5, 2], [1, 8], [2, 9]]
+        # and a t_end of 2
+        rows = [
+            {"wall_time_s": 1e-06, "node_index": 0, "kind": "node_start"},
+            {"wall_time_s": 2e-06, "node_index": 5, "kind": "incumbent_update", "ub": 10.0},
+            {"wall_time_s": 3e-06, "node_index": 5, "kind": "bound_update", "lb": 2.0},
+            {"wall_time_s": 4e-06, "node_index": 1, "kind": "bound_update", "lb": 8.0},
+            {"wall_time_s": 5e-06, "node_index": 2, "kind": "done", "lb": 9.0, "status": "optimal"},
+        ]
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(rows))
+        assert cli.main(["report", "--trace", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: trace {path} row 4: node_index ")
+        assert "Traceback" not in err and out == ""
+
     def test_empty_trace_errors(self, tmp_path):
         from qcbb.metrics import export_trace
 

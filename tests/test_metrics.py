@@ -49,6 +49,32 @@ class TestPrimalDualIntegral:
         )
         assert whole == pytest.approx(left + right)
 
+    def test_horizon_starts_at_the_later_first_step(self):
+        series = BoundSeries(ub_steps=((0.0, 5.0),), lb_steps=((2.0, 3.0),), t_end=4.0)
+        assert primal_dual_integral(series) == 4.0
+
+    def test_ub_and_lb_steps_at_one_coordinate(self):
+        series = BoundSeries(
+            ub_steps=((0.0, 5.0), (3.0, 4.0)), lb_steps=((0.0, 1.0), (3.0, 4.0)), t_end=6.0
+        )
+        assert primal_dual_integral(series) == 12.0
+
+    def test_a_step_at_t_end_adds_nothing(self):
+        series = BoundSeries(ub_steps=((0.0, 5.0),), lb_steps=((0.0, 3.0), (2.0, 4.0)), t_end=2.0)
+        assert primal_dual_integral(series) == 4.0
+
+
+class TestBoundSeries:
+    def test_later_incumbent_at_one_node_wins(self):
+        rec = TraceRecorder()
+        rec.record("node_start", 0)
+        rec.record("incumbent_update", 0, ub=7.0)
+        rec.record("incumbent_update", 0, ub=5.0)
+        rec.record("done", 0, lb=5.0, ub=5.0, status="optimal")
+        series = bound_series(rec.events, axis="nodes")
+        assert series.ub_steps == ((0.0, 5.0),)
+        assert series.lb_steps == ((0.0, 5.0),)
+
 
 class TestManyBodyFraction:
     def test_ratio(self):
@@ -122,7 +148,13 @@ class TestExportImport:
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^trace {re.escape(str(path))}: "):
+            load_trace(path)
+
+    def test_json_other_than_a_list_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{}")
+        with pytest.raises(ValueError, match=f"^trace {re.escape(str(path))}: "):
             load_trace(path)
 
     @pytest.mark.parametrize(
@@ -153,6 +185,8 @@ class TestExportImport:
             ("bad.json", '[{"wall_time_s": 1e-06, "node_index": %d, "kind": "done"}]' % 10**400),
             ("bad.csv", ",".join(CSV_COLUMNS) + "\n1e-06,0,node_start,,,,,,\n2e-06,%d,done,,,,,,\n" % 10**400),
             ("bad.json", '[{"wall_time_s": 1e-06, "node_index": 0, "kind": "done", "lb": %d}]' % 10**400),
+            ("bad.csv", ",".join(CSV_COLUMNS) + "\n1e-06,1,node_start,,,,,,\n2e-06,0,done,,,,,,optimal\n"),
+            ("bad.csv", ",".join(CSV_COLUMNS) + "\n2e-06,0,node_start,,,,,,\n1e-06,0,done,,,,,,optimal\n"),
         ],
         ids=[
             "json_unknown_key",
@@ -172,6 +206,8 @@ class TestExportImport:
             "json_huge_node_index",
             "csv_huge_node_index",
             "json_huge_lb",
+            "csv_decreasing_node_index",
+            "csv_decreasing_time",
         ],
     )
     def test_malformed_row_rejected(self, tmp_path, name, text):
