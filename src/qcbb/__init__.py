@@ -26,7 +26,7 @@ from .engine import (
     run_plain_qaoa,
     solve,
 )
-from .ising import IsingModel, encode, energy, many_body_count, reduce
+from .ising import IsingModel, encode, many_body_count, reduce
 from .metrics import (
     BoundSeries,
     TraceEvent,
@@ -58,7 +58,6 @@ __all__ = [
     "build_diagonal",
     "compute_big_m",
     "encode",
-    "energy",
     "expectation",
     "export_trace",
     "generate_spp",

@@ -4,7 +4,8 @@ The master problem is ``min { c^T x | Ax = b, x in {0,1}^n }``. This module
 holds the instance data model, the big-M penalty used to fold the equality
 constraints into the objective, a set-partitioning instance generator with a
 planted feasible solution, an exhaustive optimum oracle for small instances,
-and JSON file I/O.
+and JSON file I/O. ``read_json`` is the one reader of JSON files: instance
+files here, config files (``cli``) and JSON traces (``metrics``).
 
 It also holds the one rule for what JSON value a record field may take,
 ``check_value``, read from the field's annotation. Settings
@@ -196,29 +197,20 @@ class BruteForceResult:
     feasible: bool
     value: float | None
     assignment: np.ndarray | None = field(default=None)
-
-
-def _feasible_rows(instance: BlpInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Every feasible assignment as a row, enumerated (n <= 20 guard), and
-    the row costs."""
-    X = enumerate_assignments(instance.n)
-    X = X[~violations(instance, X).any(axis=1)]
-    return X, X @ instance.c
+    worst: float | None = None  # cost of the most expensive feasible assignment
 
 
 def brute_force_optimum(instance: BlpInstance) -> BruteForceResult:
-    """Exact optimum by enumerating all 2^n assignments (n <= 20 guard)."""
-    X, costs = _feasible_rows(instance)
+    """Exact optimum, and the worst feasible cost, by enumerating all 2^n
+    assignments (n <= 20 guard)."""
+    X = enumerate_assignments(instance.n)
+    X = X[~violations(instance, X).any(axis=1)]
     if not len(X):
         return BruteForceResult(feasible=False, value=None)
+    costs = X @ instance.c
     best = X[int(np.argmin(costs))]
-    return BruteForceResult(feasible=True, value=float(instance.c @ best), assignment=best.copy())
-
-
-def worst_feasible_cost(instance: BlpInstance) -> float | None:
-    """Cost of the most expensive feasible assignment, or None if infeasible."""
-    X, costs = _feasible_rows(instance)
-    return float(np.max(costs)) if len(X) else None
+    value, worst = float(instance.c @ best), float(np.max(costs))
+    return BruteForceResult(feasible=True, value=value, assignment=best.copy(), worst=worst)
 
 
 def instance_to_dict(instance: BlpInstance) -> dict:
@@ -324,12 +316,22 @@ def save_instance(instance: BlpInstance, path) -> None:
         fh.write("\n")
 
 
-def load_instance(path) -> BlpInstance:
+def read_json(path, kind: type):
+    """The JSON value in the UTF-8 file at ``path``, which must be of
+    ``kind`` (dict or list). Raises ValueError when the file does not decode
+    (an integer past Python's 4,300-digit limit included) or holds another
+    type; the caller names the file. OSError passes through."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
-            raise InstanceFormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InstanceFormatError("instance file must hold a JSON object")
-    return instance_from_dict(data)
+        data = json.load(fh)
+    if not isinstance(data, kind):
+        raise ValueError(f"the file must hold a JSON {'object' if kind is dict else 'array'}")
+    return data
+
+
+def load_instance(path) -> BlpInstance:
+    """The instance in the JSON file at ``path`` (``instance_from_dict``);
+    every InstanceFormatError it raises names the file."""
+    try:
+        return instance_from_dict(read_json(path, dict))
+    except ValueError as exc:
+        raise InstanceFormatError(f"instance {path}: {exc}") from exc

@@ -40,6 +40,8 @@ from .ising import IsingModel
 OPTIMALITY_TOL = 1e-9
 # Relative duality gap at which solve_sdp stops, on W scaled to max|W| = 1.
 SDP_TOL = 1e-9
+# Interior-point steps after which solve_sdp stops short of SDP_TOL.
+SDP_MAX_ITERS = 100
 # Random hyperplanes per gw_round call.
 GW_ROUNDS = 64
 
@@ -86,7 +88,7 @@ def _step_length(M: np.ndarray, dM: np.ndarray) -> float:
     return 0.0
 
 
-def solve_sdp(W: np.ndarray, max_iters: int = 100) -> tuple[np.ndarray, np.ndarray]:
+def solve_sdp(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Primal-dual interior-point solve of the MaxCut relaxation of W
     (symmetric, zero diagonal): max <C, X> over X PSD with diag(X) = 1,
     C = -W/4, and its dual min sum(y) over Z = Diag(y) - C PSD.
@@ -96,7 +98,7 @@ def solve_sdp(W: np.ndarray, max_iters: int = 100) -> tuple[np.ndarray, np.ndarr
     (Z^-1 o X) dy = mu diag(Z^-1) - 1, set dX = mu Z^-1 - X - Z^-1 Diag(dy) X
     (symmetrized) and move by the ``_step_length``s that keep X and Z
     positive definite. It stops at a duality gap <X, Z> <= SDP_TOL *
-    max(1, |sum y|), at a zero step length, or after ``max_iters`` steps.
+    max(1, |sum y|), at a zero step length, or after SDP_MAX_ITERS steps.
 
     Returns (V, y): y in W's scale, which ``sdp_upper_bound`` certifies as
     >= max cut - 1e-9 * max(1, |max cut|) whatever the stop, and the
@@ -111,7 +113,7 @@ def solve_sdp(W: np.ndarray, max_iters: int = 100) -> tuple[np.ndarray, np.ndarr
     y = np.abs(C).sum(axis=1) + 1.0
     Z = np.diag(y) - C
     shrink = 1.0
-    for _ in range(max_iters):
+    for _ in range(SDP_MAX_ITERS):
         gap = float(np.vdot(X, Z))
         if gap <= SDP_TOL * max(1.0, abs(float(y.sum()))):
             break
@@ -145,8 +147,6 @@ def sdp_upper_bound(y: np.ndarray, W: np.ndarray) -> float:
     its last Z: for every y the bound is >= max cut - 1e-9 * max(1, |max cut|),
     the slack being ``eigvalsh``'s rounding.
     """
-    if not W.any():
-        return 0.0
     lam_min = float(np.linalg.eigvalsh(0.25 * W + np.diag(y))[0])
     return 0.25 * float(W.sum()) + float(y.sum()) - W.shape[0] * min(lam_min, 0.0)
 

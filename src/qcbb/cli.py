@@ -35,13 +35,13 @@ def _settings(args: argparse.Namespace) -> tuple[engine.SolverConfig, int]:
     library default."""
     values = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            values = json.load(fh)
-        if not isinstance(values, dict):
-            raise ValueError("config file must hold a JSON object")
-        unknown = sorted(set(values) - CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+        try:
+            values = blp.read_json(args.config, dict)
+            unknown = sorted(set(values) - CONFIG_KEYS)
+            if unknown:
+                raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+        except ValueError as exc:
+            raise ValueError(f"config {args.config}: {exc}") from exc
     for key in CONFIG_KEYS:
         if getattr(args, key, None) is not None:
             values[key] = getattr(args, key)
@@ -160,10 +160,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         instance = blp.load_instance(args.instance)
         best = blp.brute_force_optimum(instance)
         if best.feasible:
-            worst = blp.worst_feasible_cost(instance)
             report["optimum"] = best.value
-            report["worst_feasible"] = worst
-            report["F"] = worst - best.value
+            report["worst_feasible"] = best.worst
+            report["F"] = best.worst - best.value
     text = json.dumps(report, indent=1)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")

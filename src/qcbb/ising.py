@@ -57,16 +57,6 @@ class IsingModel:
         return self.fields.size
 
 
-def energy(model: IsingModel, sigma: np.ndarray) -> float:
-    """Energy of a spin configuration, constant included."""
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (model.n_spins,):
-        raise ValueError(f"sigma has shape {sigma.shape}, expected ({model.n_spins},)")
-    if sigma.size and not np.isin(sigma, (-1.0, 1.0)).all():
-        raise ValueError("spin entries must be -1 or +1")
-    return model.constant + float(model.fields @ sigma + sigma @ model.couplings @ sigma)
-
-
 def many_body_count(model: IsingModel) -> int:
     """Number of nonzero pairwise couplings."""
     return int(np.count_nonzero(model.couplings))

@@ -23,7 +23,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, fields
 
-from .blp import check_value, value_kind
+from .blp import check_value, read_json, value_kind
 
 EVENT_KINDS = (
     "node_start",
@@ -212,22 +212,18 @@ def load_trace(path) -> list[TraceEvent]:
     below the previous event's; a malformed event raises ValueError naming
     its row, counted from 1 after the CSV header, and a file that does not
     decode to rows one naming the file."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    try:
         if _is_json(path):
-            try:
-                rows = json.load(fh)
-            except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
-                raise ValueError(f"trace {path}: {exc}") from exc
-            if not isinstance(rows, list):
-                raise ValueError(f"trace {path}: JSON must hold a list of events")
-            parse = _json_row
+            rows, parse = read_json(path, list), _json_row
         else:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(header) != CSV_COLUMNS:
-                raise ValueError(f"trace {path}: CSV header does not match the schema")
-            rows = list(reader)
-            parse = _csv_row
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header is None or tuple(header) != CSV_COLUMNS:
+                    raise ValueError("CSV header does not match the schema")
+                rows, parse = list(reader), _csv_row
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"trace {path}: {exc}") from exc
     events: list[TraceEvent] = []
     for i, row in enumerate(rows, start=1):
         try:

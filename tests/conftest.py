@@ -80,6 +80,16 @@ def random_model(
     return IsingModel(couplings=couplings, fields=fields)
 
 
+def energy(model: IsingModel, sigma: np.ndarray) -> float:
+    """Energy of a spin configuration, constant included."""
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape != (model.n_spins,):
+        raise ValueError(f"sigma has shape {sigma.shape}, expected ({model.n_spins},)")
+    if sigma.size and not np.isin(sigma, (-1.0, 1.0)).all():
+        raise ValueError("spin entries must be -1 or +1")
+    return model.constant + float(model.fields @ sigma + sigma @ model.couplings @ sigma)
+
+
 def exhaustive_energies(model: IsingModel) -> np.ndarray:
     """Energy table computed from scratch (independent of the library paths).
 

@@ -360,7 +360,19 @@ class TestInstanceIO:
         with pytest.raises(InstanceFormatError):
             load_instance(path)
 
+    def test_every_error_names_the_file(self, tmp_path):
+        # a content error as much as a file that does not decode, or holds
+        # another JSON type; a missing file is an OSError, which names it
+        path = tmp_path / "bad.json"
+        good = {"n": 2, "m": 1, "c": [1, 2], "A": [[1, 1]], "b": [1]}
+        for text in (json.dumps({**good, "n": True}), "{not json", json.dumps([good])):
+            path.write_text(text)
+            with pytest.raises(InstanceFormatError, match=f"^instance {re.escape(str(path))}: "):
+                load_instance(path)
+        with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path / "nope.json"))):
+            load_instance(tmp_path / "nope.json")
+
     def test_worst_feasible_cost(self, three_var_instance):
         # exhaustive check: feasible assignments are 010 and 101
-        assert blp.worst_feasible_cost(three_var_instance) == 2.0
-        assert blp.worst_feasible_cost(BlpInstance(c=[1], A=[[1]], b=[2])) is None
+        assert blp.brute_force_optimum(three_var_instance).worst == 2.0
+        assert blp.brute_force_optimum(BlpInstance(c=[1], A=[[1]], b=[2])).worst is None

@@ -5,6 +5,7 @@ from conftest import (
     ALPHA,
     bound_floor,
     cut_value,
+    energy,
     exhaustive_max_cut,
     exhaustive_min_energy,
     is_feasible,
@@ -25,7 +26,7 @@ from qcbb.bound import (
     sdp_upper_bound,
     solve_sdp,
 )
-from qcbb.ising import IsingModel, encode, energy, reduce
+from qcbb.ising import IsingModel, encode, reduce
 
 
 def model_of(couplings, fields):
@@ -149,7 +150,7 @@ class TestSolveSdp:
 
     def test_certified_value_dominates_exhaustive_cut(self, monkeypatch):
         # sdp_upper_bound >= max cut - 1e-9 * max(1, |max cut|) on every
-        # model, and every solve ends within max_iters steps (two step
+        # model, and every solve ends within SDP_MAX_ITERS steps (two step
         # lengths a step) with a unit-row factor
         step_lengths = []
         real_step_length = bound._step_length
@@ -159,24 +160,25 @@ class TestSolveSdp:
             return real_step_length(M, dM)
 
         monkeypatch.setattr(bound, "_step_length", counted)
+        monkeypatch.setattr(bound, "SDP_MAX_ITERS", 40)
         rng = np.random.default_rng(31)
-        max_iters = 40
         for _ in range(1000):
             W = ising_to_maxcut(stress_model(rng))
             step_lengths.clear()
-            V, y = solve_sdp(W, max_iters=max_iters)
-            assert len(step_lengths) <= 2 * max_iters
+            V, y = solve_sdp(W)
+            assert len(step_lengths) <= 2 * bound.SDP_MAX_ITERS
             assert np.allclose(np.linalg.norm(V, axis=1), 1.0, atol=1e-12)
             cut = exhaustive_max_cut(W)
             assert sdp_upper_bound(y, W) >= cut - 1e-9 * max(1.0, abs(cut))
 
     @pytest.mark.parametrize("max_iters", [0, 1, 3])
-    def test_sound_when_stopped_early(self, max_iters):
+    def test_sound_when_stopped_early(self, max_iters, monkeypatch):
         # the certificate never rests on the solver's stop
+        monkeypatch.setattr(bound, "SDP_MAX_ITERS", max_iters)
         rng = np.random.default_rng(37)
         for _ in range(50):
             W = ising_to_maxcut(stress_model(rng))
-            V, y = solve_sdp(W, max_iters=max_iters)
+            V, y = solve_sdp(W)
             cut = exhaustive_max_cut(W)
             assert sdp_upper_bound(y, W) >= cut - 1e-9 * max(1.0, abs(cut))
             assert np.allclose(np.linalg.norm(V, axis=1), 1.0, atol=1e-12)

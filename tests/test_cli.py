@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 import qcbb
-from qcbb import cli
+from qcbb import blp, cli
 from qcbb.blp import BlpInstance, brute_force_optimum, load_instance, save_instance
-from qcbb.metrics import load_trace
+from qcbb.metrics import CSV_COLUMNS, load_trace
 
 
 @pytest.fixture
@@ -194,7 +194,7 @@ class TestSolve:
         # no setting switches the prune rule off
         config.write_text(json.dumps({"prune": False}))
         assert cli.main(["solve", str(fixture_instance), "--config", str(config)]) == 1
-        assert "unknown config key(s): prune" in capsys.readouterr().err
+        assert f"error: config {config}: unknown config key(s): prune" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "values, key",
@@ -373,9 +373,62 @@ class TestReport:
         assert err.startswith(f"error: trace {path} row 4: node_index ")
         assert "Traceback" not in err and out == ""
 
+    def test_instance_is_enumerated_once(self, fixture_instance, tmp_path, monkeypatch):
+        # the optimum and the worst feasible cost come from one enumeration
+        t, _ = self.run_solve_and_baseline(fixture_instance, tmp_path)
+        calls = []
+        real = blp.enumerate_assignments
+
+        def counted(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(blp, "enumerate_assignments", counted)
+        out = tmp_path / "rep.json"
+        args = ["report", "--trace", str(t), "--instance", str(fixture_instance), "--out", str(out)]
+        assert cli.main(args) == 0
+        assert calls == [3]
+        assert json.loads(out.read_text())["worst_feasible"] == 2.0
+
     def test_empty_trace_errors(self, tmp_path):
         from qcbb.metrics import export_trace
 
         path = tmp_path / "empty.csv"
         export_trace([], path)
         assert cli.main(["report", "--trace", str(path)]) == 1
+
+
+# Each file role: its command line, {bad} standing for the bad file, and the
+# top-level JSON type the file must hold.
+FILE_ROLES = {
+    "solve_instance": (["solve", "{bad}"], "object"),
+    "config": (["solve", "{instance}", "--config", "{bad}"], "object"),
+    "trace": (["report", "--trace", "{bad}"], "array"),
+    "baseline_trace": (["report", "--trace", "{trace}", "--baseline", "{bad}"], "array"),
+    "report_instance": (["report", "--trace", "{trace}", "--instance", "{bad}"], "object"),
+}
+# A bad value inside the type a role wants, and a value of the other type.
+WRAPPED = {"object": '{{"n": {}}}', "array": "[{}]"}
+OTHER_TYPE = {"object": "[1]", "array": '{"n": 1}'}
+
+
+@pytest.mark.parametrize("contents", ["not_json", "wrong_type", "past_digit_limit"])
+@pytest.mark.parametrize("role", list(FILE_ROLES))
+def test_bad_file_gives_one_error_line_naming_it(fixture_instance, tmp_path, role, contents):
+    argv, kind = FILE_ROLES[role]
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        {
+            "not_json": "{not json",
+            "wrong_type": OTHER_TYPE[kind],
+            "past_digit_limit": WRAPPED[kind].format("1" + "0" * 5000),
+        }[contents]
+    )
+    trace = tmp_path / "t.csv"
+    trace.write_text(",".join(CSV_COLUMNS) + "\n1e-06,0,done,1.0,1.0,,,,optimal\n")
+    names = {"bad": bad, "instance": fixture_instance, "trace": trace}
+    done = run_python("-m", "qcbb.cli", *(arg.format(**names) for arg in argv))
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(bad) in lines[0]
+    assert "Traceback" not in done.stderr and done.stdout == ""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import reencoded_model, sigma_of_x, x_of_sigma
+from conftest import energy, reencoded_model, sigma_of_x, x_of_sigma
 from qcbb.blp import (
     BlpInstance,
     compute_big_m,
@@ -9,7 +9,7 @@ from qcbb.blp import (
     generate_spp,
     penalized_cost,
 )
-from qcbb.ising import IsingModel, encode, energy, many_body_count, reduce
+from qcbb.ising import IsingModel, encode, many_body_count, reduce
 
 
 @pytest.fixture

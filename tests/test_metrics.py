@@ -225,6 +225,14 @@ class TestExportImport:
         with pytest.raises(ValueError, match=f"^trace {re.escape(str(path))}"):
             load_trace(path)
 
+    def test_csv_field_past_the_size_limit_names_the_file(self, tmp_path):
+        # the csv module raises csv.Error, not a ValueError, for a field
+        # longer than its limit: once a traceback, not an error line
+        path = tmp_path / "long.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + "1" * 200_000 + ",0,done,,,,,,\n")
+        with pytest.raises(ValueError, match=f"^trace {re.escape(str(path))}: "):
+            load_trace(path)
+
 
 class TestSolveTraces:
     def test_done_row_carries_status(self, three_var_instance):
