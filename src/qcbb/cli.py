@@ -4,8 +4,10 @@ Exit codes for ``solve``: 0 when optimal or the gap target was reached, 2 on
 a proven infeasible instance, 3 when a node or time limit stopped the run,
 1 on usage, configuration or I/O errors. A JSON config file may set any
 ``engine.SolverConfig`` field, and the baseline's ``queries``, under the
-flag's name; explicit flags override the file. ``SolverConfig`` owns each
-setting's default and rejects a value of another JSON type or out of range.
+flag's name; explicit flags override the file. A file value of another
+JSON type is rejected as the file is read, with the file's name;
+``SolverConfig`` owns each setting's default and rejects a value out of
+range.
 """
 
 from __future__ import annotations
@@ -26,27 +28,29 @@ EXIT_INFEASIBLE = 2
 EXIT_LIMIT = 3
 
 DEFAULTS = engine.SolverConfig()
-CONFIG_KEYS = {f.name for f in dataclasses.fields(engine.SolverConfig)} | {"queries"}
+# each config key's type annotation, for ``blp.check_value``
+CONFIG_KEYS = {f.name: f.type for f in dataclasses.fields(engine.SolverConfig)} | {"queries": "int"}
 
 
 def _settings(args: argparse.Namespace) -> tuple[engine.SolverConfig, int]:
     """The solver config and the baseline's query budget: the config file's
-    values, overridden by the flags given; a key set by neither takes the
-    library default."""
+    values, each type-checked as it is read, overridden by the flags given;
+    a key set by neither takes the library default."""
     values = {}
     if args.config:
         try:
             values = blp.read_json(args.config, dict)
-            unknown = sorted(set(values) - CONFIG_KEYS)
+            unknown = sorted(set(values) - CONFIG_KEYS.keys())
             if unknown:
                 raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+            for key, value in values.items():
+                blp.check_value(key, value, CONFIG_KEYS[key])
         except ValueError as exc:
             raise ValueError(f"config {args.config}: {exc}") from exc
     for key in CONFIG_KEYS:
         if getattr(args, key, None) is not None:
             values[key] = getattr(args, key)
     queries = values.pop("queries", engine.BASELINE_QUERIES)
-    blp.check_value("queries", queries, "int")
     return engine.SolverConfig(**values), queries
 
 

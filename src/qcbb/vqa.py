@@ -37,13 +37,19 @@ M = Q^{(x)k} kron I_2 and leaves the buffer interleaved complex again.
 
 These rotating products run one tile at a time: the low TILE_BITS spins
 and re/im, 256 KB of contiguous floats, go round in blocks of at most
-MIXER_BLOCK bits while the tile stays in cache. The spins above the tile
-are mixed first, by non-rotating products Q^{(x)k} @ x.reshape(2^done,
-2^k, -1) over groups of at most PASS_SPINS spins, one pass over the state
-each. Each block is built from the one below it as a broadcast outer
-product, the same products ``np.kron`` forms, so it equals the Kronecker
-fold to the bit. Every product writes into the other of two state buffers,
-so the products alternate between them.
+MIXER_BLOCK bits while the tile stays in cache. The top spins, those above
+the tile, are mixed first, in one pass over the state (the cache blocking
+of large statevector simulators; Haener & Steiger, SC17): the state, viewed
+as a (2^top, -1) array, is walked in column chunks of about four tiles,
+and each chunk takes one non-rotating product Q^{(x)k} @ x per group of at
+most MIXER_BLOCK spins, from the highest group down. The first product
+reads the state, the last writes the other buffer, and those in between
+stay in two chunk-sized scratch arrays, so the top spins cost one read and
+one write of the state however many groups they take. Each block is built
+from the one below it as a broadcast outer product, the same products
+``np.kron`` forms, so it equals the Kronecker fold to the bit. The top
+pass and every tile product write into the other of two state buffers, so
+they alternate between them.
 
 A phase layer multiplies by exp(-i*gamma*E_z). Cost diagonals repeat few
 energies, so ``phase_table`` lists the distinct energies once with each
@@ -53,15 +59,16 @@ would on the full diagonal.
 
 A node's circuit runs in two complex state buffers (``state_pair``), which
 every query and the sampled state reuse. A phase layer gathers its factors
-into the buffer not holding the state and multiplies in place, each mixer
-product writes into the other buffer, and an expectation's diag * psi lands
-in the spare one. So during the queries a node holds the diagonal, the
-table's index and two states, 48 bytes per amplitude, plus temporaries the
-size of the level list or of numpy's fixed cast buffer; no per-query array
-grows with 2^n. The gather runs ``np.take`` with ``mode="clip"``, because
-"raise" copies the whole output, so ``qaoa_state`` checks a given table's
-index range itself. The index is intp: ``np.take`` copies any other integer
-index to intp on every call.
+into the buffer not holding the state and multiplies in place, the mixer
+writes into the other buffer, and an expectation sums diag * psi one tile
+at a time in the start of the spare one. So during the queries a node holds
+the diagonal, the table's index and two states, 48 bytes per amplitude,
+plus temporaries the size of the level list, of the mixer's two 1 MB
+chunks or of numpy's fixed cast buffer; no per-query array grows with 2^n.
+The gather runs ``np.take`` with ``mode="clip"``, because "raise" copies
+the whole output, so ``qaoa_state`` checks a given table's index range
+itself. The index is intp: ``np.take`` copies any other integer index to
+intp on every call.
 
 Angle optimization is derivative-free under a query cap: Nelder-Mead runs
 with random restarts, every expectation evaluation is recorded, and the best
@@ -92,15 +99,17 @@ from .ising import IsingModel
 SIMULATOR_LIMIT = 22
 # Spins mixed inside one cache tile: 2^14 amplitudes are 256 KB. 14 beat 12,
 # 13, 15 and 16 at n = 16 and 18; at n = 20, 15 was 6% faster and 16 slower
-# (x86-64, 2 vCPU, one OpenBLAS thread).
+# (x86-64, 2 vCPU, one OpenBLAS thread). The spins above the tile are mixed
+# in chunks of 8 << TILE_BITS floats (1 MB), four tiles; chunks of 1, 2, 8
+# and 16 tiles were no faster at n = 20, and 8 tiles slower at n = 21 (same
+# machine).
 TILE_BITS = 14
-# Index bits per product inside a tile: 8x8 blocks beat 16x16 ones by 14%,
-# 9% and 4% of the mixer at n = 16, 18 and 20, and 32x32 ones by more (same
+# Index bits per product, inside a tile and above it: 8x8 blocks beat 16x16
+# ones by 14%, 9% and 4% of the mixer at n = 16, 18 and 20, and 32x32 ones
+# by more. Above the tile at n = 20, two 8x8 products per chunk took 3.0-3.5
+# ms against 5.8 ms for one 64x64 product over the whole state (same
 # machine).
 MIXER_BLOCK = 3
-# Spins per full-state product above the tile: one 64x64 pass beat two 8x8
-# passes by 4% at n = 20, but costs 1.7 times a 16x16 pass (same machine).
-PASS_SPINS = 6
 
 
 @dataclass(frozen=True)
@@ -195,6 +204,31 @@ def _frame_factors(n_spins: int) -> tuple[np.ndarray, np.ndarray]:
     return halves[0][:, None], halves[1]
 
 
+def _mix_above_tile(src: np.ndarray, dst: np.ndarray, mats: list[np.ndarray], top: int) -> None:
+    """Apply ``mats``, blocks over consecutive groups of the top ``top``
+    spins from the highest down, to ``src`` into ``dst``, one column chunk
+    of the (2^top, -1) float view at a time; ``src`` is only read.
+
+    A chunk is about four tiles, so the products in between stay in cache:
+    they alternate between two chunk-sized scratch arrays.
+    """
+    rows = 1 << top
+    src = src.view(float).reshape(rows, -1)
+    dst = dst.view(float).reshape(rows, -1)
+    width = min(src.shape[1], max(64, (8 << TILE_BITS) >> top))
+    scratch = [np.empty((rows, width)) for _ in range(min(2, len(mats) - 1))]
+    for start in range(0, src.shape[1], width):
+        a = src[:, start : start + width]
+        outer = 1  # index values of the groups above this one
+        for i, m in enumerate(mats):
+            b = dst[:, start : start + width] if i == len(mats) - 1 else scratch[i % 2]
+            shape = (outer, m.shape[0], -1, width)
+            # the group's axis next to the columns: a batch of (2^k, width) products
+            np.matmul(m, a.reshape(shape).swapaxes(1, 2), out=b.reshape(shape).swapaxes(1, 2))
+            a = b
+            outer *= m.shape[0]
+
+
 def _apply_mixer(state: np.ndarray, beta: float, n_spins: int, spare: np.ndarray) -> np.ndarray:
     """Q(beta)^{(x)n}, Q = [[cos, sin], [-sin, cos]], in real matrix
     products on the float view of the state: the phase-frame form of
@@ -206,22 +240,19 @@ def _apply_mixer(state: np.ndarray, beta: float, n_spins: int, spare: np.ndarray
     c = np.cos(beta)
     s = np.sin(beta)
     low = min(n_spins, TILE_BITS)
+    top = n_spins - low
     tile_sizes = _split(low + 1, MIXER_BLOCK)  # the re/im bit rides along
-    pass_sizes = _split(n_spins - low, PASS_SPINS)
     qt = np.array([[c, -s], [s, c]])  # Q^T
     blocks = [np.ones((1, 1))]  # blocks[k] = Q^T kron ... kron Q^T, k factors
-    for k in range(1, max(tile_sizes + pass_sizes) + 1):
+    for k in range(1, MIXER_BLOCK + 1):
         prev = blocks[k - 1]
         blocks.append((prev[:, None, :, None] * qt[None, :, None, :]).reshape(1 << k, 1 << k))
     last = blocks[tile_sizes[-1] - 1]  # kron I_2 on the re/im bit
     last = (last[:, None, :, None] * np.eye(2)[None, :, None, :]).reshape(2 * last.shape[0], -1)
     tile_blocks = [blocks[k] for k in tile_sizes[:-1]] + [last]
-    done = 0  # spins above the tile mixed so far, from the top
-    for k in pass_sizes:
-        shape = (1 << done, 1 << k, -1)
-        np.matmul(blocks[k].T, state.view(float).reshape(shape), out=spare.view(float).reshape(shape))
+    if top:
+        _mix_above_tile(state, spare, [blocks[k].T for k in _split(top, MIXER_BLOCK)], top)
         state, spare = spare, state
-        done += k
     src = state.view(float)
     dst = spare.view(float)
     size = 2 << low
@@ -301,12 +332,21 @@ def qaoa_state(
 def expectation(state: np.ndarray, diag: np.ndarray, spare: np.ndarray | None = None) -> float:
     """<psi| diag |psi> = sum_z |amp_z|^2 diag_z.
 
-    ``spare``, a complex array of the state's size, receives diag*psi in
-    place of a new array.
+    Summed one tile of 2^TILE_BITS amplitudes at a time, each tile's
+    diag*psi written to the same tile-sized scratch, so it is read back
+    from cache. The scratch is the start of ``spare``, a complex array of
+    the state's size, when one is given, and a new array otherwise; both
+    give the same float.
     """
     if state.shape != diag.shape:
         raise ValueError("state and diagonal dimensions differ")
-    return float(np.real(np.vdot(state, np.multiply(state, diag, out=spare))))
+    size = min(state.size, 1 << TILE_BITS)
+    scratch = np.empty(size, dtype=complex) if spare is None else spare[:size]
+    total = 0.0
+    for start in range(0, state.size, size):
+        part = state[start : start + size]
+        total += np.vdot(part, np.multiply(part, diag[start : start + size], out=scratch)).real
+    return float(total)
 
 
 def sample(state: np.ndarray, q: int, rng: np.random.Generator) -> SampleSet:

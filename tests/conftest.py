@@ -239,10 +239,12 @@ def kron_mixer(state: np.ndarray, beta: float, n_spins: int) -> np.ndarray:
     of Q^T = [[cos, -sin], [sin, cos]] and each product a new array.
 
     Spins above ``vqa.TILE_BITS`` take one non-rotating product per group of
-    at most ``vqa.PASS_SPINS``; then every tile of the low spins and the
-    re/im bit takes rotating products of at most ``vqa.MIXER_BLOCK`` bits,
-    the last one with I_2 on the re/im bit. The constants are read at call
-    time, so a test that patches one gets the matching reference.
+    at most ``vqa.MIXER_BLOCK``, from the top down, each over the whole
+    state at once (the mixer takes them chunk by chunk); then every tile
+    of the low spins and the re/im bit takes rotating products of at most
+    ``vqa.MIXER_BLOCK`` bits, the last one with I_2 on the re/im bit. The
+    constants are read at call time, so a test that patches one gets the
+    matching reference.
     """
 
     def parts(bits: int, most: int) -> list[int]:
@@ -260,7 +262,7 @@ def kron_mixer(state: np.ndarray, beta: float, n_spins: int) -> np.ndarray:
     low = min(n_spins, vqa.TILE_BITS)
     psi = state.view(float)
     done = 0
-    for k in parts(n_spins - low, vqa.PASS_SPINS):
+    for k in parts(n_spins - low, vqa.MIXER_BLOCK):
         psi = (block(k).T @ psi.reshape(1 << done, 1 << k, -1)).reshape(-1)
         done += k
     sizes = parts(low + 1, vqa.MIXER_BLOCK)

@@ -208,6 +208,25 @@ class TestBruteForce:
         assert res.feasible and res.value == 5.0
         assert np.array_equal(res.assignment, [1])
 
+    def test_enumeration_matches_integer_table(self):
+        # the bits straight from the integer table, cast to float at the end
+        for n in range(13):
+            z = np.arange(1 << n, dtype=np.int64)
+            want = ((z[:, None] >> np.arange(n)) & 1).astype(float)
+            got = enumerate_assignments(n)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+    def test_rows_checked_in_blocks_match_one_check(self):
+        # 2^17 rows: the feasibility check crosses a 2^16-row block boundary
+        inst = generate_spp(17, 6, seed=1)
+        X = enumerate_assignments(inst.n)
+        X = X[~violations(inst, X).any(axis=1)]
+        costs = X @ inst.c
+        res = brute_force_optimum(inst)
+        assert res.value == costs.min() and res.worst == costs.max()
+        assert np.array_equal(res.assignment, X[np.argmin(costs)])
+
     def test_refuses_large_instances(self):
         inst = BlpInstance(c=np.ones(21), A=np.ones((1, 21)), b=[1])
         with pytest.raises(ValueError):

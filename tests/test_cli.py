@@ -197,21 +197,32 @@ class TestSolve:
         assert f"error: config {config}: unknown config key(s): prune" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "values, key",
+        "values, flags, key",
         [
-            ({"wall_clock": "false"}, "wall_clock"),
-            ({"p": 1.9, "node_queries": 4.7}, "p"),
-            ({"node_queries": 4.7}, "node_queries"),
-            ({"seed": True}, "seed"),
-            ({"p": None}, "p"),
+            ({"wall_clock": "false"}, [], "wall_clock"),
+            ({"p": 1.9, "node_queries": 4.7}, [], "p"),
+            ({"node_queries": 4.7}, [], "node_queries"),
+            ({"seed": True}, [], "seed"),
+            ({"p": None}, [], "p"),
+            ({"queries": "8"}, [], "queries"),
+            ({"p": 1.5}, ["--p", "2"], "p"),
         ],
-        ids=["bool_as_string", "float_p", "float_node_queries", "bool_seed", "null_p"],
+        ids=[
+            "bool_as_string",
+            "float_p",
+            "float_node_queries",
+            "bool_seed",
+            "null_p",
+            "string_queries",
+            "overridden_by_flag",
+        ],
     )
-    def test_bad_config_value_rejected(self, fixture_instance, tmp_path, capsys, values, key):
+    def test_bad_config_value_rejected(self, fixture_instance, tmp_path, capsys, values, flags, key):
+        # checked as the file is read, before any flag is merged in
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(values))
-        assert cli.main(["solve", str(fixture_instance), "--config", str(config)]) == 1
-        assert f"{key} must be" in capsys.readouterr().err
+        assert cli.main(["solve", str(fixture_instance), "--config", str(config), *flags]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config {config}: {key} must be ")
 
     @pytest.mark.parametrize(
         "flags, config, key",
@@ -389,6 +400,23 @@ class TestReport:
         assert cli.main(args) == 0
         assert calls == [3]
         assert json.loads(out.read_text())["worst_feasible"] == 2.0
+
+    def test_instance_enumeration_peak_memory(self, tmp_path):
+        # the 2^20 x 20 float table is 168 MB; no integer copy of it, and no
+        # residual table of all its rows, may sit beside it
+        path = tmp_path / "i20.json"
+        save_instance(blp.generate_spp(20, 7, seed=0), path)
+        trace = tmp_path / "t.csv"
+        trace.write_text(",".join(CSV_COLUMNS) + "\n1e-06,0,done,1.0,1.0,,,,optimal\n")
+        code = (
+            "import resource, subprocess, sys; "
+            "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL); "
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+        )
+        argv = [sys.executable, "-m", "qcbb.cli", "report", "--trace", str(trace), "--instance", str(path)]
+        done = run_python("-c", code, *argv)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) / 1024 < 250  # ru_maxrss is in KB on Linux
 
     def test_empty_trace_errors(self, tmp_path):
         from qcbb.metrics import export_trace

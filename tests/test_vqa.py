@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -182,7 +184,7 @@ class TestQaoaState:
     def test_state_matches_dense_reference(self, tile_bits, monkeypatch):
         # the whole vector, phases included: the frame's D^dagger at the
         # start and D at the end cancel exactly. Tiles of 3 and 1 spins run
-        # the tile loop, n = 8 with one and two products above the tile.
+        # the tile loop, n = 8 with two and three groups above the tile.
         monkeypatch.setattr(vqa, "TILE_BITS", tile_bits)
         rng = np.random.default_rng(23)
         for n in range(9):
@@ -197,12 +199,11 @@ class TestQaoaState:
     @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 8, 9, 11])
     def test_caller_buffers_match_allocating_call(self, n, monkeypatch):
         # a layer takes ceil((t + 1) / 3) products in a tile of t spins plus
-        # one per group of up to 6 spins above it. An odd count puts the
+        # one buffer swap for all the spins above it. An odd count puts the
         # state in either buffer over p = 1, 2, 3, an even one always in
         # the first; n = 0 takes none. Whole-state tiles: odd at n = 1, 8.
-        # 3-spin tiles (2 products each): one group above at n = 4..9, two
-        # at n = 11.
-        for tile_bits, odd in ((14, n in (1, 8)), (3, n in (1, 4, 5, 8, 9))):
+        # 3-spin tiles (2 products each): spins above at n = 4..11.
+        for tile_bits, odd in ((14, n in (1, 8)), (3, n in (1, 4, 5, 8, 9, 11))):
             monkeypatch.setattr(vqa, "TILE_BITS", tile_bits)
             rng = np.random.default_rng(40 + n)
             diag = rng.integers(-30, 31, size=1 << n) / 2.0
@@ -246,8 +247,8 @@ class TestQaoaState:
 class TestMixer:
     def test_matches_tensordot_reference(self, monkeypatch):
         # n = 1..11 covers every remainder mod 3 of the tile's bits; a
-        # 3-spin tile puts one product above it at n = 4..9 and two at
-        # n = 10, 11
+        # 3-spin tile puts one group above it at n = 4..6, two at n = 7..9
+        # and three at n = 10, 11
         rng = np.random.default_rng(21)
         for tile_bits in (14, 3):
             monkeypatch.setattr(vqa, "TILE_BITS", tile_bits)
@@ -268,6 +269,21 @@ class TestMixer:
                     mixed = _apply_mixer(pair[0], beta, n, pair[1])
                     assert any(mixed is b for b in pair)
                     assert mixed.tobytes() == ours.tobytes()
+
+    @pytest.mark.parametrize(
+        "tile_bits, n", [(14, n) for n in range(15, 22)] + [(6, n) for n in range(9, 14)]
+    )
+    def test_bitwise_equal_to_kron_reference_above_the_tile(self, tile_bits, n, monkeypatch):
+        # 14-spin tiles: 1 to 7 spins above, in one, two and (at n = 21)
+        # three groups, so the second scratch chunk is used too. 6-spin
+        # tiles: 128-float rows, and 3 to 7 spins above make the chunk
+        # max(64, (8 << 6) >> top) floats wide, narrower than a row.
+        monkeypatch.setattr(vqa, "TILE_BITS", tile_bits)
+        rng = np.random.default_rng(n)
+        state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        beta = float(rng.uniform(-np.pi, np.pi))
+        want = kron_mixer(state, beta, n)
+        assert _apply_mixer(state, beta, n, np.empty_like(state)).tobytes() == want.tobytes()
 
 
 def spp_diagonal(n, m, seed):
@@ -347,6 +363,19 @@ class TestExpectation:
             spare = np.full(state.size, np.nan, dtype=complex)
             assert expectation(state, diag, spare) == expectation(state, diag)
             assert state.tobytes() == kept.tobytes()
+
+    def test_tiled_sum_matches_exact_sum(self):
+        # 64 tiles at n = 20. The exact (fsum) total of the same products is
+        # the yardstick: one full-length vdot strays from it by 2.6e-15 here.
+        rng = np.random.default_rng(13)
+        n = 20
+        diag = rng.integers(0, 201, size=1 << n) / 2.0
+        raw = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        state = raw / np.linalg.norm(raw)
+        got = expectation(state, diag)
+        assert expectation(state, diag, np.full(state.size, np.nan, dtype=complex)) == got
+        exact = math.fsum((np.abs(state) ** 2 * diag).tolist())
+        assert abs(got - exact) <= 1e-15 * exact
 
     def test_bounded_by_diagonal_range(self):
         rng = np.random.default_rng(5)
