@@ -251,9 +251,15 @@ def _run_vqa(
     _, values, state = vqa.optimize_angles(
         diag, config.p, queries, _node_rng(config.seed, node_id, 1), patience
     )
-    del diag  # sampling reads only the state; its arrays reuse this memory
     samples = vqa.sample(state, config.shots, _node_rng(config.seed, node_id, 2))
     return tuple(v + model.constant for v in values), samples
+
+
+def _check_simulator_limit(instance: BlpInstance) -> None:
+    if instance.n > vqa.SIMULATOR_LIMIT:
+        raise ValueError(
+            f"instance has {instance.n} variables, simulator limit is {vqa.SIMULATOR_LIMIT}"
+        )
 
 
 def _prune(
@@ -327,13 +333,13 @@ def evaluate_node(
     - optimal stop: every open node's bound is at most its f*, so
       ``global_lb`` still bounds the optimum and ``optimal`` is a proof.
 
-    At a branched node the cut's row, merged and checked once, follows the
-    QAOA samples as the last row. The rows, or a fathomed leaf's one point,
-    are merged with the fixings into master assignments once, and their
-    violation matrix (``blp.violations``) is built once. The cheapest
-    feasible row by c.x, the first on ties, is
-    offered valued at its own c @ x (``candidate_source`` names its row, so
-    a sample tied with the cut is offered as the sample).
+    The cut's row is merged with the fixings and checked once; a leaf's
+    model has no spin and its cut side is [1], so that row is the leaf's
+    one point. At a branched node it follows the QAOA samples, merged and
+    checked (``blp.violations``) once, as the last row. The cheapest
+    feasible row by c.x, the first on ties, is offered valued at its own
+    c @ x (``candidate_source`` names its row, so a sample tied with the cut
+    is offered as the sample).
 
     The branching variable is the free variable whose relaxed spin
     ``bres.relaxed_spins`` (X[0, i+1] of the bound's final SDP solution) is
@@ -365,13 +371,11 @@ def evaluate_node(
     if pruned is not None:
         return finish(*pruned)
 
-    if red.n_free == 0:
-        leaf = red.merge(np.zeros((1, 0)))
-        leaf_violated = violations(master, leaf)
-        return finish("fathomed_leaf", **_candidate(master, leaf, leaf_violated, "leaf", "leaf"))
-
     cut = red.merge((bres.side[None, 1:] + 1) // 2)
     cut_violated = violations(master, cut)
+    if red.n_free == 0:
+        return finish("fathomed_leaf", **_candidate(master, cut, cut_violated, "leaf", "leaf"))
+
     own = _candidate(master, cut, cut_violated, "gw", "gw")
     if own:
         value = own["candidate"][0]
@@ -424,11 +428,7 @@ def solve(instance: BlpInstance, config: SolverConfig | None = None) -> SolveRes
     """
     if config is None:
         config = SolverConfig()
-    if instance.n > vqa.SIMULATOR_LIMIT:
-        raise ValueError(
-            f"instance has {instance.n} variables, simulator limit is "
-            f"{vqa.SIMULATOR_LIMIT}"
-        )
+    _check_simulator_limit(instance)
     lattice = bound_mod.objective_lattice(instance.c)
     model = encode(instance, compute_big_m(instance))
     master_mb = many_body_count(model)
@@ -560,8 +560,7 @@ def run_plain_qaoa(
     check_value("queries", queries, "int")
     if queries < 1:
         raise ValueError("queries must be positive")
-    if instance.n > vqa.SIMULATOR_LIMIT:
-        raise ValueError("instance exceeds the simulator limit")
+    _check_simulator_limit(instance)
     M = compute_big_m(instance)
     rec = TraceRecorder(wall_clock=config.wall_clock)
     expectations, samples = _run_vqa(encode(instance, M), config, 0, queries, None)

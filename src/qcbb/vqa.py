@@ -65,10 +65,12 @@ at a time in the start of the spare one. So during the queries a node holds
 the diagonal, the table's index and two states, 48 bytes per amplitude,
 plus temporaries the size of the level list, of the mixer's two 1 MB
 chunks or of numpy's fixed cast buffer; no per-query array grows with 2^n.
-The gather runs ``np.take`` with ``mode="clip"``, because "raise" copies
-the whole output, so ``qaoa_state`` checks a given table's index range
-itself. The index is intp: ``np.take`` copies any other integer index to
-intp on every call.
+Sampling holds the diagonal, the state, its probabilities and their
+cumulative sum, 40 bytes per amplitude, below that peak. The gather runs
+``np.take`` with ``mode="clip"``, because "raise" copies the whole output,
+so ``qaoa_state`` checks a given table's index range itself. The index is
+intp, as ``np.unique`` returns it: ``np.take`` copies any other integer
+index to intp on every call.
 
 Angle optimization is derivative-free under a query cap: Nelder-Mead runs
 with random restarts, every expectation evaluation is recorded, and the best
@@ -265,13 +267,10 @@ def _apply_mixer(state: np.ndarray, beta: float, n_spins: int, spare: np.ndarray
 
 
 def phase_table(diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct energies of ``diag`` and the index of each entry among them.
-
-    The same arrays as ``np.unique(diag, return_inverse=True)``, from the
-    same quicksort, with fewer full-length temporaries alive at once.
-    """
-    # allocated before the temporaries, so freeing them leaves no hole below
-    # it in glibc malloc's heap: 8 MB less peak RSS at n = 20
+    """``np.unique(diag, return_inverse=True)``, from the same quicksort:
+    sorted distinct energies and an intp index with ``levels[index] == diag``."""
+    # allocated first, so freeing the temporaries leaves no hole below it in
+    # glibc malloc's heap: np.unique's order adds 7-15 MB peak RSS at n = 20
     index = np.empty(diag.size, dtype=np.intp)
     order = np.argsort(diag)
     ranked = diag[order]

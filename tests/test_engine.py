@@ -594,9 +594,10 @@ class TestSolve:
 
     def test_rejects_oversized_instance(self):
         inst = generate_spp(SIMULATOR_LIMIT + 1, 7, seed=0)
-        with pytest.raises(ValueError):
+        message = f"instance has {SIMULATOR_LIMIT + 1} variables, simulator limit is {SIMULATOR_LIMIT}"
+        with pytest.raises(ValueError, match=message):
             solve(inst)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             run_plain_qaoa(inst)
 
     def test_config_validation(self):
