@@ -247,9 +247,9 @@ def _run_vqa(
 ) -> tuple[tuple[float, ...], SampleSet]:
     """Every query's expectation, in the master frame, and the samples of
     the best angles."""
-    diag = vqa.build_diagonal(model)
+    # the diagonal is optimize_angles' alone, so it is freed before sampling
     _, values, state = vqa.optimize_angles(
-        diag, config.p, queries, _node_rng(config.seed, node_id, 1), patience
+        vqa.build_diagonal(model), config.p, queries, _node_rng(config.seed, node_id, 1), patience
     )
     samples = vqa.sample(state, config.shots, _node_rng(config.seed, node_id, 2))
     return tuple(v + model.constant for v in values), samples

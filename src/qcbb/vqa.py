@@ -21,9 +21,12 @@ Q(beta) = [[cos, sin], [-sin, cos]], R_x(beta) = S Q S^dagger, so
 R_x(beta)^{(x)n} = D Q^{(x)n} D^dagger with D = diag(i^popcount(z)). D is
 diagonal and commutes with every phase layer, so ``qaoa_state`` starts from
 D^dagger|+>, applies the real Q^{(x)n} in each layer and multiplies by D
-once at the end. That last step is exact: every factor is +-1 or +-i. D
-is the outer product of two halves of at most 2^11 entries
-(``_frame_factors``), and the start uses their conjugates.
+once at the end. That last step is exact: every factor is +-1 or +-i. Over
+tile t of the low spins, D is one fixed pattern times i^popcount(t)
+(``_frame``, built once and kept), so the start folds into the first phase
+layer, whose gathered factors, scaled by 2^(-n/2), times the tile's
+D^dagger are written straight into the state, and the end is one multiply
+per tile.
 
 A real operator acts on the real and imaginary parts alike, so the mixer
 works on the float view of the state: real matrix products, half the flops
@@ -40,37 +43,42 @@ and re/im, 256 KB of contiguous floats, go round in blocks of at most
 MIXER_BLOCK bits while the tile stays in cache. The top spins, those above
 the tile, are mixed first, in one pass over the state (the cache blocking
 of large statevector simulators; Haener & Steiger, SC17): the state, viewed
-as a (2^top, -1) array, is walked in column chunks of about four tiles,
-and each chunk takes one non-rotating product Q^{(x)k} @ x per group of at
-most MIXER_BLOCK spins, from the highest group down. The first product
-reads the state, the last writes the other buffer, and those in between
-stay in two chunk-sized scratch arrays, so the top spins cost one read and
-one write of the state however many groups they take. Each block is built
-from the one below it as a broadcast outer product, the same products
-``np.kron`` forms, so it equals the Kronecker fold to the bit. The top
-pass and every tile product write into the other of two state buffers, so
-they alternate between them.
+as a (2^top, -1) array, is walked in column chunks of about four tiles
+(cut to a quarter of the state at 15 to 17 spins), and each chunk takes one non-rotating product Q^{(x)k} @ x per group of at
+most MIXER_BLOCK spins, from the highest group down. Those products
+alternate between the chunk and a chunk-sized scratch, an odd count
+starting from a copy of the chunk so the last one lands back in it, so the
+top spins cost one read and one write of the state however many groups
+they take. The tile products alternate the same way between the tile and
+a tile of the scratch. Each block is built from the one below it as a
+broadcast outer product, the same products ``np.kron`` forms, so it equals
+the Kronecker fold to the bit.
 
 A phase layer multiplies by exp(-i*gamma*E_z). Cost diagonals repeat few
 energies, so ``phase_table`` lists the distinct energies once with each
 entry's index among them, and a layer evaluates its factors only on those.
 Every entry meets the same elementwise function of the same float as it
-would on the full diagonal.
+would on the full diagonal. The table ranks the sorted order one chunk at
+a time, so building it holds the diagonal, the index and the sort order,
+24 bytes per amplitude, and no other array of 2^n entries.
 
-A node's circuit runs in two complex state buffers (``state_pair``), which
-every query and the sampled state reuse. A phase layer gathers its factors
-into the buffer not holding the state and multiplies in place, the mixer
-writes into the other buffer, and an expectation sums diag * psi one tile
-at a time in the start of the spare one. So during the queries a node holds
-the diagonal, the table's index and two states, 48 bytes per amplitude,
-plus temporaries the size of the level list, of the mixer's two 1 MB
-chunks or of numpy's fixed cast buffer; no per-query array grows with 2^n.
-Sampling holds the diagonal, the state, its probabilities and their
-cumulative sum, 40 bytes per amplitude, below that peak. The gather runs
-``np.take`` with ``mode="clip"``, because "raise" copies the whole output,
-so ``qaoa_state`` checks a given table's index range itself. The index is
-intp, as ``np.unique`` returns it: ``np.take`` copies any other integer
-index to intp on every call.
+A node's circuit runs in one complex state and one scratch (``_buffers``)
+of one tile and one top-pass chunk: the state's size up to 14 spins, half
+of it at 15, a quarter at 16 to 18 and 1 MB above; every query and the
+sampled state reuse both. A phase layer gathers its factors into the
+scratch one tile at a time and multiplies them into the state's tile, the
+mixer runs through the scratch and back into the state, and an expectation
+sums diag * psi one tile at a time in the start of the scratch. So during
+the queries a node holds the diagonal, the table's index and one state, 32
+bytes per amplitude, plus the scratch, the frame's two 256 KB patterns and
+temporaries the size of the level list or of numpy's fixed cast buffer; no
+per-query array grows with 2^n. ``engine._run_vqa`` hands the diagonal to
+``optimize_angles`` alone, so it is freed before sampling, which then holds
+the state, its probabilities and their cumulative sum, 32 bytes per
+amplitude. The gather runs ``np.take`` with ``mode="clip"``, because
+"raise" copies the output, so ``qaoa_state`` checks a given table's index
+range itself, a tile at a time in the first layer. The index is intp, as ``np.unique`` returns
+it: ``np.take`` copies any other integer index to intp on every call.
 
 Angle optimization is derivative-free under a query cap: Nelder-Mead runs
 with random restarts, every expectation evaluation is recorded, and the best
@@ -92,6 +100,7 @@ start-up time and memory than the rest of the package.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,7 +113,9 @@ SIMULATOR_LIMIT = 22
 # (x86-64, 2 vCPU, one OpenBLAS thread). The spins above the tile are mixed
 # in chunks of 8 << TILE_BITS floats (1 MB), four tiles; chunks of 1, 2, 8
 # and 16 tiles were no faster at n = 20, and 8 tiles slower at n = 21 (same
-# machine).
+# machine). Chunks of a quarter of the state, 1 and 2 tiles, were as fast at
+# n = 16 and 17 and keep the scratch a quarter of the state there; at n = 20
+# and 21, 1-tile chunks were 3% and 10% slower.
 TILE_BITS = 14
 # Index bits per product, inside a tile and above it: 8x8 blocks beat 16x16
 # ones by 14%, 9% and 4% of the mixer at n = 16, 18 and 20, and 32x32 ones
@@ -178,9 +189,22 @@ def build_diagonal(model: IsingModel) -> np.ndarray:
     return diag
 
 
-def state_pair(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two complex arrays of ``size`` amplitudes for the in-place circuit."""
-    return np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+def _chunk_width(top: int) -> int:
+    """Floats per row in a column chunk of the top pass over the (2^top, -1)
+    float view, each row a tile: about four tiles in all, at most a quarter
+    of the state, and no fewer than 64 floats unless the row has fewer."""
+    row = 2 << TILE_BITS
+    return min(row, max(64, min((8 << TILE_BITS) >> top, row >> 2)))
+
+
+def _buffers(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """One complex state of ``size`` amplitudes and the scratch the circuit
+    runs through: one tile and one top-pass chunk, which makes it the state's
+    size up to one tile of spins and at most half of it above."""
+    top = max(0, size.bit_length() - 1 - TILE_BITS)
+    chunk = (1 << top) * _chunk_width(top) // 2 if top else size
+    scratch = max(min(size, 1 << TILE_BITS), chunk)
+    return np.empty(size, dtype=complex), np.empty(scratch, dtype=complex)
 
 
 def _split(bits: int, most: int) -> list[int]:
@@ -189,55 +213,65 @@ def _split(bits: int, most: int) -> list[int]:
     return [bits // parts + (i < bits % parts) for i in range(parts)]
 
 
-def _frame_factors(n_spins: int) -> tuple[np.ndarray, np.ndarray]:
-    """i^popcount(z) as a column over the high bits of z and a row over the
-    low ones; their outer product is the frame's D.
+def _popcount_units(bits: int) -> np.ndarray:
+    """i^popcount(z) for z < 2^bits, each exactly +-1 or +-i: the entries of
+    each next bit are those below it times i."""
+    f = np.ones(1 << bits, dtype=complex)
+    for k in range(bits):
+        np.multiply(f[: 1 << k], 1j, out=f[1 << k : 2 << k])
+    return f
 
-    Each half doubles from [1]: the entries of the next bit are those below
-    it times i, so every entry is exactly +-1 or +-i. A half has at most
-    2^11 entries below the simulator limit.
+
+@functools.lru_cache(maxsize=1)
+def _frame(tile_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The frame's D over the first 2^tile_bits indices, and D^dagger.
+
+    Over tile t of any state D is these entries times i^popcount(t), and a
+    state of fewer spins takes a prefix. Built once per tile size and kept,
+    read-only, so every node reuses it.
     """
-    halves = []
-    for bits in (n_spins - n_spins // 2, n_spins // 2):
-        f = np.ones(1 << bits, dtype=complex)
-        for k in range(bits):
-            np.multiply(f[: 1 << k], 1j, out=f[1 << k : 2 << k])
-        halves.append(f)
-    return halves[0][:, None], halves[1]
+    d = _popcount_units(tile_bits)
+    dagger = np.conj(d)
+    d.flags.writeable = dagger.flags.writeable = False
+    return d, dagger
 
 
-def _mix_above_tile(src: np.ndarray, dst: np.ndarray, mats: list[np.ndarray], top: int) -> None:
+def _mix_above_tile(state: np.ndarray, scratch: np.ndarray, mats: list[np.ndarray], top: int) -> None:
     """Apply ``mats``, blocks over consecutive groups of the top ``top``
-    spins from the highest down, to ``src`` into ``dst``, one column chunk
-    of the (2^top, -1) float view at a time; ``src`` is only read.
+    spins from the highest down, to ``state`` in place, one column chunk of
+    the (2^top, -1) float view at a time.
 
-    A chunk is about four tiles, so the products in between stay in cache:
-    they alternate between two chunk-sized scratch arrays.
+    A chunk (``_chunk_width``) is at most four tiles, so its products stay
+    in cache: they alternate between the chunk and the start of
+    ``scratch``, starting from a copy of it when their count is odd, so the
+    last one writes the chunk.
     """
     rows = 1 << top
-    src = src.view(float).reshape(rows, -1)
-    dst = dst.view(float).reshape(rows, -1)
-    width = min(src.shape[1], max(64, (8 << TILE_BITS) >> top))
-    scratch = [np.empty((rows, width)) for _ in range(min(2, len(mats) - 1))]
-    for start in range(0, src.shape[1], width):
-        a = src[:, start : start + width]
+    x = state.view(float).reshape(rows, -1)
+    width = _chunk_width(top)
+    spare = scratch.view(float)[: rows * width].reshape(rows, width)
+    for start in range(0, x.shape[1], width):
+        a, b = x[:, start : start + width], spare
+        if len(mats) % 2:
+            np.copyto(spare, a)
+            a, b = b, a
         outer = 1  # index values of the groups above this one
-        for i, m in enumerate(mats):
-            b = dst[:, start : start + width] if i == len(mats) - 1 else scratch[i % 2]
+        for m in mats:
             shape = (outer, m.shape[0], -1, width)
             # the group's axis next to the columns: a batch of (2^k, width) products
             np.matmul(m, a.reshape(shape).swapaxes(1, 2), out=b.reshape(shape).swapaxes(1, 2))
-            a = b
+            a, b = b, a
             outer *= m.shape[0]
 
 
-def _apply_mixer(state: np.ndarray, beta: float, n_spins: int, spare: np.ndarray) -> np.ndarray:
+def _apply_mixer(state: np.ndarray, beta: float, n_spins: int, scratch: np.ndarray) -> np.ndarray:
     """Q(beta)^{(x)n}, Q = [[cos, sin], [-sin, cos]], in real matrix
     products on the float view of the state: the phase-frame form of
     exp(-i*beta*X) on every spin (see the module docstring).
 
-    The products alternate between ``state`` and ``spare``, an array of the
-    same size, so both are overwritten; returns the one holding the result.
+    Mixes ``state`` in place through ``scratch``, a complex array of at
+    least one tile and one top-pass chunk (``_buffers``), which it
+    overwrites; returns ``state``.
     """
     c = np.cos(beta)
     s = np.sin(beta)
@@ -253,37 +287,49 @@ def _apply_mixer(state: np.ndarray, beta: float, n_spins: int, spare: np.ndarray
     last = (last[:, None, :, None] * np.eye(2)[None, :, None, :]).reshape(2 * last.shape[0], -1)
     tile_blocks = [blocks[k] for k in tile_sizes[:-1]] + [last]
     if top:
-        _mix_above_tile(state, spare, [blocks[k].T for k in _split(top, MIXER_BLOCK)], top)
-        state, spare = spare, state
-    src = state.view(float)
-    dst = spare.view(float)
+        _mix_above_tile(state, scratch, [blocks[k].T for k in _split(top, MIXER_BLOCK)], top)
+    x = state.view(float)
     size = 2 << low
-    for start in range(0, src.size, size):
-        a, b = src[start : start + size], dst[start : start + size]
+    spare = scratch.view(float)[:size]
+    for start in range(0, x.size, size):
+        a, b = x[start : start + size], spare
+        if len(tile_blocks) % 2:  # so the last product writes the tile
+            np.copyto(spare, a)
+            a, b = b, a
         for block in tile_blocks:
             np.matmul(a.reshape(block.shape[0], -1).T, block, out=b.reshape(-1, block.shape[0]))
             a, b = b, a
-    return spare if len(tile_blocks) % 2 else state
+    return state
 
 
 def phase_table(diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(diag, return_inverse=True)``, from the same quicksort:
-    sorted distinct energies and an intp index with ``levels[index] == diag``."""
+    sorted distinct energies and an intp index with ``levels[index] == diag``.
+
+    Ranks the sorted order one tile of 2^TILE_BITS entries at a time, so
+    beside the diagonal it holds only the index, the order and one tile's
+    temporaries.
+    """
     # allocated first, so freeing the temporaries leaves no hole below it in
     # glibc malloc's heap: np.unique's order adds 7-15 MB peak RSS at n = 20
     index = np.empty(diag.size, dtype=np.intp)
     order = np.argsort(diag)
-    ranked = diag[order]
-    first = np.empty(diag.size, dtype=bool)  # first entry of each level in ``ranked``
-    first[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-    levels = ranked[first]
-    del ranked
-    rank = np.cumsum(first)
-    del first
-    rank -= 1
-    index[order] = rank
-    return levels, index
+    levels = []
+    count = 0  # levels in the chunks before this one
+    size = 1 << TILE_BITS
+    for start in range(0, diag.size, size):
+        part = order[start : start + size]
+        ranked = diag[part]
+        first = np.empty(ranked.size, dtype=bool)  # first entry of each level
+        first[0] = start == 0 or ranked[0] != last
+        np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+        levels.append(ranked[first])
+        rank = np.cumsum(first)
+        rank += count - 1
+        index[part] = rank
+        count += levels[-1].size
+        last = ranked[-1]
+    return np.concatenate(levels), index
 
 
 def qaoa_state(
@@ -295,9 +341,9 @@ def qaoa_state(
     """Alternating phase/mixer circuit applied to the uniform superposition.
 
     ``table`` is ``phase_table(diag)``; pass it to reuse one across calls.
-    ``buffers`` is a ``state_pair(diag.size)`` that the circuit overwrites
-    (a new pair when not given); the state is returned in one of the two.
-    ``diag`` and ``table`` are only read.
+    ``buffers`` is a (state, scratch) pair from ``_buffers(diag.size)``
+    that the circuit overwrites (a new pair when not given); the state is
+    returned in the first. ``diag`` and ``table`` are only read.
     """
     size = diag.size
     n_spins = int(size).bit_length() - 1
@@ -307,24 +353,37 @@ def qaoa_state(
         levels, index = phase_table(diag)
     else:
         levels, index = table
-        if index.min() < 0 or index.max() >= levels.size:
-            raise IndexError("phase table index out of range")
-    state, spare = state_pair(size) if buffers is None else buffers
-    # the circuit runs in the phase frame: from D^dagger|+>, D = diag(i^popcount(z))
-    rows, cols = _frame_factors(n_spins)
-    frame = state.reshape(rows.size, cols.size)
-    np.multiply(np.conj(rows) * (1.0 / np.sqrt(size)), np.conj(cols), out=frame)
-    for gamma, beta in zip(params.gammas, params.betas):
-        # "clip" gathers straight into spare, where "raise" would buffer a
-        # copy; the index is in range (checked above)
+    state, scratch = _buffers(size) if buffers is None else buffers
+    low = min(n_spins, TILE_BITS)
+    tile = 1 << low
+    d, dagger = (a[:tile] for a in _frame(TILE_BITS))
+    units = _popcount_units(n_spins - low)  # D over tile t is d * units[t]
+    part = scratch[:tile]
+    for layer, (gamma, beta) in enumerate(zip(params.gammas, params.betas)):
         factors = -1j * gamma * levels
-        np.take(np.exp(factors, out=factors), index, out=spare, mode="clip")
-        state *= spare
-        if n_spins and _apply_mixer(state, beta, n_spins, spare) is spare:
-            state, spare = spare, state
-    frame = state.reshape(rows.size, cols.size)  # back from the frame, exactly
-    frame *= rows
-    frame *= cols
+        np.exp(factors, out=factors)
+        if not layer:
+            factors *= 1.0 / np.sqrt(size)  # the entry's 2^(-n/2)
+        for t, start in enumerate(range(0, size, tile)):
+            picks = index[start : start + tile]
+            if not layer and table is not None and (picks.min() < 0 or picks.max() >= levels.size):
+                raise IndexError("phase table index out of range")
+            # "clip" gathers straight into the scratch, where "raise" would
+            # buffer a copy; the index is in range (checked in the first layer)
+            np.take(factors, picks, out=part, mode="clip")
+            if layer:
+                state[start : start + tile] *= part
+            else:  # into the phase frame: D^dagger|+>, D = diag(i^popcount(z))
+                if units[t] != 1:
+                    part *= np.conj(units[t])
+                np.multiply(part, dagger, out=state[start : start + tile])
+        if n_spins:
+            _apply_mixer(state, beta, n_spins, scratch)
+    for t, start in enumerate(range(0, size, tile)):  # back from the frame, exactly
+        if units[t] != 1:
+            state[start : start + tile] *= np.multiply(d, units[t], out=part)
+        else:
+            state[start : start + tile] *= d
     return state
 
 
@@ -334,8 +393,8 @@ def expectation(state: np.ndarray, diag: np.ndarray, spare: np.ndarray | None = 
     Summed one tile of 2^TILE_BITS amplitudes at a time, each tile's
     diag*psi written to the same tile-sized scratch, so it is read back
     from cache. The scratch is the start of ``spare``, a complex array of
-    the state's size, when one is given, and a new array otherwise; both
-    give the same float.
+    at least one tile (as ``_buffers`` makes), when one is given, and a new
+    array otherwise; both give the same float.
     """
     if state.shape != diag.shape:
         raise ValueError("state and diagonal dimensions differ")
@@ -436,9 +495,9 @@ def optimize_angles(
 
     Returns the best parameters seen, every query's expectation in order,
     and the best parameters' state. Every query and that state share one
-    ``phase_table(diag)`` and one ``state_pair``, built here; the state is
-    in one of the pair, and the table and the other buffer are freed on
-    return.
+    ``phase_table(diag)``, one state and one cache-sized scratch
+    (``_buffers``), built here; the table and the scratch are freed on
+    return, and so is ``diag`` when the caller holds no other reference.
     """
     if max_queries < 1:
         raise ValueError("max_queries must be at least 1")
@@ -449,14 +508,14 @@ def optimize_angles(
     best_f = np.inf
     stale = 0  # consecutive queries since the last strict improvement
     table = phase_table(diag)
-    buffers = state_pair(diag.size)
+    buffers = _buffers(diag.size)
 
     def objective(x: np.ndarray) -> float:
         nonlocal best_x, best_f, stale
         if len(values) >= max_queries:
             raise _StopQueries
         state = qaoa_state(diag, QaoaParams.from_vector(x), table, buffers)
-        value = expectation(state, diag, buffers[1] if state is buffers[0] else buffers[0])
+        value = expectation(state, diag, buffers[1])
         values.append(value)
         if value < best_f:
             best_f = value

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
+import qcbb
 from qcbb.blp import BlpInstance, violations
 from qcbb.bound import ising_to_maxcut
 from qcbb.ising import IsingModel
@@ -23,6 +28,15 @@ ALPHA = 0.87856
 def three_var_instance() -> BlpInstance:
     # optimum 1 at x = (0, 1, 0)
     return BlpInstance(c=[1.0, 1.0, 1.0], A=[[1, 1, 0], [0, 1, 1]], b=[1, 1])
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a new process that imports this qcbb."""
+    src = str(Path(qcbb.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True
+    )
 
 
 def is_feasible(instance: BlpInstance, x: np.ndarray) -> bool:

@@ -1,12 +1,9 @@
 import json
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import qcbb
+from conftest import run_python
 from qcbb import blp, cli
 from qcbb.blp import BlpInstance, brute_force_optimum, load_instance, save_instance
 from qcbb.metrics import CSV_COLUMNS, load_trace
@@ -86,15 +83,6 @@ class TestGen:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
-
-
-def run_python(*args: str) -> subprocess.CompletedProcess:
-    """``python *args`` in a new process that imports this qcbb."""
-    src = str(Path(qcbb.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True
-    )
 
 
 def test_start_up_imports_no_scipy():

@@ -23,13 +23,13 @@ from qcbb.vqa import (
     QaoaParams,
     SampleSet,
     _apply_mixer,
+    _buffers,
     build_diagonal,
     expectation,
     optimize_angles,
     phase_table,
     qaoa_state,
     sample,
-    state_pair,
 )
 
 
@@ -198,45 +198,65 @@ class TestQaoaState:
 
     @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 8, 9, 11])
     def test_caller_buffers_match_allocating_call(self, n, monkeypatch):
-        # a layer takes ceil((t + 1) / 3) products in a tile of t spins plus
-        # one buffer swap for all the spins above it. An odd count puts the
-        # state in either buffer over p = 1, 2, 3, an even one always in
-        # the first; n = 0 takes none. Whole-state tiles: odd at n = 1, 8.
-        # 3-spin tiles (2 products each): spins above at n = 4..11.
-        for tile_bits, odd in ((14, n in (1, 8)), (3, n in (1, 4, 5, 8, 9, 11))):
+        # one (state, scratch) pair serves p = 1, 2, 3 in turn, the state
+        # always returned in the first. Whole-state tiles at 14 tile bits;
+        # 3-spin tiles put 0, 0, 0, 1, 1, 2, 2 and 3 groups above the tile
+        # at these n, so the chunk pass runs from a copy (odd counts) and
+        # straight from the chunk (even ones). Both buffers start as NaN,
+        # so a read of stale scratch would show.
+        for tile_bits in (14, 3):
             monkeypatch.setattr(vqa, "TILE_BITS", tile_bits)
             rng = np.random.default_rng(40 + n)
             diag = rng.integers(-30, 31, size=1 << n) / 2.0
             table = phase_table(diag)
             kept = (diag.copy(), table[0].copy(), table[1].copy())
-            buffers = state_pair(diag.size)
-            ends = set()
+            state, scratch = buffers = _buffers(diag.size)
             for p in (1, 2, 3):
+                state.fill(np.nan)
+                scratch.fill(np.nan)
                 params = QaoaParams(
                     gammas=rng.uniform(0, np.pi, p), betas=rng.uniform(0, np.pi, p)
                 )
                 want = qaoa_state(diag, params)
                 got = qaoa_state(diag, params, table, buffers)
-                assert any(got is b for b in buffers)
-                ends.add(got is buffers[0])
+                assert got is state
                 assert got.tobytes() == want.tobytes()
-                spare = buffers[1] if got is buffers[0] else buffers[0]
-                assert expectation(got, diag, spare) == expectation(want, diag)
+                assert expectation(got, diag, scratch) == expectation(want, diag)
             for before, after in zip(kept, (diag, *table)):
                 assert before.tobytes() == after.tobytes()
-            assert ends == ({True, False} if odd else {True}), tile_bits
+
+    @pytest.mark.parametrize(
+        "tile_bits, n, scratch_size",
+        [(14, 15, 1 << 14), (14, 16, 1 << 14), (14, 17, 1 << 15), (14, 18, 1 << 16), (14, 22, 1 << 16)]
+        + [(6, 9, 1 << 8), (6, 13, 1 << 12), (3, 12, 1 << 12)],
+    )
+    def test_scratch_is_a_tile_and_a_chunk(self, tile_bits, n, scratch_size, monkeypatch):
+        # one tile and one top-pass chunk: four tiles, cut to a quarter of
+        # the state at 15 to 17 spins (so at 15 the tile, half the state,
+        # is the larger), or 64 floats per row when that is more. 3-spin
+        # tiles are 16-float rows, so their chunk is the whole state; up to
+        # one tile of spins the scratch is the state's size.
+        monkeypatch.setattr(vqa, "TILE_BITS", tile_bits)
+        state, scratch = _buffers(1 << n)
+        assert state.size == 1 << n and state.dtype == scratch.dtype == complex
+        assert scratch.size == scratch_size
+        for small in range(tile_bits + 1):
+            assert _buffers(1 << small)[1].size == 1 << small
 
     @pytest.mark.parametrize("bad", [-1, "size"])
-    def test_index_out_of_range_raises(self, bad):
-        diag = np.array([0.0, 1.0, 1.0, 2.0])
-        levels, index = phase_table(diag)
-        index = index.copy()
-        index[2] = levels.size if bad == "size" else bad
-        params = QaoaParams(gammas=[0.3], betas=[0.2])
-        with pytest.raises(IndexError):
-            qaoa_state(diag, params, (levels, index))
-        with pytest.raises(IndexError):
-            qaoa_state(diag, params, (levels, index), state_pair(4))
+    def test_index_out_of_range_raises(self, bad, monkeypatch):
+        # with 1-bit tiles the bad entry sits in the second or the fourth
+        # tile, which the first layer checks as it gathers it
+        monkeypatch.setattr(vqa, "TILE_BITS", 1)
+        diag = np.array([0.0, 1.0, 1.0, 2.0, 0.0, 1.0, 1.0, 2.0])
+        params = QaoaParams(gammas=[0.3, 0.1], betas=[0.2, 0.4])
+        for entry in (2, 6):
+            levels, index = phase_table(diag)
+            index[entry] = levels.size if bad == "size" else bad
+            with pytest.raises(IndexError):
+                qaoa_state(diag, params, (levels, index))
+            with pytest.raises(IndexError):
+                qaoa_state(diag, params, (levels, index), _buffers(8))
 
     def test_zero_spins(self):
         state = qaoa_state(np.array([2.0]), QaoaParams(gammas=[0.5, 0.25], betas=[0.3, 0.1]))
@@ -260,30 +280,32 @@ class TestMixer:
                     beta = float(rng.uniform(-np.pi, np.pi))
                     ref = tensordot_mixer(state, beta, n)
                     # in the frame, D Q^{(x)n} D^dagger = R_x^{(x)n}; the mixer
-                    # overwrites its input, so each call gets its own array
-                    ours = _apply_mixer(np.conj(frame) * state, beta, n, np.empty_like(state))
+                    # works in place, through a NaN-filled scratch
+                    ours, scratch = _buffers(state.size)
+                    ours[:] = np.conj(frame) * state
+                    scratch.fill(np.nan)
+                    assert _apply_mixer(ours, beta, n, scratch) is ours
                     assert np.max(np.abs(frame * ours - ref)) <= 1e-12
-                    assert np.array_equal(ours, kron_mixer(np.conj(frame) * state, beta, n))
-                    pair = state_pair(state.size)
-                    pair[0][:] = np.conj(frame) * state
-                    mixed = _apply_mixer(pair[0], beta, n, pair[1])
-                    assert any(mixed is b for b in pair)
-                    assert mixed.tobytes() == ours.tobytes()
+                    assert ours.tobytes() == kron_mixer(np.conj(frame) * state, beta, n).tobytes()
 
     @pytest.mark.parametrize(
         "tile_bits, n", [(14, n) for n in range(15, 22)] + [(6, n) for n in range(9, 14)]
     )
     def test_bitwise_equal_to_kron_reference_above_the_tile(self, tile_bits, n, monkeypatch):
         # 14-spin tiles: 1 to 7 spins above, in one, two and (at n = 21)
-        # three groups, so the second scratch chunk is used too. 6-spin
-        # tiles: 128-float rows, and 3 to 7 spins above make the chunk
-        # max(64, (8 << 6) >> top) floats wide, narrower than a row.
+        # three groups, so the chunk products start from a copy (odd counts)
+        # and from the chunk itself (even ones), over 4 to 32 chunks. 6-spin
+        # tiles: 128-float rows, and 3 to 7 spins above make the chunk 64
+        # floats wide, half a row.
         monkeypatch.setattr(vqa, "TILE_BITS", tile_bits)
         rng = np.random.default_rng(n)
-        state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        state, scratch = _buffers(1 << n)
+        state[:] = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        scratch.fill(np.nan)
         beta = float(rng.uniform(-np.pi, np.pi))
         want = kron_mixer(state, beta, n)
-        assert _apply_mixer(state, beta, n, np.empty_like(state)).tobytes() == want.tobytes()
+        assert _apply_mixer(state, beta, n, scratch) is state
+        assert state.tobytes() == want.tobytes()
 
 
 def spp_diagonal(n, m, seed):
@@ -360,7 +382,7 @@ class TestExpectation:
             raw = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
             state = raw / np.linalg.norm(raw)
             kept = state.copy()
-            spare = np.full(state.size, np.nan, dtype=complex)
+            spare = np.full(min(state.size, 1 << vqa.TILE_BITS), np.nan, dtype=complex)
             assert expectation(state, diag, spare) == expectation(state, diag)
             assert state.tobytes() == kept.tobytes()
 
@@ -373,7 +395,9 @@ class TestExpectation:
         raw = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         state = raw / np.linalg.norm(raw)
         got = expectation(state, diag)
-        assert expectation(state, diag, np.full(state.size, np.nan, dtype=complex)) == got
+        scratch = _buffers(state.size)[1]
+        scratch.fill(np.nan)
+        assert expectation(state, diag, scratch) == got
         exact = math.fsum((np.abs(state) ** 2 * diag).tolist())
         assert abs(got - exact) <= 1e-15 * exact
 
